@@ -50,6 +50,10 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+class UnconvergedSolveError(RuntimeError):
+    """An audit or an export was asked to use a solve that did not converge."""
+
+
 @dataclass
 class RunConfig:
     potential: PotentialSpec
@@ -270,6 +274,15 @@ def _solve_surface(spec: PotentialSpec, sub: dict) -> SolveResult:
     raise ConfigError([f"surface.kind: unknown {kind!r}"])
 
 
+def _converged_surface(spec: PotentialSpec, sub: dict) -> SolveResult:
+    """The solve an audit or an export works on; an unconverged one is refused."""
+    result = _solve_surface(spec, sub)
+    if not result.converged:
+        raise UnconvergedSolveError(
+            f"surface solve did not converge: {result.diagnostics}")
+    return result
+
+
 def _parse_start(obj: dict):
     if obj.get("kind") == "axis":
         return AxisRegular(z0=float(obj["z0"]))
@@ -388,7 +401,7 @@ def _run_solve(config, out: Path, kind: str):
 
 def _run_audit_fundamental(config, out: Path):
     p = config.command_params
-    result = _solve_surface(config.potential, p["surface"])
+    result = _converged_surface(config.potential, p["surface"])
     field = _field_of(result, config.potential)
     items = [int(i) for i in p["items"]]
     reports = fundamental_identity_residuals(field, config.potential, items)
@@ -404,7 +417,7 @@ def _run_audit_fundamental(config, out: Path):
 
 def _run_audit_stability(config, out: Path):
     p = config.command_params
-    result = _solve_surface(config.potential, p["surface"])
+    result = _converged_surface(config.potential, p["surface"])
     field = _field_of(result, config.potential)
     h = field.grid_h
     margin = 2
@@ -436,7 +449,7 @@ def _run_audit_stability(config, out: Path):
 
 def _run_audit_area(config, out: Path):
     p = config.command_params
-    result = _solve_surface(config.potential, p["surface"])
+    result = _converged_surface(config.potential, p["surface"])
     field = _field_of(result, config.potential)
     z_lo = float(field.mu.min())
     z_hi = float(field.mu.max()) + 1.0
@@ -454,7 +467,7 @@ def _run_audit_area(config, out: Path):
 
 def _run_audit_monotonicity(config, out: Path):
     p = config.command_params
-    result = _solve_surface(config.potential, p["surface"])
+    result = _converged_surface(config.potential, p["surface"])
     field = _field_of(result, config.potential)
     rep = estimates.density_monotonicity(
         field, int(p.get("center_index", 0)), [float(r) for r in p["radii"]],
@@ -479,7 +492,7 @@ def _run_audit_monotonicity(config, out: Path):
 
 def _run_audit_curvature_ratio(config, out: Path):
     p = config.command_params
-    result = _solve_surface(config.potential, p["surface"])
+    result = _converged_surface(config.potential, p["surface"])
     field = _field_of(result, config.potential)
     sup = estimates.curvature_ratio_sup(field, config.potential)
     doc = _report("curvature_ratio_sup", {}, {"sup": sup}, {}, True)
@@ -490,7 +503,7 @@ def _run_audit_curvature_ratio(config, out: Path):
 
 def _run_audit_convexity(config, out: Path):
     p = config.command_params
-    result = _solve_surface(config.potential, p["surface"])
+    result = _converged_surface(config.potential, p["surface"])
     field = _field_of(result, config.potential)
     h = field.grid_h
     tol = float(p.get("tol", 10.0 * h**2 * max(field.norm_s2().max(), 1.0)))
@@ -515,7 +528,7 @@ def _run_audit_convexity(config, out: Path):
 
 def _run_blowup(config, out: Path):
     p = config.command_params
-    result = _solve_surface(config.potential, p["surface"])
+    result = _converged_surface(config.potential, p["surface"])
     field = _field_of(result, config.potential)
     heights = [float(hh) for hh in p["heights"]]
     basepoints = [int(np.argmin(np.abs(field.mu - hh))) for hh in heights]
@@ -534,7 +547,7 @@ def _run_blowup(config, out: Path):
 
 def _run_export(config, out: Path):
     p = config.command_params
-    result = _solve_surface(config.potential, p["surface"])
+    result = _converged_surface(config.potential, p["surface"])
     formats = [str(f) for f in p["formats"]]
     paths = _export_solve(result, config.potential, out, "surface",
                           formats=formats)

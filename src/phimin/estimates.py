@@ -298,11 +298,7 @@ def density_monotonicity(field: GeometryField, q: int, radii, spec: PotentialSpe
     norm_spec = normalized_for_window(spec, epsilon)
     q_pos = field.positions[int(q)]
 
-    areas = np.empty(radii.size)
-    tols = np.empty(radii.size)
-    weighted = np.empty(radii.size)
-    for k, r in enumerate(radii):
-        areas[k], tols[k], weighted[k] = _clipped_area(field, q_pos, r, norm_spec)
+    areas, tols, weighted = _clipped_areas(field, q_pos, radii, norm_spec)
     phis = np.array([eval_potential(norm_spec, r).phi for r in radii])
     o_vals = phis * areas / (4.0 * np.pi * radii**2)
     o_tols = phis * tols / (4.0 * np.pi * radii**2)
@@ -315,62 +311,72 @@ def density_monotonicity(field: GeometryField, q: int, radii, spec: PotentialSpe
                                             if weighted_variant else None))
 
 
-def _clipped_area(field: GeometryField, q: np.ndarray, r: float,
-                  norm_spec: PotentialSpec):
-    """(area, clip tolerance, e^phi-weighted area) of the surface in B(q, r)."""
+def _clipped_areas(field: GeometryField, q: np.ndarray, radii: np.ndarray,
+                   norm_spec: PotentialSpec):
+    """(areas, clip tolerances, e^phi-weighted areas) of the surface in
+    B(q, r) for each radius r; the sampling set-up is shared by all radii."""
+    areas = np.empty(radii.size)
+    tols = np.empty(radii.size)
+    weighted = np.empty(radii.size)
     if field.is_profile:
         curve: ProfileCurve = field.source
         mid = lambda a: 0.5 * (a[:-1] + a[1:])
         xm, zm = mid(curve.x), mid(curve.z)
         wm = np.exp(eval_potential(norm_spec, zm).phi)
         ds = curve.step
-        if curve.kind == ROTATIONAL:
-            qr = float(np.hypot(q[0], q[1]))
-            dz2 = (zm - q[2]) ** 2
-            if qr < 1e-12:
-                inside = xm**2 + dz2 < r**2
-                frac = inside.astype(float)
+        qr = float(np.hypot(q[0], q[1]))
+        dz2 = (zm - q[2]) ** 2
+        d2 = (xm - q[0]) ** 2 + dz2
+        # an axis start is an interior pole, not a patch boundary
+        start_is_boundary = curve.x[0] > 1e-10
+        for k, r in enumerate(radii):
+            if curve.kind == ROTATIONAL:
+                if qr < 1e-12:
+                    inside = xm**2 + dz2 < r**2
+                    frac = inside.astype(float)
+                else:
+                    # ring point distance: |P-q|^2 = x^2 + qr^2 + dz^2 - 2 x qr cos(v)
+                    cos_v = (xm**2 + qr**2 + dz2 - r**2) / (2.0 * xm * qr)
+                    frac = np.arccos(np.clip(cos_v, -1.0, 1.0)) / np.pi
+                contrib = 2.0 * np.pi * xm * ds * frac
+                if (frac[0] > 0.0 and start_is_boundary) or frac[-1] > 0.0:
+                    raise PatchExceededError("ball reaches the profile ends")
             else:
-                # ring point distance: |P-q|^2 = x^2 + qr^2 + dz^2 - 2 x qr cos(v)
-                cos_v = (xm**2 + qr**2 + dz2 - r**2) / (2.0 * xm * qr)
-                frac = np.arccos(np.clip(cos_v, -1.0, 1.0)) / np.pi
-            contrib = 2.0 * np.pi * xm * ds * frac
-            # an axis start is an interior pole, not a patch boundary
-            start_is_boundary = curve.x[0] > 1e-10
-            if (frac[0] > 0.0 and start_is_boundary) or frac[-1] > 0.0:
-                raise PatchExceededError("ball reaches the profile ends")
-            tol = 2.0 * np.pi * r * ds  # boundary length times spacing
-            return float(contrib.sum()), tol, float((wm * contrib).sum())
-        d2 = (xm - q[0]) ** 2 + (zm - q[2]) ** 2
-        chord = 2.0 * np.sqrt(np.maximum(r**2 - d2, 0.0))
-        if chord[0] > 0.0 or chord[-1] > 0.0:
-            raise PatchExceededError("ball reaches the profile ends")
-        contrib = chord * ds
-        tol = 2.0 * np.pi * r * ds
-        return float(contrib.sum()), tol, float((wm * contrib).sum())
+                chord = 2.0 * np.sqrt(np.maximum(r**2 - d2, 0.0))
+                if chord[0] > 0.0 or chord[-1] > 0.0:
+                    raise PatchExceededError("ball reaches the profile ends")
+                contrib = chord * ds
+            areas[k] = contrib.sum()
+            tols[k] = 2.0 * np.pi * r * ds  # boundary length times spacing
+            weighted[k] = (wm * contrib).sum()
+        return areas, tols, weighted
 
     pos, h = _graph_lattice(field, refine=2)
-    areas = _cell_areas(pos)
+    cell_areas = _cell_areas(pos)
     centers_mu = 0.25 * (pos[:-1, :-1, 2] + pos[1:, :-1, 2]
                          + pos[:-1, 1:, 2] + pos[1:, 1:, 2])
+    wcell = np.exp(eval_potential(norm_spec, centers_mu).phi)
     # 4x4 subsample of each cell for the clipping fraction
     sub = np.linspace(1.0 / 8.0, 7.0 / 8.0, 4)
-    frac = np.zeros(areas.shape)
+    fracs = np.zeros((radii.size,) + cell_areas.shape)
     for sx in sub:
         for sy in sub:
             pt = ((1 - sx) * (1 - sy) * pos[:-1, :-1] + sx * (1 - sy) * pos[1:, :-1]
                   + (1 - sx) * sy * pos[:-1, 1:] + sx * sy * pos[1:, 1:])
-            frac += (np.linalg.norm(pt - q, axis=-1) < r)
-    frac /= 16.0
-    boundary_cells = (frac > 0) & (frac < 1)
-    edge = np.zeros_like(boundary_cells)
+            dist = np.linalg.norm(pt - q, axis=-1)
+            for frac, r in zip(fracs, radii):
+                frac += (dist < r)
+    edge = np.zeros(cell_areas.shape, dtype=bool)
     edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
-    if np.any((frac > 0) & edge):
-        raise PatchExceededError("ball reaches the patch boundary")
-    area = float(np.sum(areas * frac))
-    tol = float(np.sum(areas[boundary_cells]) / 16.0) + 2.0 * r * h
-    wcell = np.exp(eval_potential(norm_spec, centers_mu).phi)
-    return area, tol, float(np.sum(areas * frac * wcell))
+    for k, (frac, r) in enumerate(zip(fracs, radii)):
+        frac /= 16.0
+        if np.any((frac > 0) & edge):
+            raise PatchExceededError("ball reaches the patch boundary")
+        boundary_cells = (frac > 0) & (frac < 1)
+        areas[k] = np.sum(cell_areas * frac)
+        tols[k] = np.sum(cell_areas[boundary_cells]) / 16.0 + 2.0 * r * h
+        weighted[k] = np.sum(cell_areas * frac * wcell)
+    return areas, tols, weighted
 
 
 # ---------------------------------------------------------------------------

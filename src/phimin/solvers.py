@@ -13,7 +13,11 @@ use the series x = s - (a^2/24) s^3, theta = (a/2) s + a(2b - a^2)/32 s^3
 Graphs come from a damped Newton iteration on the second-order central
 difference discretisation of  div(grad u / W) = phi'(u) / W,
 W = sqrt(1 + |grad u|^2), with an analytically assembled Jacobian
-including the -phi''(u)/W zeroth-order term.
+including the -phi''(u)/W zeroth-order term.  The Jacobian's pattern is
+symmetric, so its sparse LU uses the MMD_AT_PLUS_A ordering.  The default
+start is nested iteration (Briggs, Henson and McCormick, A Multigrid
+Tutorial, ch. 3): the grid of spacing 2h is solved first and its solution
+interpolated.
 """
 
 from __future__ import annotations
@@ -233,7 +237,16 @@ def graph_pde_residual(spec: PotentialSpec, u: np.ndarray, h: float) -> np.ndarr
     return g / (w2 * w) - d1 / w
 
 
-def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float) -> sp.csr_matrix:
+def _interior_maps(nx: int, ny: int):
+    """(ii, jj, col_of) of an nx x ny grid: the interior node indices and
+    the unknown number of every flat node index, -1 on the edge."""
+    ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
+    col_of = -np.ones(nx * ny, dtype=np.int64)
+    col_of[(ii * ny + jj).ravel()] = np.arange(ii.size)
+    return ii, jj, col_of
+
+
+def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float) -> sp.csc_matrix:
     nx, ny = u.shape
     p, q, r, s, t = _pde_parts(u, h)
     w2 = 1.0 + p**2 + q**2
@@ -249,13 +262,7 @@ def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float) -> sp.csr_matr
     f_q = (2.0 * q * r - 2.0 * p * t) / w3 - 3.0 * q * g / w5 + ev.d1 * q / w3
     f_u = -ev.d2 / w
 
-    ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
-    row = (ii * ny + jj).ravel()
-    interior = np.zeros(nx * ny, dtype=bool)
-    interior[row] = True
-    col_of = -np.ones(nx * ny, dtype=np.int64)
-    col_of[row] = np.arange(row.size)
-
+    ii, jj, col_of = _interior_maps(nx, ny)
     stencil = [
         (1, 0, f_r / h**2 + f_p / (2 * h)),
         (-1, 0, f_r / h**2 - f_p / (2 * h)),
@@ -269,52 +276,91 @@ def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float) -> sp.csr_matr
     ]
     rows, cols, vals = [], [], []
     for di, dj, coef in stencil:
-        nbr = (ii + di) * ny + (jj + dj)
-        keep = interior[nbr.ravel()]
-        rows.append(col_of[row[keep]])
-        cols.append(col_of[nbr.ravel()[keep]])
+        nbr = col_of[((ii + di) * ny + (jj + dj)).ravel()]
+        keep = nbr >= 0
+        rows.append(np.flatnonzero(keep))
+        cols.append(nbr[keep])
         vals.append(coef.ravel()[keep])
-    n_int = row.size
     J = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_int, n_int))
-    return J.tocsr()
+        shape=(ii.size, ii.size))
+    return J.tocsc()
 
 
-def _harmonic_extension(u_bc: np.ndarray, h: float) -> np.ndarray:
+def _harmonic_extension(u_bc: np.ndarray) -> np.ndarray:
     """Interior = discrete harmonic extension of the boundary values."""
     nx, ny = u_bc.shape
-    ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
-    glob = (ii * ny + jj).ravel()
-    interior = np.zeros(nx * ny, dtype=bool)
-    interior[glob] = True
-    col_of = -np.ones(nx * ny, dtype=np.int64)
-    col_of[glob] = np.arange(glob.size)
+    ii, jj, col_of = _interior_maps(nx, ny)
     rows, cols, vals = [], [], []
-    rhs = np.zeros(glob.size)
+    rhs = np.zeros(ii.size)
     u_flat = u_bc.ravel()
     for di, dj, coef in ((0, 0, 4.0), (1, 0, -1.0), (-1, 0, -1.0),
                          (0, 1, -1.0), (0, -1, -1.0)):
         nbr = ((ii + di) * ny + (jj + dj)).ravel()
-        inside = interior[nbr]
-        rows.append(np.arange(glob.size)[inside])
-        cols.append(col_of[nbr[inside]])
-        vals.append(np.full(inside.sum(), coef))
+        col = col_of[nbr]
+        inside = col >= 0
+        rows.append(np.flatnonzero(inside))
+        cols.append(col[inside])
+        vals.append(np.full(rows[-1].size, coef))
         rhs[~inside] -= coef * u_flat[nbr[~inside]]
     A = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(glob.size, glob.size)).tocsr()
-    sol = spla.spsolve(A, rhs)
+                      shape=(ii.size, ii.size)).tocsc()
+    sol = spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
     u = u_bc.copy()
     u[1:-1, 1:-1] = sol.reshape(nx - 2, ny - 2)
     return u
 
 
-def _initial_grid(cfg: NewtonConfig, X, Y, u_bc, h: float):
+# a grid is solved on the grid of spacing 2h first while that grid keeps at
+# least this many cells on each side
+_COARSEST_CELLS = 16
+
+
+def _prolong_axis(c: np.ndarray, axis: int) -> np.ndarray:
+    """Cubic interpolation to the midpoints along one axis: (-1, 9, 9, -1)/16
+    of the four coarse neighbours, (5, 15, -5, 1)/16 of the four nearest
+    nodes for the midpoint next to either end."""
+    c = np.moveaxis(c, axis, 0)
+    f = np.empty((2 * c.shape[0] - 1,) + c.shape[1:])
+    f[::2] = c
+    f[3:-3:2] = (9.0 * (c[1:-2] + c[2:-1]) - (c[:-3] + c[3:])) / 16.0
+    f[1] = (5.0 * c[0] + 15.0 * c[1] - 5.0 * c[2] + c[3]) / 16.0
+    f[-2] = (c[-4] - 5.0 * c[-3] + 15.0 * c[-2] + 5.0 * c[-1]) / 16.0
+    return np.moveaxis(f, 0, axis)
+
+
+def _nested_start(spec: PotentialSpec, u_bc: np.ndarray, h: float,
+                  cfg: NewtonConfig, levels: list) -> np.ndarray:
+    """Nested iteration: solve with the boundary data restricted to the grid
+    of spacing 2h (itself started this way), prolong by cubic interpolation
+    and restore the boundary data.  The coarsest grid, and any grid whose
+    prolonged start leaves the weight domain, starts from the discrete
+    harmonic extension.  One note per coarse grid is appended to levels."""
+    nx, ny = u_bc.shape
+    if (nx - 1) % 2 or (ny - 1) % 2 or min(nx, ny) - 1 < 2 * _COARSEST_CELLS:
+        return _harmonic_extension(u_bc)
+    coarse = _nested_start(spec, u_bc[::2, ::2], 2 * h, cfg, levels)
+    coarse, res_norm, iters = _newton(spec, coarse, 2 * h, cfg)
+    levels.append(f"h = {2 * h:.6g}: {iters} Newton steps to residual {res_norm:.3e}")
+    u = _prolong_axis(_prolong_axis(coarse, 0), 1)
+    u[0, :], u[-1, :] = u_bc[0, :], u_bc[-1, :]
+    u[:, 0], u[:, -1] = u_bc[:, 0], u_bc[:, -1]
+    if np.any(u <= spec.domain_left):
+        levels.append(f"h = {h:.6g}: prolonged start left the weight domain, "
+                      "harmonic start")
+        return _harmonic_extension(u_bc)
+    return u
+
+
+def _initial_grid(spec: PotentialSpec, cfg: NewtonConfig, X, Y, u_bc,
+                  h: float, levels: list):
     guess = cfg.initial_guess
+    if isinstance(guess, list):  # the JSON form of the tuple guesses
+        guess = tuple(guess)
     u = u_bc.copy()
     if isinstance(guess, str) and guess == "harmonic":
-        return _harmonic_extension(u_bc, h)
+        return _nested_start(spec, u_bc, h, cfg, levels)
     if isinstance(guess, str) and guess == "zero":
         u[1:-1, 1:-1] = 0.0
         return u
@@ -331,13 +377,46 @@ def _initial_grid(cfg: NewtonConfig, X, Y, u_bc, h: float):
     raise ValueError(f"unknown initial guess {guess!r}")
 
 
+def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
+    """Damped Newton from the iterate u: (last iterate, its max-norm PDE
+    residual, steps taken).  A step is shortened by cfg.damping until it
+    stays in the weight domain and lowers the residual; the iteration
+    stops when that needs a step below 2^-10."""
+    nx, ny = u.shape
+    res = graph_pde_residual(spec, u, h)
+    res_norm = float(np.abs(res).max())
+    iters = 0
+    while res_norm > cfg.tol_residual and iters < cfg.max_iters:
+        J = _graph_jacobian(spec, u, h)
+        delta = spla.spsolve(J, -res.ravel(), permc_spec="MMD_AT_PLUS_A")
+        delta = delta.reshape(nx - 2, ny - 2)
+        step_len = 1.0
+        while step_len >= 2.0**-10:
+            u_try = u.copy()
+            u_try[1:-1, 1:-1] += step_len * delta
+            if np.all(u_try > spec.domain_left):
+                res_try = graph_pde_residual(spec, u_try, h)
+                try_norm = float(np.abs(res_try).max())
+                if try_norm < res_norm:
+                    break
+            step_len *= cfg.damping
+        else:
+            break  # stalled
+        u, res, res_norm = u_try, res_try, try_norm
+        iters += 1
+    return u, res_norm, iters
+
+
 def solve_graph(spec: PotentialSpec, domain, h: float, boundary,
                 cfg: NewtonConfig) -> SolveResult:
     """Damped Newton for the weighted-minimal graph with Dirichlet data.
 
-    ``boundary`` is a callable (x, y) -> height evaluated on the edge
-    nodes.  Convergence means max-norm PDE residual <= cfg.tol_residual;
-    on failure the best iterate is returned with converged = False.
+    ``boundary`` is a callable (x, y) -> height, evaluated once on the
+    edge nodes.  The "harmonic" initial guess is a nested-iteration start
+    (see _nested_start).  Convergence means max-norm PDE residual <=
+    cfg.tol_residual; on failure the last iterate is returned with
+    converged = False.  ``iterations`` counts the Newton steps on this
+    grid; ``diagnostics`` also lists those taken on each coarser grid.
     """
     a, b, c, d = (float(v) for v in domain)
     nx = int(round((b - a) / h)) + 1
@@ -356,41 +435,19 @@ def solve_graph(spec: PotentialSpec, domain, h: float, boundary,
     u[mask_edge] = np.asarray(boundary(X[mask_edge], Y[mask_edge]), dtype=float)
     if np.any(u[mask_edge] <= spec.domain_left):
         raise DomainExitError("boundary heights leave the weight domain")
-    u = _initial_grid(cfg, X, Y, u, h)
+    levels = []
+    u = _initial_grid(spec, cfg, X, Y, u, h, levels)
     if np.any(u <= spec.domain_left):
         raise DomainExitError("initial iterate leaves the weight domain")
 
-    res = graph_pde_residual(spec, u, h)
-    res_norm = float(np.abs(res).max())
-    iters = 0
-    stalled = False
-    while res_norm > cfg.tol_residual and iters < cfg.max_iters and not stalled:
-        J = _graph_jacobian(spec, u, h)
-        delta = spla.spsolve(J, -res.ravel())
-        step_len = 1.0
-        accepted = False
-        while step_len >= 2.0**-10:
-            u_try = u.copy()
-            u_try[1:-1, 1:-1] += step_len * delta.reshape(nx - 2, ny - 2)
-            if np.all(u_try > spec.domain_left):
-                res_try = graph_pde_residual(spec, u_try, h)
-                try_norm = float(np.abs(res_try).max())
-                if try_norm < res_norm:
-                    accepted = True
-                    break
-            step_len *= cfg.damping
-        if not accepted:
-            stalled = True
-            break
-        u, res, res_norm = u_try, res_try, try_norm
-        iters += 1
-
-    patch = GraphPatch(domain=(a, b, c, d), h=h, u=u)
-    converged = res_norm <= cfg.tol_residual
+    u, res_norm, iters = _newton(spec, u, h, cfg)
+    diagnostics = f"PDE max-norm residual {res_norm:.3e} after {iters} Newton steps"
+    if levels:
+        diagnostics += "; nested start: " + "; ".join(levels)
     return SolveResult(
-        surface=patch,
+        surface=GraphPatch(domain=(a, b, c, d), h=h, u=u),
         residual=res_norm,
         iterations=iters,
-        converged=converged,
-        diagnostics=f"PDE max-norm residual {res_norm:.3e} after {iters} Newton steps",
+        converged=res_norm <= cfg.tol_residual,
+        diagnostics=diagnostics,
     )

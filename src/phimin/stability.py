@@ -267,7 +267,8 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
 
     def factor(shift):
         A_shift = (K - sp.diags(V) + sp.diags((asm.extra_mode - shift) * M)).tocsc()
-        return spla.splu(A_shift)
+        # symmetric matrix: a symmetric-pattern fill-reducing ordering fits
+        return spla.splu(A_shift, permc_spec="MMD_AT_PLUS_A")
 
     lu = factor(sigma)
     abs_K = K.copy()

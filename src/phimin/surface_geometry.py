@@ -611,7 +611,7 @@ def _graph_identity(field: GeometryField, spec: PotentialSpec, item: int):
         out = np.zeros(field.n_samples)
         for du in ("uxx", "uxy", "uyy"):
             uij = field._graph(du).ravel()
-            out = np.maximum(out, np.abs(d1 * uij / W**2 + field.H * (-uij / W)))
+            out = np.maximum(out, np.abs(d1 * uij / W**2 - field.H * (-uij / W)))
         return out
     if item == 5:
         lap_mu = field.laplacian(field.mu)

@@ -296,3 +296,42 @@ def test_graph_obj_from_export_is_triangulated(tmp_path):
     n_v = sum(1 for l in lines if l.startswith("v "))
     n_f = sum(1 for l in lines if l.startswith("f "))
     assert n_v == 25 and n_f == 2 * 16
+
+
+BOWL_GRAPH = {"kind": "graph", "domain": [-1, 1, -1, 1], "h": 0.0625,
+              "boundary": {"kind": "bowl_profile"}}
+
+
+def test_json_list_initial_guess_is_accepted(tmp_path):
+    # Newton does not converge from the steeper paraboloid (exit 1, not an
+    # error); from the bowl's own vertex curvature 1/4 it does
+    for a, code in ((0.5, 1), (0.25, 0)):
+        cfg = parse_config(json.dumps(_base_config(
+            "SolveGraph", {**BOWL_GRAPH, "initial_guess": ["paraboloid", a]})))
+        cfg.output_dir = str(tmp_path / str(a))
+        assert run(cfg).exit_code == code
+
+
+def test_audits_and_export_refuse_unconverged_graph(tmp_path):
+    surface = {**BOWL_GRAPH, "max_iters": 1, "initial_guess": "zero"}
+    cases = [("SolveGraph", dict(surface), 1),
+             ("AuditConvexity", {"surface": surface}, 2),
+             ("AuditStability", {"surface": surface}, 2),
+             ("Export", {"surface": surface, "formats": ["CSV"]}, 2)]
+    for command, params, code in cases:
+        config_path = tmp_path / f"{command}.json"
+        config_path.write_text(json.dumps(_base_config(command, params)))
+        assert main([command, "--config", str(config_path),
+                     "--out", str(tmp_path / command)]) == code
+
+
+def test_graph_height_hessian_identity_on_grim_reaper(tmp_path):
+    cfg = parse_config(json.dumps(_base_config("AuditFundamental", {
+        "surface": {"kind": "graph", "domain": [-1, 1, -1, 1], "h": 0.03125,
+                    "boundary": {"kind": "grim_reaper"}},
+        "items": [3]})))
+    cfg.output_dir = str(tmp_path)
+    assert run(cfg).exit_code == 0
+    docs = json.loads((tmp_path / "fundamental_identities.json").read_text())
+    res = {d["name"]: d["values"]["max_abs_residual"] for d in docs}
+    assert res["height_hessian"] <= 1e-8

@@ -117,6 +117,26 @@ def test_density_weighted_variant_recorded(bowl_field, spec_linear):
     assert np.all(rep.o_values_weighted > 0.0)
 
 
+def test_density_radii_share_setup_without_mixing(spec_linear):
+    # one call over several radii equals one call per radius, bit for bit
+    h = 1 / 32
+    xs = -1 + h * np.arange(65)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    patch = GraphPatch(domain=(-1, 1, -1, 1), h=h,
+                       u=0.25 * (X**2 + Y**2) + 0.1 * np.sin(3 * X) * Y)
+    field = sample_geometry(patch, spec_linear)
+    center = 32 * 65 + 32
+    radii = [0.1, 0.25, 0.4]
+    rep = density_monotonicity(field, center, radii, spec_linear, 0.9,
+                               weighted_variant=True)
+    for k, r in enumerate(radii):
+        one = density_monotonicity(field, center, [r], spec_linear, 0.9,
+                                   weighted_variant=True)
+        assert one.o_values[0] == rep.o_values[k]
+        assert one.tolerance[0] == rep.tolerance[k]
+        assert one.o_values_weighted[0] == rep.o_values_weighted[k]
+
+
 # -- curvature ratio ----------------------------------------------------------
 
 def test_vertical_plane_ratio_zero(vertical_plane_profile, spec_linear):

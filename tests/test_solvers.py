@@ -4,8 +4,8 @@ import pytest
 import phimin as pm
 from phimin.solvers import (AxisCollisionError, AxisRegular, DomainExitError,
                             NewtonConfig, PointStart, ShootingConfig,
-                            graph_pde_residual, solve_graph,
-                            solve_rotational_profile,
+                            _harmonic_extension, graph_pde_residual,
+                            solve_graph, solve_rotational_profile,
                             solve_translation_profile)
 from phimin.surface_geometry import sample_geometry, phi_minimal_residual
 
@@ -169,6 +169,87 @@ def test_newton_from_exact_solution_stops_immediately(spec_linear):
                       NewtonConfig(tol_residual=1e-10,
                                    initial_guess=("supplied", grid)))
     assert res.converged and res.iterations <= 2
+
+
+def _bowl_boundary(bowl):
+    curve = bowl.surface
+    assert curve.x.max() > np.sqrt(2.0)  # the profile reaches the corners
+    return lambda x, y: np.interp(np.hypot(x, y), curve.x, curve.z)
+
+
+def test_nested_start_matches_single_level_solve(spec_linear, bowl):
+    h = 1 / 32
+    boundary = _bowl_boundary(bowl)
+    nested = solve_graph(spec_linear, (-1, 1, -1, 1), h, boundary, NewtonConfig())
+    assert nested.converged and "nested start" in nested.diagnostics
+    n = int(round(2.0 / h)) + 1
+    xs = -1.0 + h * np.arange(n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    u_bc = boundary(X, Y)
+    single = solve_graph(spec_linear, (-1, 1, -1, 1), h, boundary,
+                         NewtonConfig(initial_guess=("supplied",
+                                                     _harmonic_extension(u_bc))))
+    assert single.converged and "nested start" not in single.diagnostics
+    assert np.abs(nested.surface.u - single.surface.u).max() <= 1e-12
+
+
+def test_nested_start_needs_few_fine_steps(spec_linear, bowl):
+    res = solve_graph(spec_linear, (-1, 1, -1, 1), 1 / 64, _bowl_boundary(bowl),
+                      NewtonConfig())
+    assert res.converged and res.iterations <= 2
+    # one note per coarser grid: h = 1/8, 1/16, 1/32
+    assert res.diagnostics.count("Newton steps to residual") == 3
+
+
+def test_odd_grid_uses_harmonic_start(spec_linear, bowl):
+    res = solve_graph(spec_linear, (-1, 1, -1, 1), 2 / 15, _bowl_boundary(bowl),
+                      NewtonConfig())
+    assert res.surface.u.shape == (16, 16)
+    assert res.converged and "nested start" not in res.diagnostics
+
+
+def test_boundary_evaluated_once_per_solve(spec_linear, bowl):
+    inner = _bowl_boundary(bowl)
+    calls = []
+
+    def boundary(x, y):
+        calls.append(np.size(x))
+        return inner(x, y)
+
+    res = solve_graph(spec_linear, (-1, 1, -1, 1), 1 / 64, boundary, NewtonConfig())
+    assert res.converged and "nested start" in res.diagnostics
+    assert calls == [4 * 128]
+
+
+def test_nested_start_on_non_square_domain(spec_linear, bowl):
+    res = solve_graph(spec_linear, (-1, 1, -0.5, 0.5), 1 / 32, _bowl_boundary(bowl),
+                      NewtonConfig())
+    assert res.surface.u.shape == (65, 33)
+    assert res.converged and "nested start: h = 0.0625" in res.diagnostics
+
+
+def test_prolonged_start_outside_domain_falls_back_to_harmonic():
+    # a boundary spike makes the cubic prolongation undershoot the floor
+    # alpha = 0 next to it; the harmonic extension keeps within the data
+    spec = pm.PotentialSpec.constant(0.0, alpha=0.0)
+    boundary = lambda x, y: np.where(np.isclose(x, 0.0) & np.isclose(y, -1.0),
+                                     1.0, 1e-3)
+    res = solve_graph(spec, (-1, 1, -1, 1), 1 / 32, boundary, NewtonConfig())
+    assert res.converged and res.surface.u.min() > 0.0
+    assert "h = 0.03125: prolonged start left the weight domain" in res.diagnostics
+
+
+def test_json_list_initial_guesses_match_tuples(spec_linear, bowl):
+    h = 1 / 16
+    boundary = _bowl_boundary(bowl)
+    ref = solve_graph(spec_linear, (-1, 1, -1, 1), h, boundary, NewtonConfig())
+    for guess in (["paraboloid", 0.5], ["supplied", ref.surface.u.tolist()]):
+        from_list = solve_graph(spec_linear, (-1, 1, -1, 1), h, boundary,
+                                NewtonConfig(initial_guess=guess))
+        from_tuple = solve_graph(spec_linear, (-1, 1, -1, 1), h, boundary,
+                                 NewtonConfig(initial_guess=tuple(guess)))
+        assert np.array_equal(from_list.surface.u, from_tuple.surface.u)
+        assert from_list.diagnostics == from_tuple.diagnostics
 
 
 def test_graph_residual_definition(spec_linear):
