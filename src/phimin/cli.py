@@ -19,7 +19,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +89,6 @@ def _validate_potential(obj, errors) -> PotentialSpec | None:
             errors.append("potential.Lambda: admissible tails need Lambda >= 0")
         if p.get("Lambda", 0.0) == 0.0 and not p.get("beta", 0.0) > 0.0:
             errors.append("potential.beta: beta > 0 required when Lambda = 0")
-    if spec.family == "Linear" and not p.get("slope", 0.0) > 0.0:
-        # allowed for analysis commands, rejected only where c1 is needed
-        pass
     return spec
 
 
@@ -170,59 +168,65 @@ def serialize_config(config: RunConfig) -> str:
 # artifact writers (atomic, deterministic formatting)
 
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, data) -> None:
+    """Write a str, or an iterable of str chunks, to path atomically."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines([data] if isinstance(data, str) else data)
     os.replace(tmp, path)
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+# table rows converted to text per block, so no file is held in memory whole
+_ROW_BLOCK = 4096
+
+
+def _rows(*columns, sep=",", prefix=""):
+    """Text chunks of a table, one line per row; each value is written as
+    its repr (shortest round-trip digits of a float, the digits of an int)."""
+    line = prefix + sep.join(["%r"] * len(columns)) + "\n"
+    n = min(len(c) for c in columns)
+    for start in range(0, n, _ROW_BLOCK):
+        block = [np.asarray(c)[start:start + _ROW_BLOCK].tolist() for c in columns]
+        yield "".join(line % row for row in zip(*block))
+
+
+def _write_csv(path: Path, header: str, *columns) -> None:
+    _atomic_write(path, chain([header + "\n"], _rows(*columns)))
 
 
 def write_profile_csv(path: Path, field: GeometryField) -> None:
     curve: ProfileCurve = field.source
-    lines = ["s,x,z,theta,k1,k2,H,K,eta,mu"]
-    for i in range(len(curve)):
-        lines.append(",".join(_fmt(v) for v in (
-            curve.s[i], curve.x[i], curve.z[i], curve.theta[i],
-            field.k1[i], field.k2[i], field.H[i], field.K[i],
-            field.eta[i], field.mu[i])))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_csv(path, "s,x,z,theta,k1,k2,H,K,eta,mu",
+               curve.s, curve.x, curve.z, curve.theta, field.k1, field.k2,
+               field.H, field.K, field.eta, field.mu)
+
+
+def _grid_nodes(patch: GraphPatch):
+    """Row-major (i, j, x, y) columns of the patch nodes."""
+    i = np.repeat(np.arange(patch.nx), patch.ny)
+    j = np.tile(np.arange(patch.ny), patch.nx)
+    return i, j, patch.domain[0] + i * patch.h, patch.domain[2] + j * patch.h
 
 
 def write_graph_csv(path: Path, field: GeometryField) -> None:
     patch: GraphPatch = field.source
-    lines = ["i,j,x,y,u,H,K,k1,k2,eta"]
-    k = 0
-    for i in range(patch.nx):
-        for j in range(patch.ny):
-            x = patch.domain[0] + i * patch.h
-            y = patch.domain[2] + j * patch.h
-            lines.append(f"{i},{j}," + ",".join(_fmt(v) for v in (
-                x, y, patch.u[i, j], field.H[k], field.K[k],
-                field.k1[k], field.k2[k], field.eta[k])))
-            k += 1
-    _atomic_write(path, "\n".join(lines) + "\n")
+    i, j, x, y = _grid_nodes(patch)
+    _write_csv(path, "i,j,x,y,u,H,K,k1,k2,eta", i, j, x, y, patch.u.ravel(),
+               field.H, field.K, field.k1, field.k2, field.eta)
 
 
 def write_graph_obj(path: Path, patch: GraphPatch) -> None:
     """Row-major vertices, two triangles per grid cell, 1-based faces."""
-    lines = []
-    for i in range(patch.nx):
-        for j in range(patch.ny):
-            x = patch.domain[0] + i * patch.h
-            y = patch.domain[2] + j * patch.h
-            lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(patch.u[i, j])}")
-    for i in range(patch.nx - 1):
-        for j in range(patch.ny - 1):
-            v00 = i * patch.ny + j + 1
-            v10 = (i + 1) * patch.ny + j + 1
-            v01 = i * patch.ny + j + 2
-            v11 = (i + 1) * patch.ny + j + 2
-            lines.append(f"f {v00} {v10} {v11}")
-            lines.append(f"f {v00} {v11} {v01}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _, _, x, y = _grid_nodes(patch)
+    v00 = (np.arange(patch.nx - 1)[:, None] * patch.ny
+           + np.arange(patch.ny - 1) + 1).ravel()
+    v11 = v00 + patch.ny + 1
+    # each cell's two faces, (v00 v10 v11) then (v00 v11 v01)
+    faces = np.stack([v00, v00 + patch.ny, v11, v00, v11, v00 + 1],
+                     axis=1).reshape(-1, 3)
+    _atomic_write(path, chain(
+        _rows(x, y, patch.u.ravel(), sep=" ", prefix="v "),
+        _rows(*faces.T, sep=" ", prefix="f ")))
 
 
 def write_report_json(path: Path, reports) -> None:
@@ -329,6 +333,14 @@ def _parse_boundary(spec: PotentialSpec, obj: dict):
 
 def _field_of(result: SolveResult, spec: PotentialSpec) -> GeometryField:
     return sample_geometry(result.surface, spec)
+
+
+def _center_index(params: dict, field: GeometryField) -> int:
+    """The configured center sample; by default the first sample of a
+    profile (its axis point or start) and the middle node of a graph."""
+    patch = field.source
+    middle = 0 if field.is_profile else (patch.nx // 2) * patch.ny + patch.ny // 2
+    return int(params.get("center_index", middle))
 
 
 def _export_solve(result: SolveResult, spec: PotentialSpec, out: Path,
@@ -440,10 +452,8 @@ def _run_audit_stability(config, out: Path):
     path = out / "stability.json"
     write_report_json(path, [doc])
     csv_path = out / "eigenfunction.csv"
-    lines = ["sample,value"]
-    for i, v in enumerate(spectrum.eigenfunction):
-        lines.append(f"{i},{_fmt(v)}")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _write_csv(csv_path, "sample,value",
+               np.arange(spectrum.eigenfunction.size), spectrum.eigenfunction)
     return [path, csv_path], [(mean_convex, passed)]
 
 
@@ -455,7 +465,7 @@ def _run_audit_area(config, out: Path):
     z_hi = float(field.mu.max()) + 1.0
     cond = check_conditions(config.potential, z_lo + 1e-9, z_hi, 101)
     rep = estimates.geodesic_disk_area_check(
-        field, int(p.get("center_index", 0)), float(p["rho"]),
+        field, _center_index(p, field), float(p["rho"]),
         config.potential, float(p.get("gamma", cond.gamma)))
     doc = _report("geodesic_disk_area", {"hypothesis_ok": rep.hypothesis_ok}, {
         "disk_area": rep.disk_area, "bound": rep.bound, "rho": rep.rho,
@@ -470,7 +480,7 @@ def _run_audit_monotonicity(config, out: Path):
     result = _converged_surface(config.potential, p["surface"])
     field = _field_of(result, config.potential)
     rep = estimates.density_monotonicity(
-        field, int(p.get("center_index", 0)), [float(r) for r in p["radii"]],
+        field, _center_index(p, field), [float(r) for r in p["radii"]],
         config.potential, float(p["epsilon"]))
     minimality = phi_minimal_residual(field, config.potential)
     z_lo = float(field.mu.min())
@@ -483,10 +493,7 @@ def _run_audit_monotonicity(config, out: Path):
     path = out / "monotonicity.json"
     write_report_json(path, [doc])
     csv_path = out / "density.csv"
-    lines = ["r,o_value"]
-    for r, o in zip(rep.radii, rep.o_values):
-        lines.append(f"{_fmt(r)},{_fmt(o)}")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _write_csv(csv_path, "r,o_value", rep.radii, rep.o_values)
     return [path, csv_path], [(hyp_ok, rep.monotone)]
 
 
@@ -517,12 +524,11 @@ def _run_audit_convexity(config, out: Path):
     path = out / "convexity.json"
     write_report_json(path, [doc])
     csv_path = out / "convexity_samples.csv"
-    lines = ["sample,K,k2_over_eta"]
     k_hi = np.maximum(field.k1, field.k2)
-    for i in range(field.n_samples):
-        ratio = k_hi[i] / field.eta[i] if field.eta[i] > 1e-10 else float("nan")
-        lines.append(f"{i},{_fmt(field.K[i])},{_fmt(ratio)}")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    ratio = np.divide(k_hi, field.eta, out=np.full(field.n_samples, np.nan),
+                      where=field.eta > 1e-10)
+    _write_csv(csv_path, "sample,K,k2_over_eta",
+               np.arange(field.n_samples), field.K, ratio)
     return [path, csv_path], [(hyp_ok, passed)]
 
 
@@ -611,19 +617,8 @@ def run(config: RunConfig) -> RunManifest:
         exit_code=exit_code,
     )
     _atomic_write(out / "manifest.json", json.dumps(
-        dataclass_to_dict(manifest), sort_keys=True, indent=2) + "\n")
+        asdict(manifest), sort_keys=True, indent=2) + "\n")
     return manifest
-
-
-def dataclass_to_dict(obj):
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: dataclass_to_dict(getattr(obj, k))
-                for k in obj.__dataclass_fields__}
-    if isinstance(obj, (list, tuple)):
-        return [dataclass_to_dict(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: dataclass_to_dict(v) for k, v in obj.items()}
-    return obj
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .ilmanen import frame_quantities
-from .potential import (PotentialSpec, eval_potential, normalized_for_window)
+from .potential import (PotentialDomainError, PotentialSpec, eval_potential,
+                        normalized_for_window)
 from .solvers import (AxisRegular, PointStart, ShootingConfig, SolveResult,
                       solve_rotational_profile, solve_translation_profile)
 from .surface_geometry import (GeometryField, GraphPatch, ProfileCurve,
@@ -37,6 +38,9 @@ from .surface_geometry import (GeometryField, GraphPatch, ProfileCurve,
                                drift_laplacian, sample_geometry, _make_report)
 
 LOG2 = float(np.log(2.0))
+# profile samples whose blow-up window charts are built as one array; a
+# whole window at once is no faster and holds far more memory
+_WINDOW_BLOCK = 512
 
 
 class PatchExceededError(ValueError):
@@ -219,7 +223,7 @@ def geodesic_disk_area_check(field: GeometryField, p: int, rho: float,
     try:
         d1_at = eval_potential(spec, rho + mu_p).d1
         hypothesis_ok = (2.0 * rho * d1_at < LOG2) and (np.sqrt(abs(gamma)) * rho < 1.0)
-    except Exception:
+    except PotentialDomainError:
         hypothesis_ok = False
 
     if field.is_profile:
@@ -523,7 +527,12 @@ def rescale_profile(curve: ProfileCurve, lam: float,
 
 def _window_samples(curve: ProfileCurve, field: GeometryField, p: int,
                     lam: float, window: float):
-    """Rescaled surface samples of lambda (Sigma - p) inside the window ball."""
+    """Rescaled surface samples of lambda (Sigma - p) inside the window ball.
+
+    Each profile sample in reach contributes a 65-point ring (rotational)
+    or ruling segment (translation); the charts of _WINDOW_BLOCK samples
+    are built and clipped at once.
+    """
     s_half = 1.5 * window / lam
     sel = np.abs(curve.s - curve.s[p]) <= s_half
     if curve.s[p] + s_half > curve.s[-1] or curve.s[p] - s_half < curve.s[0]:
@@ -532,7 +541,6 @@ def _window_samples(curve: ProfileCurve, field: GeometryField, p: int,
             raise WindowUnderflowError("window exceeds the sampled profile")
     idx = np.where(sel)[0]
     base = field.positions[p]
-    pts, etas, Hs, Ks = [], [], [], []
     if curve.kind == ROTATIONAL:
         x_p = curve.x[p]
         if x_p > 1e-10:
@@ -540,31 +548,26 @@ def _window_samples(curve: ProfileCurve, field: GeometryField, p: int,
         else:
             v_half = np.pi
         vs = np.linspace(-v_half, v_half, 65)
-        for i in idx:
-            ring = np.stack([curve.x[i] * np.cos(vs), curve.x[i] * np.sin(vs),
-                             np.full_like(vs, curve.z[i])], axis=1)
-            q = lam * (ring - base)
-            keep = np.linalg.norm(q, axis=1) <= window
-            pts.append(q[keep])
-            etas.append(np.full(keep.sum(), field.eta[i]))
-            Hs.append(np.full(keep.sum(), field.H[i] / lam))
-            Ks.append(np.full(keep.sum(), field.K[i] / lam**2))
+        chart = lambda x, z: (x * np.cos(vs), x * np.sin(vs), z)
     else:
         y_half = 1.5 * window / lam
         ys = np.linspace(-y_half, y_half, 65)
-        for i in idx:
-            line = np.stack([np.full_like(ys, curve.x[i]), ys,
-                             np.full_like(ys, curve.z[i])], axis=1)
-            q = lam * (line - base)
-            keep = np.linalg.norm(q, axis=1) <= window
-            pts.append(q[keep])
-            etas.append(np.full(keep.sum(), field.eta[i]))
-            Hs.append(np.full(keep.sum(), field.H[i] / lam))
-            Ks.append(np.full(keep.sum(), field.K[i] / lam**2))
+        chart = lambda x, z: (x, ys, z)
+    pts, n_keep = [], []
+    for start in range(0, idx.size, _WINDOW_BLOCK):
+        i = idx[start:start + _WINDOW_BLOCK, None]
+        block = np.stack(np.broadcast_arrays(*chart(curve.x[i], curve.z[i])), axis=-1)
+        q = lam * (block - base)
+        keep = np.linalg.norm(q, axis=-1) <= window
+        pts.append(q[keep])
+        n_keep.append(keep.sum(axis=1))
     pts = np.concatenate(pts)
     if pts.shape[0] < 16 or np.linalg.norm(pts, axis=1).max() < 0.8 * window:
         raise WindowUnderflowError("rescaled samples do not fill the window")
-    return pts, np.concatenate(etas), np.concatenate(Hs), np.concatenate(Ks)
+    n_keep = np.concatenate(n_keep)
+    return (pts, np.repeat(field.eta[idx], n_keep),
+            np.repeat(field.H[idx] / lam, n_keep),
+            np.repeat(field.K[idx] / lam**2, n_keep))
 
 
 def _plane_distance(pts, etas, Hs, normals_eta_sign):

@@ -103,25 +103,22 @@ def _assemble_profile(field, spec, region, pot, e_phi, ruling_width):
     w_node = e_phi * radial
     n = region.size
     lo = region[0]
-    rows, cols, vals = [], [], []
-    mass = np.zeros(n)
-    # interval loop over [lo-1, region..., hi+1] edges that touch the region
-    for a in range(lo - 1, lo + n):
-        b = a + 1
-        if a < 0 or b >= field.n_samples:
-            continue
-        w_int = 0.5 * (w_node[a] + w_node[b])
-        ia = a - lo
-        ib = b - lo
-        if 0 <= ia < n:
-            rows.append(ia); cols.append(ia); vals.append(w_int / h)
-            mass[ia] += 0.5 * w_int * h
-        if 0 <= ib < n:
-            rows.append(ib); cols.append(ib); vals.append(w_int / h)
-            mass[ib] += 0.5 * w_int * h
-        if 0 <= ia < n and 0 <= ib < n:
-            rows.extend([ia, ib]); cols.extend([ib, ia])
-            vals.extend([-w_int / h, -w_int / h])
+    # the intervals [a, a+1] that touch the region; ia, ib index the region
+    a = np.arange(max(lo - 1, 0), min(lo + n, field.n_samples - 1))
+    w_int = 0.5 * (w_node[a] + w_node[a + 1])
+    ia, ib = a - lo, a + 1 - lo
+    has_a, has_b = ia >= 0, ib < n
+    both = has_a & has_b
+    stiff = w_int / h
+    half_mass = 0.5 * w_int * h
+    # each node's mass is its left interval's share plus its right one's
+    left, right = np.zeros(n), np.zeros(n)
+    left[ib[has_b]] = half_mass[has_b]
+    right[ia[has_a]] = half_mass[has_a]
+    mass = left + right
+    rows = np.concatenate([ia[has_a], ib[has_b], ia[both], ib[both]])
+    cols = np.concatenate([ia[has_a], ib[has_b], ib[both], ia[both]])
+    vals = np.concatenate([stiff[has_a], stiff[has_b], -stiff[both], -stiff[both]])
     K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     v_diag = pot[region] * mass
     return StabilityAssembly(weights=e_phi[region], stiffness=K,

@@ -335,3 +335,125 @@ def test_graph_height_hessian_identity_on_grim_reaper(tmp_path):
     docs = json.loads((tmp_path / "fundamental_identities.json").read_text())
     res = {d["name"]: d["values"]["max_abs_residual"] for d in docs}
     assert res["height_hessian"] <= 1e-8
+
+
+def test_graph_audits_default_to_the_middle_node(tmp_path):
+    # the corner node 0 would put every ball on the patch boundary
+    for command, params in (("AuditArea", {"rho": 0.3}),
+                            ("AuditMonotonicity", {"radii": [0.1, 0.2, 0.3],
+                                                   "epsilon": 0.9})):
+        config_path = tmp_path / f"{command}.json"
+        config_path.write_text(json.dumps(_base_config(
+            command, {"surface": BOWL_GRAPH, **params})))
+        out = tmp_path / command
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 0
+    area = json.loads((tmp_path / "AuditArea" / "area.json").read_text())[0]
+    assert area["values"]["center_index"] == 16 * 33 + 16
+
+
+# -- table writers against the per-row format ---------------------------------
+
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -5e-324, 1.7976931348623157e308]
+
+
+def _old_table(header, rows, sep=",", prefix=""):
+    """The per-row text: f"{i}" for an int, repr(float(v)) for a float."""
+    lines = [] if header is None else [header]
+    for row in rows:
+        lines.append(prefix + sep.join(f"{v}" if isinstance(v, int)
+                                       else repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _awkward_values(rng, n):
+    """Floats over the whole exponent range, with the special values spread
+    across the row blocks."""
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    v[rng.choice(n, len(SPECIALS), replace=False)] = SPECIALS
+    v[:len(SPECIALS)] = SPECIALS
+    return v
+
+
+@pytest.fixture
+def awkward_graph():
+    from types import SimpleNamespace
+    rng = np.random.default_rng(7)
+    nx, ny = 67, 71  # 4757 nodes, 9240 faces: neither a whole number of blocks
+    patch = GraphPatch(domain=(-1, 0.98, 0.5, 2.6), h=0.03,
+                       u=_awkward_values(rng, nx * ny).reshape(nx, ny))
+    return SimpleNamespace(source=patch, **{
+        name: _awkward_values(rng, nx * ny) for name in ("H", "K", "k1", "k2", "eta")})
+
+
+def test_graph_csv_bytes_match_per_row_format(tmp_path, awkward_graph):
+    from phimin.cli import write_graph_csv
+    field, patch = awkward_graph, awkward_graph.source
+    rows = []
+    for i in range(patch.nx):
+        for j in range(patch.ny):
+            k = i * patch.ny + j
+            rows.append((i, j, patch.domain[0] + i * patch.h,
+                         patch.domain[2] + j * patch.h, patch.u[i, j], field.H[k],
+                         field.K[k], field.k1[k], field.k2[k], field.eta[k]))
+    path = tmp_path / "surface.csv"
+    write_graph_csv(path, field)
+    assert path.read_bytes() == _old_table("i,j,x,y,u,H,K,k1,k2,eta", rows).encode()
+
+
+def test_graph_obj_bytes_match_per_row_format(tmp_path, awkward_graph):
+    patch = awkward_graph.source
+    text = _old_table(None, [
+        (patch.domain[0] + i * patch.h, patch.domain[2] + j * patch.h, patch.u[i, j])
+        for i in range(patch.nx) for j in range(patch.ny)], sep=" ", prefix="v ")
+    faces = []
+    for i in range(patch.nx - 1):
+        for j in range(patch.ny - 1):
+            v00, v10 = i * patch.ny + j + 1, (i + 1) * patch.ny + j + 1
+            faces += [(v00, v10, v10 + 1), (v00, v10 + 1, v00 + 1)]
+    text += _old_table(None, faces, sep=" ", prefix="f ")
+    path = tmp_path / "surface.obj"
+    write_graph_obj(path, patch)
+    assert path.read_bytes() == text.encode()
+
+
+def test_eigenfunction_csv_bytes_match_per_row_format(tmp_path, monkeypatch):
+    from phimin import stability
+    real, seen = stability.first_eigenvalue, []
+
+    def with_specials(*args, **kwargs):
+        spectrum = real(*args, **kwargs)
+        spectrum.eigenfunction[:len(SPECIALS)] = SPECIALS
+        seen.append(spectrum.eigenfunction.copy())
+        return spectrum
+
+    monkeypatch.setattr(stability, "first_eigenvalue", with_specials)
+    cfg = parse_config(json.dumps(_base_config("AuditStability", {
+        "surface": {**ROT_SURF, "step": 2.5e-4}})))
+    cfg.output_dir = str(tmp_path)
+    run(cfg)
+    (values,) = seen
+    assert values.size == 6001
+    want = _old_table("sample,value", enumerate(values.tolist()))
+    assert (tmp_path / "eigenfunction.csv").read_bytes() == want.encode()
+
+
+def test_convexity_csv_bytes_match_per_row_format(tmp_path):
+    from phimin.cli import _solve_surface
+    from phimin.surface_geometry import sample_geometry
+    surface = {"kind": "rotational",
+               "start": {"kind": "point", "x0": 1.0, "z0": 0.0,
+                         "theta0": 1.5707963267948966},
+               "s_max": 1.2, "step": 2.5e-4}
+    cfg = parse_config(json.dumps(_base_config(
+        "AuditConvexity", {"surface": surface},
+        potential={"family": "Constant", "c0": 0.0})))
+    cfg.output_dir = str(tmp_path)
+    run(cfg)
+    field = sample_geometry(_solve_surface(cfg.potential, surface).surface,
+                            cfg.potential)
+    k_hi = np.maximum(field.k1, field.k2)
+    rows = [(i, field.K[i], k_hi[i] / field.eta[i] if field.eta[i] > 1e-10
+             else float("nan")) for i in range(field.n_samples)]
+    data = (tmp_path / "convexity_samples.csv").read_bytes()
+    assert b",nan\n" in data
+    assert data == _old_table("sample,K,k2_over_eta", rows).encode()

@@ -341,3 +341,79 @@ def test_omori_origin_proximity(spec_zero):
     field, _ = _flat_graph(spec_zero, n=21, h=0.01, height=0.0)
     with pytest.raises(pm.estimates.OriginProximityError):
         omori_gamma_check(field, spec_zero, min_radius=5.0)
+
+
+# -- geodesic area hypothesis gate --------------------------------------------
+
+def test_area_gate_outside_weight_domain_reports_false(spec_zero):
+    # the gate evaluates phi' at rho + mu(p) = 0.3, below alpha = 1
+    field, center = _flat_graph(spec_zero)
+    spec = pm.PotentialSpec.linear(1.0, alpha=1.0)
+    rep = geodesic_disk_area_check(field, center, 0.3, spec, 0.0)
+    assert not rep.hypothesis_ok
+    assert rep.disk_area > 0.0
+
+
+def test_area_gate_lets_other_errors_through(bowl_field, spec_linear, monkeypatch):
+    from phimin import estimates
+
+    def broken(spec, z):
+        raise ZeroDivisionError("not a domain exit")
+
+    monkeypatch.setattr(estimates, "eval_potential", broken)
+    with pytest.raises(ZeroDivisionError):
+        geodesic_disk_area_check(bowl_field, 0, 0.3, spec_linear, -1.0)
+
+
+# -- blocked window sampler against the per-sample loop -----------------------
+
+def _window_samples_loop(curve, field, p, lam, window):
+    """The per-sample construction the blocked sampler must reproduce."""
+    s_half = 1.5 * window / lam
+    idx = np.where(np.abs(curve.s - curve.s[p]) <= s_half)[0]
+    base = field.positions[p]
+    if curve.kind == "Rotational":
+        x_p = curve.x[p]
+        v_half = (min(np.pi, 1.5 * window / (lam * max(x_p - s_half, 1e-6)))
+                  if x_p > 1e-10 else np.pi)
+        vs = np.linspace(-v_half, v_half, 65)
+    else:
+        ys = np.linspace(-s_half, s_half, 65)
+    pts, etas, Hs, Ks = [], [], [], []
+    for i in idx:
+        if curve.kind == "Rotational":
+            chart = np.stack([curve.x[i] * np.cos(vs), curve.x[i] * np.sin(vs),
+                              np.full_like(vs, curve.z[i])], axis=1)
+        else:
+            chart = np.stack([np.full_like(ys, curve.x[i]), ys,
+                              np.full_like(ys, curve.z[i])], axis=1)
+        q = lam * (chart - base)
+        keep = np.linalg.norm(q, axis=1) <= window
+        pts.append(q[keep])
+        etas.append(np.full(keep.sum(), field.eta[i]))
+        Hs.append(np.full(keep.sum(), field.H[i] / lam))
+        Ks.append(np.full(keep.sum(), field.K[i] / lam**2))
+    return tuple(np.concatenate(a) for a in (pts, etas, Hs, Ks))
+
+
+@pytest.mark.parametrize("case", ["axis", "off_axis", "translation"])
+def test_window_samples_match_per_sample_loop(case, tall_bowl, spec_linear):
+    from phimin.estimates import _WINDOW_BLOCK, _window_samples
+    if case == "translation":
+        res = solve_translation_profile(spec_linear, ShootingConfig(
+            start=PointStart(0.0, 0.0, 0.0), s_max=1.4, step=2e-4))
+    else:
+        res = tall_bowl
+    curve = res.surface
+    field = sample_geometry(curve, spec_linear)
+    p, lam = {"axis": (0, 0.5),
+              "off_axis": (int(np.argmin(np.abs(field.mu - 4.0))), 1.0),
+              "translation": (len(curve) // 2, 2.5)}[case]
+    s_half = 1.5 / lam
+    assert np.sum(np.abs(curve.s - curve.s[p]) <= s_half) > 2 * _WINDOW_BLOCK
+    if case == "off_axis":
+        assert 1.5 / (lam * (curve.x[p] - s_half)) < np.pi  # a partial ring
+    got = _window_samples(curve, field, p, lam, 1.0)
+    want = _window_samples_loop(curve, field, p, lam, 1.0)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()

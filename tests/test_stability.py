@@ -186,3 +186,48 @@ def test_translation_reduction_uses_ruling_width(reaper_field, spec_linear):
                               ruling_width=1.0).lambda1
     assert narrow > wide
     assert narrow - wide == pytest.approx(np.pi**2 - np.pi**2 / 100.0, rel=1e-9)
+
+
+# -- vectorised profile assembly against the interval loop --------------------
+
+def _profile_assembly_loop(field, spec, region, ruling_width=None):
+    """(K, mass) from the per-interval loop the edge arrays must reproduce."""
+    import scipy.sparse as sp
+    curve = field.source
+    h = curve.step
+    radial = 2.0 * np.pi * curve.x if curve.kind == "Rotational" else np.ones(len(curve))
+    w_node = np.exp(pm.eval_potential(spec, field.mu).phi) * radial
+    n, lo = region.size, region[0]
+    rows, cols, vals = [], [], []
+    mass = np.zeros(n)
+    for a in range(lo - 1, lo + n):
+        b = a + 1
+        if a < 0 or b >= field.n_samples:
+            continue
+        w_int = 0.5 * (w_node[a] + w_node[b])
+        ia, ib = a - lo, b - lo
+        if 0 <= ia < n:
+            rows.append(ia); cols.append(ia); vals.append(w_int / h)
+            mass[ia] += 0.5 * w_int * h
+        if 0 <= ib < n:
+            rows.append(ib); cols.append(ib); vals.append(w_int / h)
+            mass[ib] += 0.5 * w_int * h
+        if 0 <= ia < n and 0 <= ib < n:
+            rows.extend([ia, ib]); cols.extend([ib, ia])
+            vals.extend([-w_int / h, -w_int / h])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr(), mass
+
+
+@pytest.mark.parametrize("case", ["start", "interior", "end", "ruled"])
+def test_profile_assembly_matches_interval_loop(case, bowl_field, reaper_field,
+                                               spec_linear):
+    field = reaper_field if case == "ruled" else bowl_field
+    n = field.n_samples
+    region = {"start": np.arange(0, 300), "interior": np.arange(100, 900),
+              "end": np.arange(n - 300, n), "ruled": np.arange(50, 1200)}[case]
+    width = 0.7 if case == "ruled" else None
+    asm = build_assembly(field, spec_linear, region, ruling_width=width)
+    K, mass = _profile_assembly_loop(field, spec_linear, region, width)
+    for got, want in ((asm.stiffness.data, K.data), (asm.stiffness.indices, K.indices),
+                      (asm.stiffness.indptr, K.indptr), (asm.mass, mass)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
