@@ -80,14 +80,14 @@ class RunManifest:
 def _validate_potential(obj, errors) -> PotentialSpec | None:
     try:
         spec = spec_from_json(obj)
-    except Exception as exc:
+    except (ValueError, TypeError) as exc:
         errors.append(f"potential: {exc}")
         return None
     p = spec.params
-    if spec.family in ("Quadratic", "Series"):
-        if p.get("Lambda", 0.0) < 0.0:
+    if "Lambda" in p:
+        if p["Lambda"] < 0.0:
             errors.append("potential.Lambda: admissible tails need Lambda >= 0")
-        if p.get("Lambda", 0.0) == 0.0 and not p.get("beta", 0.0) > 0.0:
+        if p["Lambda"] == 0.0 and not p["beta"] > 0.0:
             errors.append("potential.beta: beta > 0 required when Lambda = 0")
     return spec
 
@@ -438,8 +438,7 @@ def _run_audit_stability(config, out: Path):
     spectrum = stability.first_eigenvalue(field, config.potential, interior,
                                           tol=float(p.get("tol", 1e-9)))
     rng = np.random.default_rng(config.seed)
-    asm = stability.build_assembly(field, config.potential, interior)
-    trials = [asm.rayleigh(rng.standard_normal(interior.size))
+    trials = [spectrum.assembly.rayleigh(rng.standard_normal(interior.size))
               for _ in range(int(p.get("n_trials", 20)))]
     mean_convex = bool(np.max(field.H) <= 1e-8)
     hypotheses = {"mean_convex": mean_convex}

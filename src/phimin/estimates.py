@@ -636,11 +636,13 @@ def blowup_rescale(source, basepoints, scales, spec: PotentialSpec,
 
     stages = []
     ratio = float("nan")
+    field = None
     for src, p, lam in zip(source, basepoints, scales):
         curve = src.surface if isinstance(src, SolveResult) else src
         if not isinstance(curve, ProfileCurve):
             raise TypeError("blow-up comparison works on profile sources")
-        field = sample_geometry(curve, spec)
+        if field is None or field.source is not curve:
+            field = sample_geometry(curve, spec)
         ratio = float(eval_potential(spec, field.mu[p]).d1 / lam)
         pts, etas, Hs, Ks = _window_samples(curve, field, p, lam, window)
         if model == "Plane":

@@ -102,63 +102,6 @@ def _bounded_quantity(spec: PotentialSpec, z):
     return np.exp(-(phi + spec.offset)) * np.maximum(d1**2, d2)
 
 
-def _tail_bounded(spec: PotentialSpec) -> bool:
-    """Analytic verdict: does e^-phi max(phi'^2, phi'') stay bounded?
-
-    Checked toward +inf (where e^-phi beats any polynomial growth of the
-    derivatives as long as phi increases) and toward a singular left end
-    when the family has one.  For phi' = a/z the quantity is
-    max(a^2, |phi''| sign permitting) z^(-a-2) up to constants, so each
-    end reduces to the sign of the exponent.
-    """
-    p = spec.params
-    if spec.family == "Constant":
-        return True
-    if spec.family == "Linear":
-        return p["slope"] >= 0.0
-    if spec.family == "Quadratic":
-        lam, beta = p["Lambda"], p["beta"]
-        return lam > 0.0 or (lam == 0.0 and beta >= 0.0)
-    if spec.family == "Series":
-        lam, beta = p["Lambda"], p["beta"]
-        coeffs = p["coefficients"]
-        if lam > 0.0:
-            tail_ok = True
-        elif lam == 0.0 and beta > 0.0:
-            tail_ok = True
-        elif lam == 0.0 and beta == 0.0:
-            tail_ok = (not coeffs) or coeffs[0] >= -2.0
-        else:
-            tail_ok = False
-        # phi ~ c1 log z near 0+, derivatives ~ z^-m terms
-        if coeffs and spec.alpha <= 0.0:
-            m = len(coeffs)
-            left_ok = coeffs[0] + 2.0 * m <= 0.0
-        else:
-            left_ok = True
-        return tail_ok and left_ok
-    # LogPower: quantity = max(a^2, -a) z^(-a-2)
-    a = p["a"]
-    if a == 0.0:
-        return True
-    bounded_at_inf = -a - 2.0 <= 0.0
-    bounded_at_left = spec.alpha > 0.0 or -a - 2.0 >= 0.0
-    return bounded_at_inf and bounded_at_left
-
-
-def _complete_hint(spec: PotentialSpec) -> bool:
-    """Sampled/analytic hint that phi > 0 outside a compact set."""
-    p = spec.params
-    if spec.family == "Constant":
-        return p["c0"] + spec.offset > 0.0
-    if spec.family == "Linear":
-        return p["slope"] > 0.0
-    if spec.family in ("Quadratic", "Series"):
-        lam, beta = p["Lambda"], p["beta"]
-        return lam > 0.0 or (lam == 0.0 and beta > 0.0)
-    return p["a"] > 0.0
-
-
 def bounded_geometry_check(spec: PotentialSpec, z_lo: float, z_hi: float,
                            n: int) -> BoundedGeometryReport:
     """Sample e^-phi max(phi'^2, phi'') on [z_lo, z_hi] with tail analysis.
@@ -172,8 +115,8 @@ def bounded_geometry_check(spec: PotentialSpec, z_lo: float, z_hi: float,
     sup = _sampled_sup(lambda t: _bounded_quantity(spec, t), zs)
     return BoundedGeometryReport(
         sup_quantity=float(sup),
-        bounded=_tail_bounded(spec),
-        complete_hint=_complete_hint(spec),
+        bounded=spec.rules.tail_bounded(spec),
+        complete_hint=spec.rules.complete_hint(spec),
     )
 
 

@@ -92,35 +92,9 @@ class SolveResult:
     diagnostics: str = ""
 
 
-def _fast_d1(spec: PotentialSpec):
-    """Scalar phi' closure for tight integration loops."""
-    p = spec.params
-    if spec.family == "Constant":
-        return lambda z: 0.0
-    if spec.family == "Linear":
-        m = p["slope"]
-        return lambda z: m
-    if spec.family == "Quadratic":
-        lam, beta = p["Lambda"], p["beta"]
-        return lambda z: lam * z + beta
-    if spec.family == "LogPower":
-        a = p["a"]
-        return lambda z: a / z
-    lam, beta = p["Lambda"], p["beta"]
-    coeffs = p["coefficients"]
-
-    def d1(z):
-        val = lam * z + beta
-        for i, c in enumerate(coeffs, start=1):
-            val += c * z ** (-i)
-        return val
-
-    return d1
-
-
 def _integrate_profile(spec: PotentialSpec, kind: str, s0: float, y0, cfg):
     """RK4 on (x, z, theta) from arclength s0 with domain monitoring."""
-    d1 = _fast_d1(spec)
+    d1 = spec.rules.d1_scalar(spec)
     floor = spec.domain_left
     rotational = kind == ROTATIONAL
 

@@ -126,22 +126,25 @@ def _assemble_profile(field, spec, region, pot, e_phi, ruling_width):
                              extra_mode=extra)
 
 
+def _cell_average(F, nx, ny):
+    """Mean of the four corner values of each cell of an nx x ny grid."""
+    G = F.reshape(nx, ny)
+    return 0.25 * (G[:-1, :-1] + G[1:, :-1] + G[:-1, 1:] + G[1:, 1:])
+
+
+def _cell_coefficients(field, e_phi):
+    """Cell-centred coefficient e^phi W and inverse metric gixx, giyy, gixy
+    of a graph field."""
+    nx, ny = field.source.nx, field.source.ny
+    nodal = [e_phi * field._graph("W").ravel()]
+    nodal += [field._graph(key) for key in ("gixx", "giyy", "gixy")]
+    return [_cell_average(F, nx, ny) for F in nodal]
+
+
 def _assemble_graph(field, spec, region, pot, e_phi):
     patch = field.source
     nx, ny, h = patch.nx, patch.ny, patch.h
-    W = field._graph("W")
-    ux, uy = field._graph("ux"), field._graph("uy")
-    W2 = field._graph("W2")
-
-    # cell-centred coefficient (e^phi W) and inverse metric
-    def cell_avg(F):
-        G = F.reshape(nx, ny)
-        return 0.25 * (G[:-1, :-1] + G[1:, :-1] + G[:-1, 1:] + G[1:, 1:])
-
-    coef = cell_avg(e_phi * W.ravel())
-    gixx = cell_avg((1.0 - ux**2 / W2).ravel())
-    giyy = cell_avg((1.0 - uy**2 / W2).ravel())
-    gixy = cell_avg((-ux * uy / W2).ravel())
+    coef, gixx, giyy, gixy = _cell_coefficients(field, e_phi)
 
     # exact bilinear element stiffness via 2x2 Gauss points
     gp = 1.0 / np.sqrt(3.0)
@@ -186,12 +189,14 @@ def _assemble_graph(field, spec, region, pot, e_phi):
 
 @dataclass
 class SpectrumResult:
-    """Smallest eigenvalue of -L on the region with its eigenfunction."""
+    """Smallest eigenvalue of -L on the region with its eigenfunction and
+    the assembly it was solved on."""
 
     lambda1: float
     eigenfunction: np.ndarray
     iterations: int
     residual: float
+    assembly: StabilityAssembly
 
 
 def quadratic_form(field: GeometryField, spec: PotentialSpec, u: np.ndarray,
@@ -222,13 +227,6 @@ def quadratic_form(field: GeometryField, spec: PotentialSpec, u: np.ndarray,
         return float(np.trapezoid(integrand, dx=curve.step))
     patch = field.source
     nx, ny, h = patch.nx, patch.ny, patch.h
-    W2 = field._graph("W2")
-    W = field._graph("W")
-    ux, uy = field._graph("ux"), field._graph("uy")
-
-    def cavg(F):
-        G = F.reshape(nx, ny)
-        return 0.25 * (G[:-1, :-1] + G[1:, :-1] + G[:-1, 1:] + G[1:, 1:])
 
     def cgrad(F):
         G = F.reshape(nx, ny)
@@ -236,14 +234,12 @@ def quadratic_form(field: GeometryField, spec: PotentialSpec, u: np.ndarray,
         gy = ((G[:-1, 1:] + G[1:, 1:]) - (G[:-1, :-1] + G[1:, :-1])) / (2 * h)
         return gx, gy
 
-    coef = cavg(e_phi * W.ravel())
-    gixx = cavg((1.0 - ux**2 / W2).ravel())
-    giyy = cavg((1.0 - uy**2 / W2).ravel())
-    gixy = cavg((-ux * uy / W2).ravel())
+    coef, gixx, giyy, gixy = _cell_coefficients(field, e_phi)
     ux_, uy_ = cgrad(u)
     vx_, vy_ = cgrad(v)
     inner = gixx * ux_ * vx_ + giyy * uy_ * vy_ + gixy * (ux_ * vy_ + uy_ * vx_)
-    cells = coef * (inner - cavg(pot) * cavg(u) * cavg(v)) * h**2
+    cells = coef * (inner - _cell_average(pot, nx, ny) * _cell_average(u, nx, ny)
+                    * _cell_average(v, nx, ny)) * h**2
     return float(cells.sum())
 
 
@@ -302,7 +298,7 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
     full = np.zeros(field.n_samples)
     full[asm.region] = x
     return SpectrumResult(lambda1=float(lam), eigenfunction=full,
-                          iterations=iters, residual=res_norm)
+                          iterations=iters, residual=res_norm, assembly=asm)
 
 
 def jacobi_residual(field: GeometryField, spec: PotentialSpec, direction,

@@ -304,10 +304,7 @@ class GeometryField:
             if self.source.kind == TRANSLATION:
                 return fpp
             lap = fpp.copy()
-            x = self.source.x
-            ratio = np.zeros_like(x)
-            off_axis = x > 1e-10
-            ratio[off_axis] = np.cos(self.source.theta[off_axis]) / x[off_axis]
+            ratio, off_axis = _axis_ratio(self.source)
             lap[off_axis] += ratio[off_axis] * fp[off_axis]
             lap[~off_axis] = 2.0 * fpp[~off_axis]  # removable singularity
             return lap
@@ -342,6 +339,16 @@ def _second_diff(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     d[at(0)] = d[at(1)]
     d[at(-1)] = d[at(-2)]
     return d
+
+
+def _axis_ratio(curve: "ProfileCurve"):
+    """cos(theta) / x of a rotational profile and its off-axis mask
+    x > 1e-10; the ratio is 0 on the axis and on translation profiles."""
+    off = curve.x > 1e-10
+    c = np.zeros(len(curve))
+    if curve.kind == ROTATIONAL:
+        c[off] = np.cos(curve.theta[off]) / curve.x[off]
+    return c, off
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +516,7 @@ def _profile_identity(field: GeometryField, spec: PotentialSpec, item: int):
     eta = field.eta
     k1, k2 = field.k1, field.k2
     H, S2 = field.H, field.norm_s2()
-    if curve.kind == ROTATIONAL:
-        c = np.zeros(len(curve))
-        off = curve.x > 1e-10
-        c[off] = np.cos(curve.theta[off]) / curve.x[off]
-    else:
-        c = np.zeros(len(curve))
+    c, off = _axis_ratio(curve)
 
     if item == 1:
         r_unit = field.grad_mu[:, 0] ** 2 + eta**2 - 1.0
@@ -541,7 +543,6 @@ def _profile_identity(field: GeometryField, spec: PotentialSpec, item: int):
         lap_n1 = -_second_diff(sin_t, step) - c * ds(sin_t)
         lap_n3 = _second_diff(eta, step) + c * d_eta
         if curve.kind == ROTATIONAL:
-            off = curve.x > 1e-10
             extra = np.zeros(len(curve))
             extra[off] = sin_t[off] / curve.x[off] ** 2
             lap_n1 = lap_n1 + extra
@@ -645,10 +646,7 @@ def principal_frame(field: GeometryField, delta_umb: float | None = None) -> Geo
         dirs[:, 1, 1] = 1.0
         curve: ProfileCurve = field.source
         if curve.kind == ROTATIONAL:
-            c = np.zeros(n)
-            off = curve.x > 1e-10
-            c[off] = np.cos(curve.theta[off]) / curve.x[off]
-            h12_2 = c * gap
+            h12_2 = _axis_ratio(curve)[0] * gap
             h22_1 = np.gradient(field.k2, curve.step, edge_order=2)
         else:
             h12_2 = np.zeros(n)
@@ -771,12 +769,7 @@ def curvature_evolution_residuals(field: GeometryField, spec: PotentialSpec,
     eta = field.eta
     k1, k2 = field.k1, field.k2
     S2 = field.norm_s2()
-    if curve.kind == ROTATIONAL:
-        c = np.zeros(len(curve))
-        off = curve.x > 1e-10
-        c[off] = np.cos(curve.theta[off]) / curve.x[off]
-    else:
-        c = np.zeros(len(curve))
+    c, _ = _axis_ratio(curve)
     hm11, hm22 = _height_hessian(field, spec, c, sin_t, ds)
     hp11 = d3 * sin_t**2 + d2 * hm11   # Hess(phi')(v1, v1)
     hp22 = d2 * hm22                   # Hess(phi')(v2, v2)

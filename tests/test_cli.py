@@ -4,11 +4,14 @@ import os
 import numpy as np
 import pytest
 
+import phimin.cli as cli_module
+from phimin import stability
 from phimin.cli import (COMMANDS, ConfigError, RunConfig, export_artifacts,
                         main, parse_config, run, serialize_config,
                         write_graph_obj)
 from phimin.potential import PotentialSpec
-from phimin.surface_geometry import GraphPatch
+from phimin.solvers import AxisRegular, ShootingConfig, solve_rotational_profile
+from phimin.surface_geometry import GraphPatch, sample_geometry
 
 
 def _base_config(command, params, potential=None):
@@ -41,6 +44,28 @@ def test_parse_rejects_negative_quadratic_coefficient():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert any("Lambda" in v for v in err.value.violations)
+
+
+def test_parse_rejects_misspelt_and_malformed_potentials():
+    doc = _base_config("PotentialCheck", {"z_lo": 0.1, "z_hi": 1.0, "n_samples": 5},
+                       potential={"family": "Linear", "slope": 1, "slop": 2})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert any(v.startswith("potential:") and "slop" in v for v in err.value.violations)
+    doc["potential"] = 5
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert any(v.startswith("potential:") for v in err.value.violations)
+
+
+def test_parse_lets_unexpected_potential_errors_through(monkeypatch):
+    def broken(obj):
+        raise RuntimeError("bug in spec_from_json")
+
+    monkeypatch.setattr(cli_module, "spec_from_json", broken)
+    with pytest.raises(RuntimeError, match="bug in spec_from_json"):
+        parse_config(json.dumps(_base_config("PotentialCheck", {
+            "z_lo": 0.1, "z_hi": 1.0, "n_samples": 5})))
 
 
 def test_parse_rejects_malformed_document():
@@ -231,6 +256,29 @@ def test_audit_stability_command(tmp_path):
     doc = json.loads((tmp_path / "stability.json").read_text())[0]
     assert doc["values"]["lambda1"] > 0.0
     assert (tmp_path / "eigenfunction.csv").exists()
+
+
+def test_audit_stability_assembles_once(tmp_path, monkeypatch):
+    real = stability.build_assembly
+    calls = []
+    monkeypatch.setattr(stability, "build_assembly",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    cfg = parse_config(json.dumps(_base_config("AuditStability", {
+        "surface": ROT_SURF})))
+    cfg.output_dir = str(tmp_path)
+    assert run(cfg).exit_code == 0
+    assert len(calls) == 1
+    # the Rayleigh trials are those of a second assembly with the same seed
+    spec = cfg.potential
+    curve = solve_rotational_profile(spec, ShootingConfig(
+        start=AxisRegular(0.0), s_max=ROT_SURF["s_max"], step=ROT_SURF["step"])).surface
+    field = sample_geometry(curve, spec)
+    interior = np.where(field.interior_mask(2))[0]
+    asm = real(field, spec, interior)
+    rng = np.random.default_rng(cfg.seed)
+    trials = [asm.rayleigh(rng.standard_normal(interior.size)) for _ in range(20)]
+    doc = json.loads((tmp_path / "stability.json").read_text())[0]
+    assert doc["values"]["rayleigh_trial_min"] == min(trials)
 
 
 def test_audit_monotonicity_command(tmp_path):

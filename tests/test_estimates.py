@@ -417,3 +417,23 @@ def test_window_samples_match_per_sample_loop(case, tall_bowl, spec_linear):
     want = _window_samples_loop(curve, field, p, lam, 1.0)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_blowup_samples_a_shared_source_once(tall_bowl, spec_linear, monkeypatch):
+    import phimin.estimates as est
+    real = est.sample_geometry
+    calls = []
+    monkeypatch.setattr(est, "sample_geometry",
+                        lambda *args: calls.append(1) or real(*args))
+    field = real(tall_bowl.surface, spec_linear)
+    heights = [4.0, 8.0, 16.0]
+    bps = [int(np.argmin(np.abs(field.mu - h))) for h in heights]
+    rep = blowup_rescale(tall_bowl, bps, heights, spec_linear, "Plane")
+    assert len(calls) == 1
+    # each stage is what a one-stage call on the same point gives
+    for stage, bp, h in zip(rep.stages, bps, heights):
+        alone = blowup_rescale(tall_bowl, [bp], [h], spec_linear, "Plane").stages[0]
+        assert (stage.slope_ratio, stage.hausdorff_distance, stage.c2_distance,
+                stage.n_window_samples) == (alone.slope_ratio, alone.hausdorff_distance,
+                                            alone.c2_distance, alone.n_window_samples)
+    assert len(calls) == 4

@@ -1,14 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import phimin as pm
-from phimin.potential import (PotentialDomainError, PotentialFamilyError,
-                              PotentialSpec, asymptotics, check_conditions,
-                              eval_potential, normalized_for_window,
-                              spec_from_json, to_json_dict)
+from phimin.potential import (FAMILIES, PotentialDomainError,
+                              PotentialFamilyError, PotentialSpec,
+                              _derivatives, _sampled_sup, asymptotics,
+                              check_conditions, eval_potential,
+                              normalized_for_window, spec_from_json,
+                              to_json_dict)
 
 
 def test_linear_derivatives():
@@ -181,3 +184,264 @@ def test_sampled_gamma_agrees_with_analytic():
     rep2 = check_conditions(clone, 0.2, 5.0, 401)
     assert rep2.gamma == pytest.approx(rep.gamma, abs=5e-5)
     assert rep.gamma_is_analytic and not rep2.gamma_is_analytic
+
+
+# -- the family table --------------------------------------------------------
+# Reference copies of the per-family dispatch that FAMILIES replaced; every
+# verdict of the table must equal them bit for bit.
+
+
+def _tail_bounded_ref(spec):
+    p = spec.params
+    if spec.family == "Constant":
+        return True
+    if spec.family == "Linear":
+        return p["slope"] >= 0.0
+    if spec.family == "Quadratic":
+        lam, beta = p["Lambda"], p["beta"]
+        return lam > 0.0 or (lam == 0.0 and beta >= 0.0)
+    if spec.family == "Series":
+        lam, beta = p["Lambda"], p["beta"]
+        coeffs = p["coefficients"]
+        if lam > 0.0:
+            tail_ok = True
+        elif lam == 0.0 and beta > 0.0:
+            tail_ok = True
+        elif lam == 0.0 and beta == 0.0:
+            tail_ok = (not coeffs) or coeffs[0] >= -2.0
+        else:
+            tail_ok = False
+        if coeffs and spec.alpha <= 0.0:
+            m = len(coeffs)
+            left_ok = coeffs[0] + 2.0 * m <= 0.0
+        else:
+            left_ok = True
+        return tail_ok and left_ok
+    a = p["a"]
+    if a == 0.0:
+        return True
+    bounded_at_inf = -a - 2.0 <= 0.0
+    bounded_at_left = spec.alpha > 0.0 or -a - 2.0 >= 0.0
+    return bounded_at_inf and bounded_at_left
+
+
+def _complete_hint_ref(spec):
+    p = spec.params
+    if spec.family == "Constant":
+        return p["c0"] + spec.offset > 0.0
+    if spec.family == "Linear":
+        return p["slope"] > 0.0
+    if spec.family in ("Quadratic", "Series"):
+        lam, beta = p["Lambda"], p["beta"]
+        return lam > 0.0 or (lam == 0.0 and beta > 0.0)
+    return p["a"] > 0.0
+
+
+def _c2_global_ref(spec):
+    if spec.family in ("Constant", "Linear", "Quadratic", "Series"):
+        return True
+    a = spec.params["a"]
+    coef = -a * (a + 2.0)
+    if coef <= 0.0:
+        return True
+    return spec.alpha > 0.0
+
+
+def _gamma_analytic_ref(spec, z_lo, z_hi):
+    p = spec.params
+    if spec.family == "Constant":
+        return 0.0
+    if spec.family == "Linear":
+        return -p["slope"] ** 2
+    if spec.family == "Quadratic":
+        lam, beta = p["Lambda"], p["beta"]
+        if lam == 0.0:
+            return -beta**2
+        z_star = -beta / lam
+        if z_lo <= z_star <= z_hi:
+            return 2.0 * lam
+        edge = min((lam * z_lo + beta) ** 2, (lam * z_hi + beta) ** 2)
+        return 2.0 * lam - edge
+    return None
+
+
+def _c1_analytic_ref(spec, z_lo, z_hi):
+    p = spec.params
+    if spec.family == "Constant":
+        return False
+    if spec.family == "Linear":
+        return p["slope"] > 0.0
+    if spec.family == "Quadratic":
+        lam, beta = p["Lambda"], p["beta"]
+        return lam >= 0.0 and lam * z_lo + beta > 0.0
+    if spec.family == "LogPower":
+        return False
+    return None
+
+
+def _d3_analytic_ref(spec):
+    if spec.family in ("Constant", "Linear", "Quadratic"):
+        return True
+    if spec.family == "LogPower":
+        return spec.params["a"] <= 0.0
+    return None
+
+
+def _asymptotics_ref(spec):
+    p = spec.params
+    if spec.family == "Constant":
+        lam, beta = 0.0, 0.0
+    elif spec.family == "Linear":
+        lam, beta = 0.0, p["slope"]
+    elif spec.family in ("Quadratic", "Series"):
+        lam, beta = p["Lambda"], p["beta"]
+    else:
+        return None
+    return lam, beta, (lam < 0.0) or (lam == 0.0 and not beta > 0.0)
+
+
+def _param_values(name):
+    if name == "coefficients":
+        return st.lists(st.floats(-2.5, 2.5), max_size=3).map(tuple)
+    if name == "u0":
+        return st.floats(0.1, 4.0)
+    return st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _valid_specs(draw, family):
+    """Any valid spec of the family, built from its JSON parameter names."""
+    rules = FAMILIES[family]
+    params = {name: draw(_param_values(name)) for name in rules.params}
+    alpha = draw(st.sampled_from([rules.default_alpha, -1.0, 0.0, 0.5]))
+    offset = draw(st.sampled_from([0.0, -1.5, 2.0]))
+    try:
+        return PotentialSpec(family, params, alpha=alpha, offset=offset)
+    except PotentialFamilyError:
+        assume(False)
+
+
+@st.composite
+def _windows(draw, spec):
+    left = spec.domain_left if math.isfinite(spec.domain_left) else -2.0
+    z_lo = left + draw(st.floats(0.05, 1.0))
+    return z_lo, z_lo + draw(st.floats(0.1, 4.0))
+
+
+# the explicit corner cases: Lambda = beta = 0, beta < 0, a negative slope,
+# c_1 = -2, alpha > 0, empty coefficients
+_CORNER_SPECS = [
+    PotentialSpec.constant(0.0), PotentialSpec.constant(-1.0),
+    PotentialSpec.linear(-1.5), PotentialSpec.linear(0.0),
+    PotentialSpec.quadratic(0.0, 0.0), PotentialSpec.quadratic(0.0, -1.0),
+    PotentialSpec.quadratic(1.0, -2.0, alpha=0.5),
+    PotentialSpec.log_power(-2.0), PotentialSpec.log_power(1.0, alpha=0.5),
+    PotentialSpec.log_power(0.0),
+    PotentialSpec.series(0.0, 0.0, [-2.0], u0=1.0),
+    PotentialSpec.series(0.0, 0.0, [-2.0], u0=1.0, alpha=0.5),
+    PotentialSpec.series(0.0, -1.0, [1.0, -3.0], u0=1.0),
+    PotentialSpec.series(1.0, 0.5, [], u0=1.0),
+    PotentialSpec.series(0.0, 0.0, [], u0=1.0, alpha=-1.0),
+]
+
+
+def _assert_table_matches_reference(spec, z_lo, z_hi):
+    rules = spec.rules
+    # repr tells -0.0 from 0.0 and a bool from a float
+    assert repr(rules.tail_bounded(spec)) == repr(_tail_bounded_ref(spec))
+    assert repr(rules.complete_hint(spec)) == repr(_complete_hint_ref(spec))
+    assert repr(rules.c2_holds(spec)) == repr(_c2_global_ref(spec))
+    assert repr(rules.gamma(spec, z_lo, z_hi)) == repr(_gamma_analytic_ref(spec, z_lo, z_hi))
+    assert repr(rules.c1(spec, z_lo, z_hi)) == repr(_c1_analytic_ref(spec, z_lo, z_hi))
+    assert repr(rules.d3_nonpositive(spec)) == repr(_d3_analytic_ref(spec))
+    ref = _asymptotics_ref(spec)
+    if ref is None:
+        with pytest.raises(PotentialFamilyError):
+            asymptotics(spec)
+    else:
+        assert repr(tuple(asymptotics(spec))) == repr(ref)
+
+
+@pytest.mark.parametrize("spec", _CORNER_SPECS, ids=lambda s: f"{s.family}{s.params}")
+def test_table_corner_cases_match_reference(spec):
+    left = spec.domain_left if math.isfinite(spec.domain_left) else -2.0
+    for z_lo, z_hi in ((left + 0.1, left + 3.0), (left + 1.5, left + 1.75)):
+        _assert_table_matches_reference(spec, z_lo, z_hi)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_table_verdicts_match_reference(family, data):
+    spec = data.draw(_valid_specs(family))
+    _assert_table_matches_reference(spec, *data.draw(_windows(spec)))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_scalar_d1_matches_vectorised(family, data):
+    spec = data.draw(_valid_specs(family))
+    z_lo, z_hi = data.draw(_windows(spec))
+    zs = np.linspace(z_lo, z_hi, 9)
+    d1 = spec.rules.d1_scalar(spec)
+    scalar = np.array([d1(float(z)) for z in zs])
+    vector = _derivatives(spec, zs)[1]
+    lam, beta, coeffs = spec.rules.tail(spec) or (0.0, 0.0, ())
+    if coeffs:
+        # float.__pow__ and numpy's power may round z**-i one ulp apart, so
+        # the sums agree to the rounding of their terms, not bit for bit
+        terms = abs(lam * zs) + abs(beta) + sum(
+            abs(c) * zs**-i for i, c in enumerate(coeffs, start=1))
+        assert np.all(np.abs(scalar - vector) <= 4 * np.finfo(float).eps * terms)
+    else:
+        assert np.array_equal(scalar, vector)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_json_round_trip_every_family(family, data):
+    spec = data.draw(_valid_specs(family))
+    assert spec_from_json(json.loads(json.dumps(to_json_dict(spec)))) == spec
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_check_conditions_never_raises_on_valid_specs(family, data):
+    spec = data.draw(_valid_specs(family))
+    z_lo, z_hi = data.draw(_windows(spec))
+    n = data.draw(st.integers(2, 60))
+    with np.errstate(all="ignore"):
+        rep = check_conditions(spec, z_lo, z_hi, n)
+    assert rep.sample_count == n
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_analytic_verdicts_agree_with_sampling(family, data):
+    spec = data.draw(_valid_specs(family))
+    z_lo, z_hi = data.draw(_windows(spec))
+    zs = np.linspace(z_lo, z_hi, 401)
+    tol = 5e-5  # as in test_sampled_gamma_agrees_with_analytic
+    gamma = spec.rules.gamma(spec, z_lo, z_hi)
+    if gamma is not None:
+        sampled = _sampled_sup(
+            lambda t: 2.0 * _derivatives(spec, t)[2] - _derivatives(spec, t)[1] ** 2, zs)
+        assert sampled == pytest.approx(gamma, abs=tol)
+    c1 = spec.rules.c1(spec, z_lo, z_hi)
+    if c1 is not None:
+        min_d1 = -_sampled_sup(lambda t: -_derivatives(spec, t)[1], zs)
+        min_d2 = -_sampled_sup(lambda t: -_derivatives(spec, t)[2], zs)
+        # the sampled route forgives phi'' >= -1e-14; skip such near ties
+        if not (-tol < min_d2 < 0.0 or 0.0 < abs(min_d1) < tol):
+            assert c1 == ((min_d1 > 0.0) and (min_d2 >= -1e-14))
+
+
+def test_unknown_parameter_is_rejected():
+    with pytest.raises(PotentialFamilyError, match="slop"):
+        spec_from_json({"family": "Linear", "slope": 1, "slop": 2})
+    with pytest.raises(PotentialFamilyError, match="beta"):
+        PotentialSpec("Linear", {"slope": 1.0, "beta": 2.0})
