@@ -10,11 +10,17 @@ with x' = cos(theta), z' = sin(theta).  Axis-regular rotational starts
 use the series x = s - (a^2/24) s^3, theta = (a/2) s + a(2b - a^2)/32 s^3
 (a = phi'(z0), b = phi''(z0)) across the removable x = 0 singularity.
 
-Graphs come from a damped Newton iteration on the second-order central
+Graphs come from a Newton iteration on the second-order central
 difference discretisation of  div(grad u / W) = phi'(u) / W,
 W = sqrt(1 + |grad u|^2), with an analytically assembled Jacobian
-including the -phi''(u)/W zeroth-order term.  The Jacobian's pattern is
-symmetric, so its sparse LU uses the MMD_AT_PLUS_A ordering.  The default
+including the -phi''(u)/W zeroth-order term.  Each Jacobian is LU-factored
+once and its factor reused for chord steps (Shamanskii's method; Kelley,
+Solving Nonlinear Equations with Newton's Method, SIAM 2003): a back-solve
+whose step cuts the max-norm residual to at most _CHORD_RATIO = 0.1 of the
+last one is kept, otherwise the Jacobian is rebuilt and factored at the
+current iterate and its step damped.  The unknowns are numbered in a
+nested-dissection order of the grid (George, SIAM J. Numer. Anal. 10,
+1973), so the LU keeps that order (NATURAL column ordering).  The default
 start is nested iteration (Briggs, Henson and McCormick, A Multigrid
 Tutorial, ch. 3): the grid of spacing 2h is solved first and its solution
 interpolated.
@@ -60,13 +66,10 @@ class ShootingConfig:
     start: object
     s_max: float
     step: float
-    integrator_order: int = 4
 
     def __post_init__(self):
         if self.step <= 0 or self.s_max <= self.step:
             raise ValueError("need 0 < step < s_max")
-        if self.integrator_order != 4:
-            raise ValueError("only the 4th-order integrator is provided")
 
 
 @dataclass
@@ -220,7 +223,38 @@ def _interior_maps(nx: int, ny: int):
     return ii, jj, col_of
 
 
-def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float) -> sp.csc_matrix:
+# blocks with at most this many nodes on each side are not dissected further
+_DISSECTION_LEAF = 4
+
+
+def _dissection_order(m: int, n: int) -> np.ndarray:
+    """Nested-dissection order of an m x n grid: the flat node indices
+    i * n + j in elimination order.  A block is bisected along its longer
+    side by one grid line, which follows both halves; blocks with at most
+    _DISSECTION_LEAF nodes on each side keep their row-major order."""
+    parts = []
+
+    def visit(block):
+        rows, cols = block.shape
+        if rows <= _DISSECTION_LEAF and cols <= _DISSECTION_LEAF:
+            parts.append(block.ravel())
+        elif rows >= cols:
+            visit(block[:rows // 2])
+            visit(block[rows // 2 + 1:])
+            parts.append(block[rows // 2])
+        else:
+            visit(block[:, :cols // 2])
+            visit(block[:, cols // 2 + 1:])
+            parts.append(block[:, cols // 2])
+
+    visit(np.arange(m * n).reshape(m, n))
+    return np.concatenate(parts)
+
+
+def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float,
+                    order: np.ndarray) -> sp.csc_matrix:
+    """Jacobian of graph_pde_residual in u's interior, with the interior
+    node order[k] (a row-major index) as unknown k."""
     nx, ny = u.shape
     p, q, r, s, t = _pde_parts(u, h)
     w2 = 1.0 + p**2 + q**2
@@ -237,6 +271,9 @@ def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float) -> sp.csc_matr
     f_u = -ev.d2 / w
 
     ii, jj, col_of = _interior_maps(nx, ny)
+    number = np.empty(order.size, dtype=np.int64)
+    number[order] = np.arange(order.size)
+    col_of[(ii * ny + jj).ravel()] = number
     stencil = [
         (1, 0, f_r / h**2 + f_p / (2 * h)),
         (-1, 0, f_r / h**2 - f_p / (2 * h)),
@@ -252,7 +289,7 @@ def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float) -> sp.csc_matr
     for di, dj, coef in stencil:
         nbr = col_of[((ii + di) * ny + (jj + dj)).ravel()]
         keep = nbr >= 0
-        rows.append(np.flatnonzero(keep))
+        rows.append(number[keep])
         cols.append(nbr[keep])
         vals.append(coef.ravel()[keep])
     J = sp.coo_matrix(
@@ -315,8 +352,9 @@ def _nested_start(spec: PotentialSpec, u_bc: np.ndarray, h: float,
     if (nx - 1) % 2 or (ny - 1) % 2 or min(nx, ny) - 1 < 2 * _COARSEST_CELLS:
         return _harmonic_extension(u_bc)
     coarse = _nested_start(spec, u_bc[::2, ::2], 2 * h, cfg, levels)
-    coarse, res_norm, iters = _newton(spec, coarse, 2 * h, cfg)
-    levels.append(f"h = {2 * h:.6g}: {iters} Newton steps to residual {res_norm:.3e}")
+    coarse, res_norm, iters, lus = _newton(spec, coarse, 2 * h, cfg)
+    levels.append(f"h = {2 * h:.6g}: {iters} Newton steps to residual "
+                  f"{res_norm:.3e} ({lus} LU)")
     u = _prolong_axis(_prolong_axis(coarse, 0), 1)
     u[0, :], u[-1, :] = u_bc[0, :], u_bc[-1, :]
     u[:, 0], u[:, -1] = u_bc[:, 0], u_bc[:, -1]
@@ -351,46 +389,78 @@ def _initial_grid(spec: PotentialSpec, cfg: NewtonConfig, X, Y, u_bc,
     raise ValueError(f"unknown initial guess {guess!r}")
 
 
+# a chord step is kept when it cuts the max-norm residual to at most this
+# share of the last one
+_CHORD_RATIO = 0.1
+
+
+def _trial(spec: PotentialSpec, u: np.ndarray, h: float, delta: np.ndarray):
+    """(u + delta in the interior, its residual, its max norm); the norm is
+    inf when the trial iterate leaves the weight domain."""
+    u_try = u.copy()
+    u_try[1:-1, 1:-1] += delta
+    if not np.all(u_try > spec.domain_left):
+        return u_try, None, math.inf
+    res_try = graph_pde_residual(spec, u_try, h)
+    return u_try, res_try, float(np.abs(res_try).max())
+
+
 def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
-    """Damped Newton from the iterate u: (last iterate, its max-norm PDE
-    residual, steps taken).  A step is shortened by cfg.damping until it
-    stays in the weight domain and lowers the residual; the iteration
-    stops when that needs a step below 2^-10."""
+    """Newton with chord steps from the iterate u: (last iterate, its
+    max-norm PDE residual, steps taken, LU factorisations).  Once a
+    Jacobian is factored, each step first back-solves with that factor and
+    is kept whole when it stays in the weight domain and cuts the residual
+    to at most _CHORD_RATIO of the last one.  Otherwise the Jacobian is
+    rebuilt and factored at the current iterate, and its step is shortened
+    by cfg.damping until it stays in the weight domain and lowers the
+    residual; the iteration stops when that needs a step below 2^-10."""
     nx, ny = u.shape
+    order = _dissection_order(nx - 2, ny - 2)
+
+    def back_solve(lu, res):
+        delta = np.empty(order.size)
+        delta[order] = lu.solve(-res.ravel()[order])
+        return delta.reshape(nx - 2, ny - 2)
+
     res = graph_pde_residual(spec, u, h)
     res_norm = float(np.abs(res).max())
-    iters = 0
+    iters = lus = 0
+    lu = None
     while res_norm > cfg.tol_residual and iters < cfg.max_iters:
-        J = _graph_jacobian(spec, u, h)
-        delta = spla.spsolve(J, -res.ravel(), permc_spec="MMD_AT_PLUS_A")
-        delta = delta.reshape(nx - 2, ny - 2)
+        if lu is not None:
+            u_try, res_try, try_norm = _trial(spec, u, h, back_solve(lu, res))
+            if try_norm <= _CHORD_RATIO * res_norm:
+                u, res, res_norm = u_try, res_try, try_norm
+                iters += 1
+                continue
+        lu = spla.splu(_graph_jacobian(spec, u, h, order), permc_spec="NATURAL")
+        lus += 1
+        delta = back_solve(lu, res)
         step_len = 1.0
         while step_len >= 2.0**-10:
-            u_try = u.copy()
-            u_try[1:-1, 1:-1] += step_len * delta
-            if np.all(u_try > spec.domain_left):
-                res_try = graph_pde_residual(spec, u_try, h)
-                try_norm = float(np.abs(res_try).max())
-                if try_norm < res_norm:
-                    break
+            u_try, res_try, try_norm = _trial(spec, u, h, step_len * delta)
+            if try_norm < res_norm:
+                break
             step_len *= cfg.damping
         else:
             break  # stalled
         u, res, res_norm = u_try, res_try, try_norm
         iters += 1
-    return u, res_norm, iters
+    return u, res_norm, iters, lus
 
 
 def solve_graph(spec: PotentialSpec, domain, h: float, boundary,
                 cfg: NewtonConfig) -> SolveResult:
-    """Damped Newton for the weighted-minimal graph with Dirichlet data.
+    """Newton with chord steps for the weighted-minimal graph with
+    Dirichlet data.
 
     ``boundary`` is a callable (x, y) -> height, evaluated once on the
     edge nodes.  The "harmonic" initial guess is a nested-iteration start
     (see _nested_start).  Convergence means max-norm PDE residual <=
     cfg.tol_residual; on failure the last iterate is returned with
-    converged = False.  ``iterations`` counts the Newton steps on this
-    grid; ``diagnostics`` also lists those taken on each coarser grid.
+    converged = False.  ``iterations`` counts the Newton steps, chord
+    steps included, on this grid; ``diagnostics`` gives them with the
+    number of LU factorisations, on this grid and on each coarser one.
     """
     a, b, c, d = (float(v) for v in domain)
     nx = int(round((b - a) / h)) + 1
@@ -414,8 +484,9 @@ def solve_graph(spec: PotentialSpec, domain, h: float, boundary,
     if np.any(u <= spec.domain_left):
         raise DomainExitError("initial iterate leaves the weight domain")
 
-    u, res_norm, iters = _newton(spec, u, h, cfg)
-    diagnostics = f"PDE max-norm residual {res_norm:.3e} after {iters} Newton steps"
+    u, res_norm, iters, lus = _newton(spec, u, h, cfg)
+    diagnostics = (f"PDE max-norm residual {res_norm:.3e} after {iters} Newton "
+                   f"steps ({lus} LU)")
     if levels:
         diagnostics += "; nested start: " + "; ".join(levels)
     return SolveResult(

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import phimin as pm
 from phimin.solvers import (AxisCollisionError, AxisRegular, DomainExitError,
                             NewtonConfig, PointStart, ShootingConfig,
+                            _dissection_order, _graph_jacobian,
                             _harmonic_extension, graph_pde_residual,
                             solve_graph, solve_rotational_profile,
                             solve_translation_profile)
@@ -252,6 +254,77 @@ def test_json_list_initial_guesses_match_tuples(spec_linear, bowl):
         assert from_list.diagnostics == from_tuple.diagnostics
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (4, 4), (5, 5), (31, 31), (63, 31),
+                                  (7, 12), (15, 9), (1, 13), (13, 1)])
+def test_dissection_order_is_a_permutation(m, n):
+    order = _dissection_order(m, n)
+    assert np.array_equal(np.sort(order), np.arange(m * n))
+
+
+def test_dissection_order_puts_the_separator_last():
+    # a 9 x 5 grid is cut by its middle row, whose 5 nodes come last
+    assert np.array_equal(_dissection_order(9, 5)[-5:], 4 * 5 + np.arange(5))
+    assert np.array_equal(_dissection_order(5, 9)[-5:], 4 + 9 * np.arange(5))
+
+
+def test_dissection_ordered_solve_matches_minimum_degree(spec_linear, bowl):
+    h = 1 / 32
+    n = int(round(2.0 / h)) + 1
+    xs = -1.0 + h * np.arange(n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    u = _harmonic_extension(_bowl_boundary(bowl)(X, Y))
+    rhs = -graph_pde_residual(spec_linear, u, h).ravel()
+    natural = _graph_jacobian(spec_linear, u, h, np.arange(rhs.size))
+    order = _dissection_order(n - 2, n - 2)
+    permuted = _graph_jacobian(spec_linear, u, h, order)
+    assert (permuted != natural[order][:, order]).nnz == 0
+    ref = spla.spsolve(natural, rhs, permc_spec="MMD_AT_PLUS_A")
+    sol = np.empty(rhs.size)
+    sol[order] = spla.splu(permuted, permc_spec="NATURAL").solve(rhs[order])
+    assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _count_factorisations(monkeypatch):
+    """Unknowns of each matrix spla.splu factors, in call order."""
+    sizes = []
+    splu = spla.splu
+
+    def counted(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return sizes
+
+
+def test_bowl_factors_once_on_its_own_grid(spec_linear, bowl, monkeypatch):
+    sizes = _count_factorisations(monkeypatch)
+    res = solve_graph(spec_linear, (-1, 1, -1, 1), 1 / 64, _bowl_boundary(bowl),
+                      NewtonConfig())
+    assert res.converged and res.iterations <= 2
+    assert sizes.count(63 * 63) == 1
+    assert "Newton steps (1 LU)" in res.diagnostics
+
+
+def test_rejected_chord_step_refactors_and_converges(spec_linear, monkeypatch):
+    # from the harmonic start on the coarse grim reaper grid a chord step
+    # misses the 0.1 residual cut, so the Jacobian is factored again
+    sizes = _count_factorisations(monkeypatch)
+    res = solve_graph(spec_linear, (-1, 1, -1, 1), 1 / 8,
+                      lambda x, y: -np.log(np.cos(x)), NewtonConfig())
+    assert res.converged and res.residual <= 1e-10
+    assert len(sizes) > 1 and set(sizes) == {15 * 15}
+    assert res.iterations > len(sizes)  # some chord steps were kept
+    assert f"({len(sizes)} LU)" in res.diagnostics
+
+
+def test_single_newton_step_leaves_solve_unconverged(spec_linear, bowl):
+    res = solve_graph(spec_linear, (-1, 1, -1, 1), 1 / 64, _bowl_boundary(bowl),
+                      NewtonConfig(max_iters=1))
+    assert not res.converged and res.iterations == 1
+    assert res.residual > 1e-10
+
+
 def test_graph_residual_definition(spec_linear):
     # flat graph residual is -phi'/W = -1 everywhere for the unit slope
     u = np.zeros((9, 9))
@@ -269,8 +342,5 @@ def test_graph_boundary_domain_exit():
 def test_shooting_config_validation():
     with pytest.raises(ValueError):
         ShootingConfig(start=AxisRegular(0.0), s_max=0.01, step=0.1)
-    with pytest.raises(ValueError):
-        ShootingConfig(start=AxisRegular(0.0), s_max=1.0, step=0.1,
-                       integrator_order=2)
     with pytest.raises(ValueError):
         NewtonConfig(tol_residual=-1.0)
