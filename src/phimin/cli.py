@@ -331,10 +331,6 @@ def _parse_boundary(spec: PotentialSpec, obj: dict):
     raise ConfigError([f"boundary.kind: unknown {kind!r}"])
 
 
-def _field_of(result: SolveResult, spec: PotentialSpec) -> GeometryField:
-    return sample_geometry(result.surface, spec)
-
-
 def _center_index(params: dict, field: GeometryField) -> int:
     """The configured center sample; by default the first sample of a
     profile (its axis point or start) and the middle node of a graph."""
@@ -349,12 +345,12 @@ def _export_solve(result: SolveResult, spec: PotentialSpec, out: Path,
     if isinstance(result.surface, ProfileCurve):
         if "CSV" in formats:
             path = out / f"{stem}.csv"
-            write_profile_csv(path, _field_of(result, spec))
+            write_profile_csv(path, sample_geometry(result.surface, spec))
             paths.append(path)
     else:
         if "CSV" in formats:
             path = out / f"{stem}.csv"
-            write_graph_csv(path, _field_of(result, spec))
+            write_graph_csv(path, sample_geometry(result.surface, spec))
             paths.append(path)
         if "OBJ" in formats:
             # the mesh needs no geometry field, so any grid size works
@@ -414,7 +410,7 @@ def _run_solve(config, out: Path, kind: str):
 def _run_audit_fundamental(config, out: Path):
     p = config.command_params
     result = _converged_surface(config.potential, p["surface"])
-    field = _field_of(result, config.potential)
+    field = sample_geometry(result.surface, config.potential)
     items = [int(i) for i in p["items"]]
     reports = fundamental_identity_residuals(field, config.potential, items)
     reports.insert(0, phi_minimal_residual(field, config.potential))
@@ -430,7 +426,7 @@ def _run_audit_fundamental(config, out: Path):
 def _run_audit_stability(config, out: Path):
     p = config.command_params
     result = _converged_surface(config.potential, p["surface"])
-    field = _field_of(result, config.potential)
+    field = sample_geometry(result.surface, config.potential)
     h = field.grid_h
     margin = 2
     interior = np.where(field.interior_mask(margin))[0]
@@ -459,7 +455,7 @@ def _run_audit_stability(config, out: Path):
 def _run_audit_area(config, out: Path):
     p = config.command_params
     result = _converged_surface(config.potential, p["surface"])
-    field = _field_of(result, config.potential)
+    field = sample_geometry(result.surface, config.potential)
     z_lo = float(field.mu.min())
     z_hi = float(field.mu.max()) + 1.0
     cond = check_conditions(config.potential, z_lo + 1e-9, z_hi, 101)
@@ -477,7 +473,7 @@ def _run_audit_area(config, out: Path):
 def _run_audit_monotonicity(config, out: Path):
     p = config.command_params
     result = _converged_surface(config.potential, p["surface"])
-    field = _field_of(result, config.potential)
+    field = sample_geometry(result.surface, config.potential)
     rep = estimates.density_monotonicity(
         field, _center_index(p, field), [float(r) for r in p["radii"]],
         config.potential, float(p["epsilon"]))
@@ -499,7 +495,7 @@ def _run_audit_monotonicity(config, out: Path):
 def _run_audit_curvature_ratio(config, out: Path):
     p = config.command_params
     result = _converged_surface(config.potential, p["surface"])
-    field = _field_of(result, config.potential)
+    field = sample_geometry(result.surface, config.potential)
     sup = estimates.curvature_ratio_sup(field, config.potential)
     doc = _report("curvature_ratio_sup", {}, {"sup": sup}, {}, True)
     path = out / "curvature_ratio.json"
@@ -510,7 +506,7 @@ def _run_audit_curvature_ratio(config, out: Path):
 def _run_audit_convexity(config, out: Path):
     p = config.command_params
     result = _converged_surface(config.potential, p["surface"])
-    field = _field_of(result, config.potential)
+    field = sample_geometry(result.surface, config.potential)
     h = field.grid_h
     tol = float(p.get("tol", 10.0 * h**2 * max(field.norm_s2().max(), 1.0)))
     rep = estimates.convexity_report(field, config.potential, tol)
@@ -534,7 +530,7 @@ def _run_audit_convexity(config, out: Path):
 def _run_blowup(config, out: Path):
     p = config.command_params
     result = _converged_surface(config.potential, p["surface"])
-    field = _field_of(result, config.potential)
+    field = sample_geometry(result.surface, config.potential)
     heights = [float(hh) for hh in p["heights"]]
     basepoints = [int(np.argmin(np.abs(field.mu - hh))) for hh in heights]
     rep = estimates.blowup_rescale(result, basepoints,

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .ilmanen import frame_quantities
+from .ilmanen import _OFF, _frame_arrays, conformal_curvatures
 from .potential import (PotentialDomainError, PotentialSpec, eval_potential,
                         normalized_for_window)
 from .solvers import (AxisRegular, PointStart, ShootingConfig, SolveResult,
@@ -128,29 +128,26 @@ class IlmanenEstimateReport:
 # lattice distances on graph patches
 
 
-def _graph_lattice(field: GeometryField, refine: int = 2):
-    """Positions of the refined sample lattice of a graph patch.
+def _graph_lattice(field: GeometryField):
+    """Positions of the once-refined sample lattice of a graph patch.
 
     The height of inserted nodes is bilinear in the stored samples, so
     the lattice lives on the piecewise-linear interpolant surface.
     """
     patch: GraphPatch = field.source
     u = patch.u
-    for _ in range(refine - 1):
-        nx, ny = u.shape
-        fine = np.empty((2 * nx - 1, 2 * ny - 1))
-        fine[::2, ::2] = u
-        fine[1::2, ::2] = 0.5 * (u[:-1, :] + u[1:, :])
-        fine[::2, 1::2] = 0.5 * (u[:, :-1] + u[:, 1:])
-        fine[1::2, 1::2] = 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])
-        u = fine
-    h = patch.h / (2 ** (refine - 1))
-    a, b, c, d = patch.domain
     nx, ny = u.shape
-    xs = a + h * np.arange(nx)
-    ys = c + h * np.arange(ny)
+    fine = np.empty((2 * nx - 1, 2 * ny - 1))
+    fine[::2, ::2] = u
+    fine[1::2, ::2] = 0.5 * (u[:-1, :] + u[1:, :])
+    fine[::2, 1::2] = 0.5 * (u[:, :-1] + u[:, 1:])
+    fine[1::2, 1::2] = 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])
+    h = patch.h / 2
+    a, b, c, d = patch.domain
+    xs = a + h * np.arange(2 * nx - 1)
+    ys = c + h * np.arange(2 * ny - 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pos = np.stack([X, Y, u], axis=-1)
+    pos = np.stack([X, Y, fine], axis=-1)
     return pos, h
 
 
@@ -266,7 +263,7 @@ def _profile_disk_area(field: GeometryField, p: int, rho: float) -> float:
 
 def _graph_disk_area(field: GeometryField, p: int, rho: float) -> float:
     patch: GraphPatch = field.source
-    pos, h = _graph_lattice(field, refine=2)
+    pos, h = _graph_lattice(field)
     pi, pj = divmod(int(p), patch.ny)
     src = (2 * pi) * pos.shape[1] + 2 * pj
     dist = _lattice_distances(pos, [src])
@@ -355,7 +352,7 @@ def _clipped_areas(field: GeometryField, q: np.ndarray, radii: np.ndarray,
             weighted[k] = (wm * contrib).sum()
         return areas, tols, weighted
 
-    pos, h = _graph_lattice(field, refine=2)
+    pos, h = _graph_lattice(field)
     cell_areas = _cell_areas(pos)
     centers_mu = 0.25 * (pos[:-1, :-1, 2] + pos[1:, :-1, 2]
                          + pos[:-1, 1:, 2] + pos[1:, 1:, 2])
@@ -389,7 +386,7 @@ def _clipped_areas(field: GeometryField, q: np.ndarray, radii: np.ndarray,
 
 def curvature_ratio_sup(field: GeometryField, spec: PotentialSpec) -> float:
     """sup over samples of |S| / phi'(mu); requires phi' > 0 on the heights."""
-    d1 = eval_potential(spec, field.mu).d1
+    d1 = field.potential(spec).d1
     if np.any(d1 <= 0.0):
         raise ValueError("curvature ratio needs phi' > 0 on sampled heights")
     s_norm = np.sqrt(np.maximum(field.norm_s2(), 0.0))
@@ -453,11 +450,8 @@ def ilmanen_estimate_report(field: GeometryField, spec: PotentialSpec,
     boundary = np.asarray(sorted(set(int(b) for b in boundary)), dtype=np.int64)
     if boundary.size == 0:
         raise ValueError("boundary sample set is empty")
-    ev = eval_potential(spec, field.mu)
-    half_slope = 0.5 * ev.d1 * field.eta
-    scale = np.exp(-ev.phi / 2.0)
-    k1c = scale * (field.k1 + half_slope)
-    k2c = scale * (field.k2 + half_slope)
+    ev = field.potential(spec)
+    k1c, k2c = conformal_curvatures(ev, np.stack([field.k1, field.k2]), field.eta)
     s_conf = np.sqrt(k1c**2 + k2c**2)
 
     conf = np.exp(ev.phi / 2.0)
@@ -474,13 +468,9 @@ def ilmanen_estimate_report(field: GeometryField, spec: PotentialSpec,
         d_phi = d_phi.ravel()
 
     heights = np.linspace(float(field.mu.min()), float(field.mu.max()), 65)
-    sup_k = 0.0
-    sup_grad = 0.0
-    for z in heights:
-        fq = frame_quantities(spec, z)
-        off = ~np.eye(3, dtype=bool)
-        sup_k = max(sup_k, float(np.abs(fq.sectional[off]).max()))
-        sup_grad = max(sup_grad, float(np.abs(fq.curvature_gradient_e3[off]).max()))
+    _, sectional, gradient = _frame_arrays(eval_potential(spec, heights))
+    sup_k = float(np.abs(sectional[:, _OFF]).max())
+    sup_grad = float(np.abs(gradient[:, _OFF]).max())
     reach = 1.0 / (sup_k + np.sqrt(sup_grad)) if (sup_k + np.sqrt(sup_grad)) > 0 else np.inf
     spectral = np.pi / (2.0 * np.sqrt(sup_k)) if sup_k > 0 else np.inf
 
@@ -680,11 +670,11 @@ def omori_gamma_check(field: GeometryField, spec: PotentialSpec,
     res_grad = np.maximum(grad_gamma - 2.0, 0.0)
 
     gamma = 2.0 * np.log(r_amb)
-    phi_mu = eval_potential(spec, field.mu).phi
+    phi_mu = field.potential(spec).phi
     lap = drift_laplacian(field, gamma, phi_mu)
     if field.is_profile and field.source.kind == TRANSLATION:
         lap = lap + 2.0 / r_amb**2  # transverse part of the flat-chart Laplacian
-    d1 = eval_potential(spec, field.mu).d1
+    d1 = field.potential(spec).d1
     a_const = float(np.max(field.mu[mask] * d1[mask] / r_amb[mask] ** 2))
     res_lap = np.maximum(lap - (2.0 * a_const + 1.0), 0.0)
 

@@ -61,38 +61,37 @@ class ConformalShape:
     h_phi: float
 
 
-def frame_quantities(spec: PotentialSpec, z: float) -> FrameQuantities:
-    """Closed-form frame coefficients of the conformal ambient metric at z."""
-    ev = eval_potential(spec, z)
+# index tables of the closed forms: connection (d_{3j} d_{ik} - d_{ij} d_{3k}),
+# the vertical indicator d_{i3} + d_{j3} and the off-diagonal mask i != j
+_UP = np.eye(3)[VERTICAL]
+_CONNECTION = (np.einsum("j,ik->ijk", _UP, np.eye(3))
+               - np.einsum("ij,k->ijk", np.eye(3), _UP))
+_VERTICAL_PAIR = _UP[:, None] + _UP[None, :]
+_OFF = ~np.eye(3, dtype=bool)
+
+
+def _frame_arrays(ev):
+    """(connection, sectional, curvature_gradient_e3) from a PotentialEval
+    at one height or an array of heights (leading axes of the results)."""
     phi, d1, d2, d3 = ev.phi, ev.d1, ev.d2, ev.d3
-    half_root = 0.5 * np.exp(-phi / 2.0) * d1
+    per_height = lambda v: np.asarray(v)[..., None, None]
+    half_root = per_height(0.5 * np.exp(-phi / 2.0) * d1)
+    connection = half_root[..., None] * _CONNECTION
 
-    connection = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                connection[i, j, k] = half_root * (
-                    (j == VERTICAL) * (i == k) - (i == j) * (k == VERTICAL))
-
-    sectional = np.zeros((3, 3))
-    factor = 0.25 * np.exp(-phi)
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            vertical = float((i == VERTICAL) + (j == VERTICAL))
-            sectional[i, j] = factor * ((d1**2 - 2.0 * d2) * vertical - d1**2)
+    factor = per_height(0.25 * np.exp(-phi))
+    tilt = per_height(d1**2 - 2.0 * d2)
+    sectional = np.where(_OFF, factor * (tilt * _VERTICAL_PAIR - per_height(d1**2)), 0.0)
 
     # vertical gradient component: e^phi times d/dz of the sectional value
-    gradient = np.zeros((3, 3))
-    base = d1**3 - 2.0 * d1 * d2
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            vertical = float((i == VERTICAL) + (j == VERTICAL))
-            gradient[i, j] = 0.25 * (base + vertical * (-d1**3 + 4.0 * d1 * d2 - 2.0 * d3))
+    base = per_height(d1**3 - 2.0 * d1 * d2)
+    lift = per_height(-d1**3 + 4.0 * d1 * d2 - 2.0 * d3)
+    gradient = np.where(_OFF, 0.25 * (base + _VERTICAL_PAIR * lift), 0.0)
+    return connection, sectional, gradient
 
+
+def frame_quantities(spec: PotentialSpec, z: float) -> FrameQuantities:
+    """Closed-form frame coefficients of the conformal ambient metric at z."""
+    connection, sectional, gradient = _frame_arrays(eval_potential(spec, z))
     return FrameQuantities(z=float(z), connection=connection,
                            sectional=sectional, curvature_gradient_e3=gradient)
 
@@ -120,6 +119,13 @@ def bounded_geometry_check(spec: PotentialSpec, z_lo: float, z_hi: float,
     )
 
 
+def conformal_curvatures(ev, k, eta):
+    """e^(-phi/2) (k + (phi'/2) eta): principal curvatures k of the
+    Euclidean metric in the weighted one, for the PotentialEval ev at the
+    same heights as eta; vectorised (k may carry a leading branch axis)."""
+    return np.exp(-ev.phi / 2.0) * (k + 0.5 * ev.d1 * eta)
+
+
 def to_ilmanen_shape(spec: PotentialSpec, z: float, s_euclidean: np.ndarray,
                      eta: float) -> ConformalShape:
     """Convert Euclidean shape data at height z into the weighted metric.
@@ -138,12 +144,10 @@ def to_ilmanen_shape(spec: PotentialSpec, z: float, s_euclidean: np.ndarray,
     if s.shape != (2, 2) or abs(s[0, 1] - s[1, 0]) > 1e-12 * (1.0 + abs(s).max()):
         raise ValueError("s_euclidean must be 2x2 symmetric")
     ev = eval_potential(spec, z)
-    half = 0.5 * ev.d1 * eta
-    s_phi = np.exp(ev.phi / 2.0) * (s + half * np.eye(2))
+    s_phi = np.exp(ev.phi / 2.0) * (s + 0.5 * ev.d1 * eta * np.eye(2))
     k = np.linalg.eigvalsh(s)
-    scale = np.exp(-ev.phi / 2.0)
-    k1_phi = scale * (k[0] + half)
-    k2_phi = scale * (k[1] + half)
-    h_phi = scale * (k[0] + k[1] + ev.d1 * eta)
+    k1_phi, k2_phi = conformal_curvatures(ev, k, eta)
+    h_phi = np.exp(-ev.phi / 2.0) * (k[0] + k[1] + ev.d1 * eta)
     return ConformalShape(s_phi=s_phi, k1_phi=float(k1_phi),
                           k2_phi=float(k2_phi), h_phi=float(h_phi))
+

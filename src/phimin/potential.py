@@ -574,7 +574,8 @@ def spec_from_json(obj: dict) -> PotentialSpec:
     """Build a spec from its JSON object form.
 
     Family parameters may sit under "params" or inline next to "family";
-    a missing or null alpha means the family's ``default_alpha``.
+    a missing alpha means the family's ``default_alpha`` and a null one
+    -inf (unbounded below), as :func:`to_json_dict` writes it.
     """
     if "family" not in obj:
         raise PotentialFamilyError("potential object missing 'family'")
@@ -588,13 +589,11 @@ def spec_from_json(obj: dict) -> PotentialSpec:
             params[key] = val
     if "coefficients" in params:
         params["coefficients"] = tuple(float(c) for c in params["coefficients"])
-    alpha = obj.get("alpha")
-    if alpha is None:
-        alpha = FAMILIES[family].default_alpha
+    alpha = obj.get("alpha", FAMILIES[family].default_alpha)
     return PotentialSpec(
         family=family,
         params=params,
-        alpha=float(alpha),
+        alpha=float("-inf") if alpha is None else float(alpha),
         label=str(obj.get("label", "")),
         offset=float(obj.get("offset", 0.0)),
     )

@@ -76,14 +76,11 @@ class ShootingConfig:
 class NewtonConfig:
     tol_residual: float = 1e-10
     max_iters: int = 30
-    damping: float = 0.5
     initial_guess: object = "harmonic"
 
     def __post_init__(self):
         if self.tol_residual <= 0:
             raise ValueError("tol_residual must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping factor must lie in (0, 1]")
 
 
 @dataclass
@@ -392,6 +389,9 @@ def _initial_grid(spec: PotentialSpec, cfg: NewtonConfig, X, Y, u_bc,
 # a chord step is kept when it cuts the max-norm residual to at most this
 # share of the last one
 _CHORD_RATIO = 0.1
+# a factored Newton step that fails the domain or residual test is shortened
+# by this factor
+_DAMPING = 0.5
 
 
 def _trial(spec: PotentialSpec, u: np.ndarray, h: float, delta: np.ndarray):
@@ -412,7 +412,7 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
     is kept whole when it stays in the weight domain and cuts the residual
     to at most _CHORD_RATIO of the last one.  Otherwise the Jacobian is
     rebuilt and factored at the current iterate, and its step is shortened
-    by cfg.damping until it stays in the weight domain and lowers the
+    by _DAMPING until it stays in the weight domain and lowers the
     residual; the iteration stops when that needs a step below 2^-10."""
     nx, ny = u.shape
     order = _dissection_order(nx - 2, ny - 2)
@@ -441,7 +441,7 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
             u_try, res_try, try_norm = _trial(spec, u, h, step_len * delta)
             if try_norm < res_norm:
                 break
-            step_len *= cfg.damping
+            step_len *= _DAMPING
         else:
             break  # stalled
         u, res, res_norm = u_try, res_try, try_norm

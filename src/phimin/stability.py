@@ -26,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+# eval_potential is unused here, but bench/tracing.py wraps it in every layer module
 from .potential import PotentialSpec, eval_potential
 from .surface_geometry import (GeometryField, ProfileCurve, ResidualReport,
                                ROTATIONAL, TRANSLATION, drift_laplacian,
@@ -69,8 +70,7 @@ class StabilityAssembly:
 
 
 def _operator_potential(field: GeometryField, spec: PotentialSpec) -> np.ndarray:
-    ev = eval_potential(spec, field.mu)
-    return field.norm_s2() - ev.d2 * field.eta**2
+    return field.norm_s2() - field.potential(spec).d2 * field.eta**2
 
 
 def build_assembly(field: GeometryField, spec: PotentialSpec, region,
@@ -82,7 +82,7 @@ def build_assembly(field: GeometryField, spec: PotentialSpec, region,
     if region.max() >= field.n_samples or region.min() < 0:
         raise ValueError("region indices out of range")
     pot = _operator_potential(field, spec)
-    e_phi = np.exp(eval_potential(spec, field.mu).phi)
+    e_phi = np.exp(field.potential(spec).phi)
     if field.is_profile:
         return _assemble_profile(field, spec, region, pot, e_phi, ruling_width)
     return _assemble_graph(field, spec, region, pot, e_phi)
@@ -216,7 +216,7 @@ def quadratic_form(field: GeometryField, spec: PotentialSpec, u: np.ndarray,
     if np.any(u[outside] != 0.0) or np.any(v[outside] != 0.0):
         raise SupportError("test function not supported in the region")
     pot = _operator_potential(field, spec)
-    e_phi = np.exp(eval_potential(spec, field.mu).phi)
+    e_phi = np.exp(field.potential(spec).phi)
     if field.is_profile:
         curve: ProfileCurve = field.source
         radial = (2.0 * np.pi * curve.x if curve.kind == ROTATIONAL
@@ -309,9 +309,9 @@ def jacobi_residual(field: GeometryField, spec: PotentialSpec, direction,
         Lap^phi(log eta) = -|grad eta|^2/eta^2 - |S|^2 - phi'' |grad mu|^2.
     """
     mask = field.interior_mask(margin)
-    ev = eval_potential(spec, field.mu)
+    ev = field.potential(spec)
     phi_mu = ev.phi
-    pot = field.norm_s2() - ev.d2 * field.eta**2
+    pot = _operator_potential(field, spec)
 
     if isinstance(direction, str):
         if direction != "log_eta":

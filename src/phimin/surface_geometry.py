@@ -38,7 +38,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .potential import PotentialSpec, PotentialDomainError, eval_potential
+from .potential import (PotentialEval, PotentialSpec, PotentialDomainError,
+                        eval_potential)
 
 ROTATIONAL = "Rotational"
 TRANSLATION = "TranslationInvariant"
@@ -201,6 +202,7 @@ class GeometryField:
     q_squared_alt: np.ndarray = None
     umbilic: np.ndarray = None
     _graph_cache: dict = dc_field(default_factory=dict, repr=False)
+    _potential: tuple = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_samples(self) -> int:
@@ -213,6 +215,13 @@ class GeometryField:
     @property
     def grid_h(self) -> float:
         return self.source.step if self.is_profile else self.source.h
+
+    def potential(self, spec: PotentialSpec) -> PotentialEval:
+        """eval_potential(spec, mu), kept for the last spec asked for; its
+        arrays are shared by every caller, so treat them as read-only."""
+        if self._potential is None or self._potential[0] != spec:
+            self._potential = (spec, eval_potential(spec, self.mu))
+        return self._potential[1]
 
     def norm_s2(self) -> np.ndarray:
         """|S|^2 = H^2 - 2K, squared length of the shape operator."""
@@ -463,7 +472,7 @@ def _make_report(name: str, res: np.ndarray, mask: np.ndarray, h: float,
 def phi_minimal_residual(field: GeometryField, spec: PotentialSpec,
                          margin: int = 2) -> ResidualReport:
     """Max and RMS of |H + phi'(mu) eta| over interior samples."""
-    d1 = eval_potential(spec, field.mu).d1
+    d1 = field.potential(spec).d1
     res = field.H + d1 * field.eta
     return _make_report("weighted_minimality", res, field.interior_mask(margin),
                         field.grid_h, margin)
@@ -510,7 +519,7 @@ def _profile_identity(field: GeometryField, spec: PotentialSpec, item: int):
     curve: ProfileCurve = field.source
     step = curve.step
     ds = lambda arr: np.gradient(arr, step, edge_order=2)
-    ev = eval_potential(spec, field.mu)
+    ev = field.potential(spec)
     d1, d2, d3 = ev.d1, ev.d2, ev.d3
     sin_t = np.sin(curve.theta)
     eta = field.eta
@@ -572,7 +581,7 @@ def _profile_identity(field: GeometryField, spec: PotentialSpec, item: int):
 
 def _height_hessian(field, spec, c, sin_t, ds):
     """Hess(mu) in the frame, via H S / phi' where the slope is nonzero."""
-    ev = eval_potential(spec, field.mu)
+    ev = field.potential(spec)
     use_identity = np.abs(ev.d1) > 1e-12
     hm11 = np.where(use_identity,
                     field.H * field.k1 / np.where(use_identity, ev.d1, 1.0),
@@ -586,8 +595,7 @@ def _height_hessian(field, spec, c, sin_t, ds):
 def _graph_identity(field: GeometryField, spec: PotentialSpec, item: int):
     patch: GraphPatch = field.source
     h = patch.h
-    ev = eval_potential(spec, field.mu)
-    d1 = ev.d1
+    d1 = field.potential(spec).d1
     if item == 1:
         r_unit = (field.grad_mu**2).sum(axis=1) + field.eta**2 - 1.0
         # compare d eta (plain partials) with the 1-form S(grad mu, .)
@@ -763,7 +771,7 @@ def curvature_evolution_residuals(field: GeometryField, spec: PotentialSpec,
     curve: ProfileCurve = field.source
     step = curve.step
     ds = lambda arr: np.gradient(arr, step, edge_order=2)
-    ev = eval_potential(spec, field.mu)
+    ev = field.potential(spec)
     d1, d2, d3 = ev.d1, ev.d2, ev.d3
     sin_t = np.sin(curve.theta)
     eta = field.eta
@@ -778,7 +786,7 @@ def curvature_evolution_residuals(field: GeometryField, spec: PotentialSpec,
     gap = k1 - k2
     safe_gap = np.where(np.abs(gap) > 1e-300, gap, np.inf)
 
-    phi_mu = eval_potential(spec, field.mu).phi
+    phi_mu = ev.phi
     reports = []
 
     dl_k1 = drift_laplacian(field, k1, phi_mu)

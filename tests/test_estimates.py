@@ -437,3 +437,58 @@ def test_blowup_samples_a_shared_source_once(tall_bowl, spec_linear, monkeypatch
                 stage.n_window_samples) == (alone.slope_ratio, alone.hausdorff_distance,
                                             alone.c2_distance, alone.n_window_samples)
     assert len(calls) == 4
+
+
+# -- vectorised conformal report against the per-height loop -------------------
+
+def _ilmanen_report_loop(field, spec, boundary):
+    """The report with the conformal curvatures written out and one
+    frame_quantities call per height."""
+    from phimin.estimates import _lattice_distances
+    from phimin.ilmanen import frame_quantities
+
+    boundary = np.asarray(sorted(set(int(b) for b in boundary)), dtype=np.int64)
+    ev = pm.eval_potential(spec, field.mu)
+    half_slope = 0.5 * ev.d1 * field.eta
+    scale = np.exp(-ev.phi / 2.0)
+    k1c = scale * (field.k1 + half_slope)
+    k2c = scale * (field.k2 + half_slope)
+    s_conf = np.sqrt(k1c**2 + k2c**2)
+    conf = np.exp(ev.phi / 2.0)
+    if field.is_profile:
+        edge = 0.5 * (conf[:-1] + conf[1:]) * field.source.step
+        cum = np.concatenate([[0.0], np.cumsum(edge)])
+        d_phi = np.min(np.abs(cum[:, None] - cum[None, boundary]), axis=1)
+    else:
+        patch = field.source
+        pos = field.positions.reshape(patch.nx, patch.ny, 3)
+        d_phi = _lattice_distances(
+            pos, boundary, conformal_weight=conf.reshape(patch.nx, patch.ny)).ravel()
+    sup_k = sup_grad = 0.0
+    off = ~np.eye(3, dtype=bool)
+    for z in np.linspace(float(field.mu.min()), float(field.mu.max()), 65):
+        fq = frame_quantities(spec, z)
+        sup_k = max(sup_k, float(np.abs(fq.sectional[off]).max()))
+        sup_grad = max(sup_grad, float(np.abs(fq.curvature_gradient_e3[off]).max()))
+    reach = 1.0 / (sup_k + np.sqrt(sup_grad)) if (sup_k + np.sqrt(sup_grad)) > 0 else np.inf
+    spectral = np.pi / (2.0 * np.sqrt(sup_k)) if sup_k > 0 else np.inf
+    return (float(np.max(s_conf * np.minimum(d_phi, reach))),
+            float(np.max(s_conf * np.minimum(d_phi, spectral))),
+            float(reach), float(sup_k), float(s_conf.max()))
+
+
+def test_ilmanen_report_matches_the_loop(bowl_field, reaper_field, quad_bowl,
+                                         spec_linear, spec_quadratic):
+    from dataclasses import astuple
+
+    rng = np.random.default_rng(5)
+    u = 0.5 + 0.05 * rng.standard_normal((17, 17))
+    patch = GraphPatch(domain=(0, 1, 0, 1), h=1 / 16, u=u)
+    cases = [(bowl_field, spec_linear), (reaper_field, spec_linear),
+             (sample_geometry(quad_bowl.surface, spec_quadratic), spec_quadratic),
+             (sample_geometry(patch, spec_quadratic), spec_quadratic)]
+    for field, spec in cases:
+        boundary = np.where(~field.interior_mask(1))[0]
+        rep = ilmanen_estimate_report(field, spec, boundary)
+        want = _ilmanen_report_loop(field, spec, boundary)
+        assert [v.hex() for v in astuple(rep)] == [v.hex() for v in want]

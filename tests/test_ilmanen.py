@@ -166,3 +166,71 @@ def test_trace_identity(z, a, b, c, eta):
 def test_eta_out_of_range_rejected():
     with pytest.raises(ValueError):
         to_ilmanen_shape(PotentialSpec.linear(1.0), 0.0, np.eye(2), 1.5)
+
+
+# -- closed forms against the index loops they replace ------------------------
+
+def _frame_quantities_loops(spec, z):
+    """The per-index loops that frame_quantities broadcasts."""
+    ev = eval_potential(spec, z)
+    phi, d1, d2, d3 = ev.phi, ev.d1, ev.d2, ev.d3
+    half_root = 0.5 * np.exp(-phi / 2.0) * d1
+    connection = np.zeros((3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                connection[i, j, k] = half_root * (
+                    (j == 2) * (i == k) - (i == j) * (k == 2))
+    sectional = np.zeros((3, 3))
+    gradient = np.zeros((3, 3))
+    factor = 0.25 * np.exp(-phi)
+    base = d1**3 - 2.0 * d1 * d2
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            vertical = float((i == 2) + (j == 2))
+            sectional[i, j] = factor * ((d1**2 - 2.0 * d2) * vertical - d1**2)
+            gradient[i, j] = 0.25 * (base + vertical * (-d1**3 + 4.0 * d1 * d2 - 2.0 * d3))
+    return connection, sectional, gradient
+
+
+_FRAME_SPECS = [
+    PotentialSpec.constant(0.3), PotentialSpec.linear(1.3),
+    PotentialSpec.quadratic(0.7, -0.4), PotentialSpec.log_power(-1.5),
+    PotentialSpec.log_power(2.2), PotentialSpec.series(0.5, 1.0, [-0.2, 0.3], u0=1.0),
+]
+
+
+@pytest.mark.parametrize("spec", _FRAME_SPECS, ids=lambda s: s.family)
+def test_frame_quantities_match_the_loops_bit_for_bit(spec):
+    for z in np.linspace(0.05, 6.0, 237):
+        fq = frame_quantities(spec, z)
+        want = _frame_quantities_loops(spec, z)
+        got = (fq.connection, fq.sectional, fq.curvature_gradient_e3)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec", _FRAME_SPECS, ids=lambda s: s.family)
+def test_frame_arrays_over_heights_match_scalar_calls(spec):
+    from phimin.ilmanen import _frame_arrays
+
+    zs = np.linspace(0.05, 6.0, 65)
+    arrays = _frame_arrays(eval_potential(spec, zs))
+    for k, z in enumerate(zs):
+        fq = frame_quantities(spec, z)
+        scalar = (fq.connection, fq.sectional, fq.curvature_gradient_e3)
+        for a, b in zip(arrays, scalar):
+            # numpy's and Python's powers may round d1**2, d1**3 one ulp apart
+            assert np.allclose(a[k], b, rtol=8 * np.finfo(float).eps, atol=0.0)
+
+
+def test_conformal_curvatures_match_to_ilmanen_shape():
+    from phimin.ilmanen import conformal_curvatures
+
+    spec = PotentialSpec.quadratic(0.7, 0.2)
+    s = np.array([[0.3, -0.2], [-0.2, -0.9]])
+    shape = to_ilmanen_shape(spec, 1.4, s, 0.6)
+    k = conformal_curvatures(eval_potential(spec, 1.4), np.linalg.eigvalsh(s), 0.6)
+    assert (shape.k1_phi, shape.k2_phi) == (k[0], k[1])

@@ -99,6 +99,7 @@ def test_json_round_trip():
         PotentialSpec.linear(1.5, alpha=-2.0, label="soliton"),
         PotentialSpec.series(1.0, 0.5, [0.1, -0.2], u0=2.0),
         PotentialSpec.log_power(-2.0, alpha=0.0),
+        PotentialSpec.series(1.0, 1.0, [], u0=1.0, alpha=float("-inf")),
     ]
     for spec in specs:
         assert spec_from_json(to_json_dict(spec)) == spec
@@ -107,6 +108,8 @@ def test_json_round_trip():
 def test_json_flat_params_accepted():
     spec = spec_from_json({"family": "Linear", "slope": 1, "alpha": -1e9})
     assert spec.params["slope"] == 1.0 and spec.alpha == -1e9
+    # a missing alpha is the family's default, a null one is unbounded below
+    assert spec_from_json({"family": "LogPower", "a": 1}).alpha == 0.0
 
 
 # -- property tests ----------------------------------------------------------
@@ -313,7 +316,7 @@ def _valid_specs(draw, family):
     """Any valid spec of the family, built from its JSON parameter names."""
     rules = FAMILIES[family]
     params = {name: draw(_param_values(name)) for name in rules.params}
-    alpha = draw(st.sampled_from([rules.default_alpha, -1.0, 0.0, 0.5]))
+    alpha = draw(st.sampled_from([rules.default_alpha, -math.inf, -1.0, 0.0, 0.5]))
     offset = draw(st.sampled_from([0.0, -1.5, 2.0]))
     try:
         return PotentialSpec(family, params, alpha=alpha, offset=offset)

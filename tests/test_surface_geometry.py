@@ -299,3 +299,36 @@ def test_unit_decomposition_on_graphs(spec_linear):
     f = sample_geometry(patch, spec_linear)
     total = (f.grad_mu**2).sum(axis=1) + f.eta**2
     assert np.abs(total - 1.0).max() <= 1e-12
+
+
+# -- one weight evaluation per field ------------------------------------------
+
+def test_field_evaluates_the_weight_once(bowl, spec_linear, monkeypatch):
+    from phimin import stability, surface_geometry
+
+    calls = []
+    real = surface_geometry.eval_potential
+
+    def counted(spec, z):
+        calls.append(z)
+        return real(spec, z)
+
+    monkeypatch.setattr(surface_geometry, "eval_potential", counted)
+    field = sample_geometry(bowl.surface, spec_linear)
+    phi_minimal_residual(field, spec_linear)
+    fundamental_identity_residuals(field, spec_linear, range(1, 9))
+    stability.build_assembly(field, spec_linear, range(0, 200))
+    assert len(calls) == 1 and calls[0] is field.mu
+
+
+def test_field_potential_follows_the_spec(bowl_field, spec_linear, spec_quadratic):
+    def same(a, b):
+        return all(np.array_equal(getattr(a, k), getattr(b, k))
+                   for k in ("phi", "d1", "d2", "d3"))
+
+    first = bowl_field.potential(spec_linear)
+    assert same(first, pm.eval_potential(spec_linear, bowl_field.mu))
+    second = bowl_field.potential(spec_quadratic)
+    assert same(second, pm.eval_potential(spec_quadratic, bowl_field.mu))
+    assert not np.array_equal(first.d1, second.d1)
+    assert same(bowl_field.potential(spec_linear), first)
