@@ -6,9 +6,10 @@ The JSON config carries the weight spec, the command, and per-command
 parameters; artifacts (CSV profiles/graphs, OBJ meshes, JSON reports and
 a manifest with content hashes) are written atomically to the output
 directory.  Exit codes: 0 all gated audits pass, 1 an audit whose
-hypotheses hold fails its conclusion, 2 errors.  PHIMIN_THREADS caps
-worker parallelism; the implementation is sequential with a fixed
-summation order, so artifacts are byte-identical for any cap.
+hypotheses hold fails its conclusion, 2 errors.  The computation is
+sequential with a fixed summation order, so reruns of a config and seed
+give byte-identical artifacts.  ``_COMMANDS`` maps each command to the
+command_params keys it requires and to its pipeline.
 """
 
 from __future__ import annotations
@@ -35,13 +36,6 @@ from .surface_geometry import (GeometryField, GraphPatch, ProfileCurve,
                                fundamental_identity_residuals,
                                phi_minimal_residual, sample_geometry)
 from . import estimates, stability
-
-COMMANDS = (
-    "PotentialCheck", "SolveRotational", "SolveTranslation", "SolveGraph",
-    "AuditFundamental", "AuditStability", "AuditArea", "AuditMonotonicity",
-    "AuditCurvatureRatio", "AuditConvexity", "Blowup", "Export",
-)
-
 
 class ConfigError(ValueError):
     """Schema violations, each as 'json.path: message'."""
@@ -92,22 +86,6 @@ def _validate_potential(obj, errors) -> PotentialSpec | None:
     return spec
 
 
-_REQUIRED_PARAMS = {
-    "PotentialCheck": ("z_lo", "z_hi", "n_samples"),
-    "SolveRotational": ("start", "s_max", "step"),
-    "SolveTranslation": ("start", "s_max", "step"),
-    "SolveGraph": ("domain", "h", "boundary"),
-    "AuditFundamental": ("surface", "items"),
-    "AuditStability": ("surface",),
-    "AuditArea": ("surface", "rho"),
-    "AuditMonotonicity": ("surface", "radii", "epsilon"),
-    "AuditCurvatureRatio": ("surface",),
-    "AuditConvexity": ("surface",),
-    "Blowup": ("surface", "heights", "scales", "model"),
-    "Export": ("surface", "formats"),
-}
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document.
 
@@ -130,8 +108,8 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(params, dict):
         errors.append("command_params: must be an object")
         params = {}
-    if command in _REQUIRED_PARAMS:
-        for key in _REQUIRED_PARAMS[command]:
+    if command in _COMMANDS:
+        for key in _COMMANDS[command][0]:
             if key not in params:
                 errors.append(f"command_params.{key}: missing")
     for key in ("step", "h", "rho", "epsilon"):
@@ -258,13 +236,11 @@ def _report(name: str, hypotheses: dict, values: dict, tolerances: dict,
 
 def _solve_surface(spec: PotentialSpec, sub: dict) -> SolveResult:
     kind = sub.get("kind")
-    if kind == "rotational":
+    if kind in ("rotational", "translation"):
         cfg = ShootingConfig(start=_parse_start(sub["start"]),
                              s_max=float(sub["s_max"]), step=float(sub["step"]))
-        return solve_rotational_profile(spec, cfg)
-    if kind == "translation":
-        cfg = ShootingConfig(start=_parse_start(sub["start"]),
-                             s_max=float(sub["s_max"]), step=float(sub["step"]))
+        if kind == "rotational":
+            return solve_rotational_profile(spec, cfg)
         return solve_translation_profile(spec, cfg)
     if kind == "graph":
         boundary = _parse_boundary(spec, sub["boundary"])
@@ -285,6 +261,12 @@ def _converged_surface(spec: PotentialSpec, sub: dict) -> SolveResult:
         raise UnconvergedSolveError(
             f"surface solve did not converge: {result.diagnostics}")
     return result
+
+
+def _surface_field(config: RunConfig):
+    """(converged solve, geometry field) of command_params["surface"]."""
+    result = _converged_surface(config.potential, config.command_params["surface"])
+    return result, sample_geometry(result.surface, config.potential)
 
 
 def _parse_start(obj: dict):
@@ -339,39 +321,28 @@ def _center_index(params: dict, field: GeometryField) -> int:
     return int(params.get("center_index", middle))
 
 
-def _export_solve(result: SolveResult, spec: PotentialSpec, out: Path,
-                  stem: str, formats=("CSV",)):
+def _export_solve(result: SolveResult, spec: PotentialSpec, out: Path, formats):
+    """Write surface.csv (profile or graph table) and, for a graph,
+    surface.obj, as listed in formats; returns the paths."""
     paths = []
-    if isinstance(result.surface, ProfileCurve):
-        if "CSV" in formats:
-            path = out / f"{stem}.csv"
-            write_profile_csv(path, sample_geometry(result.surface, spec))
-            paths.append(path)
-    else:
-        if "CSV" in formats:
-            path = out / f"{stem}.csv"
-            write_graph_csv(path, sample_geometry(result.surface, spec))
-            paths.append(path)
-        if "OBJ" in formats:
-            # the mesh needs no geometry field, so any grid size works
-            path = out / f"{stem}.obj"
-            write_graph_obj(path, result.surface)
-            paths.append(path)
+    surface = result.surface
+    if "CSV" in formats:
+        write = (write_profile_csv if isinstance(surface, ProfileCurve)
+                 else write_graph_csv)
+        paths.append(out / "surface.csv")
+        write(paths[-1], sample_geometry(surface, spec))
+    if "OBJ" in formats and not isinstance(surface, ProfileCurve):
+        # the mesh needs no geometry field, so any grid size works
+        paths.append(out / "surface.obj")
+        write_graph_obj(paths[-1], surface)
     return paths
 
 
-def export_artifacts(result, fmt: str, out_dir, stem: str = "surface",
-                     spec: PotentialSpec | None = None):
-    """Write a SolveResult (CSV/OBJ) or a report list (JSON); returns paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if isinstance(result, SolveResult):
-        if spec is None:
-            raise ValueError("exporting a solve needs the weight spec")
-        return _export_solve(result, spec, out, stem, formats=(fmt,))
-    path = out / f"{stem}.json"
-    write_report_json(path, result)
-    return [path]
+def _write_report(out: Path, name: str, doc: dict) -> Path:
+    """Write the one-report list [doc] to out/name; returns the path."""
+    path = out / name
+    write_report_json(path, [doc])
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -387,31 +358,24 @@ def _run_potential_check(config, out: Path):
         "cc3_holds": rep.cc3_holds, "d3_nonpositive": rep.d3_nonpositive,
         "Lambda": rep.lam, "beta": rep.beta, "sample_count": rep.sample_count,
         "gamma_is_analytic": rep.gamma_is_analytic}, {}, True)
-    path = out / "potential_check.json"
-    write_report_json(path, [doc])
-    return [path], []
+    return [_write_report(out, "potential_check.json", doc)], []
 
 
 def _run_solve(config, out: Path, kind: str):
     p = dict(config.command_params)
     p["kind"] = kind
     result = _solve_surface(config.potential, p)
-    paths = _export_solve(result, config.potential, out, "surface",
-                          formats=("CSV", "OBJ"))
+    paths = _export_solve(result, config.potential, out, ("CSV", "OBJ"))
     doc = _report(f"solve_{kind}", {"converged": result.converged}, {
         "residual": result.residual, "iterations": result.iterations,
         "diagnostics": result.diagnostics}, {}, result.converged)
-    path = out / "solve.json"
-    write_report_json(path, [doc])
-    paths.append(path)
+    paths.append(_write_report(out, "solve.json", doc))
     return paths, [(True, result.converged)]
 
 
 def _run_audit_fundamental(config, out: Path):
-    p = config.command_params
-    result = _converged_surface(config.potential, p["surface"])
-    field = sample_geometry(result.surface, config.potential)
-    items = [int(i) for i in p["items"]]
+    _, field = _surface_field(config)
+    items = [int(i) for i in config.command_params["items"]]
     reports = fundamental_identity_residuals(field, config.potential, items)
     reports.insert(0, phi_minimal_residual(field, config.potential))
     docs = [_report(r.identity_name, {}, {
@@ -425,8 +389,7 @@ def _run_audit_fundamental(config, out: Path):
 
 def _run_audit_stability(config, out: Path):
     p = config.command_params
-    result = _converged_surface(config.potential, p["surface"])
-    field = sample_geometry(result.surface, config.potential)
+    _, field = _surface_field(config)
     h = field.grid_h
     margin = 2
     interior = np.where(field.interior_mask(margin))[0]
@@ -444,8 +407,7 @@ def _run_audit_stability(config, out: Path):
         "iterations": spectrum.iterations,
         "rayleigh_trial_min": min(trials) if trials else None},
         {"lambda_floor": lam_floor}, passed)
-    path = out / "stability.json"
-    write_report_json(path, [doc])
+    path = _write_report(out, "stability.json", doc)
     csv_path = out / "eigenfunction.csv"
     _write_csv(csv_path, "sample,value",
                np.arange(spectrum.eigenfunction.size), spectrum.eigenfunction)
@@ -454,8 +416,7 @@ def _run_audit_stability(config, out: Path):
 
 def _run_audit_area(config, out: Path):
     p = config.command_params
-    result = _converged_surface(config.potential, p["surface"])
-    field = sample_geometry(result.surface, config.potential)
+    _, field = _surface_field(config)
     z_lo = float(field.mu.min())
     z_hi = float(field.mu.max()) + 1.0
     cond = check_conditions(config.potential, z_lo + 1e-9, z_hi, 101)
@@ -465,15 +426,12 @@ def _run_audit_area(config, out: Path):
     doc = _report("geodesic_disk_area", {"hypothesis_ok": rep.hypothesis_ok}, {
         "disk_area": rep.disk_area, "bound": rep.bound, "rho": rep.rho,
         "center_index": rep.center_index}, {}, rep.passed)
-    path = out / "area.json"
-    write_report_json(path, [doc])
-    return [path], [(rep.hypothesis_ok, rep.passed)]
+    return [_write_report(out, "area.json", doc)], [(rep.hypothesis_ok, rep.passed)]
 
 
 def _run_audit_monotonicity(config, out: Path):
     p = config.command_params
-    result = _converged_surface(config.potential, p["surface"])
-    field = sample_geometry(result.surface, config.potential)
+    _, field = _surface_field(config)
     rep = estimates.density_monotonicity(
         field, _center_index(p, field), [float(r) for r in p["radii"]],
         config.potential, float(p["epsilon"]))
@@ -485,28 +443,22 @@ def _run_audit_monotonicity(config, out: Path):
     doc = _report("density_monotonicity", {"c1_and_minimal": hyp_ok}, {
         "radii": list(rep.radii), "o_values": list(rep.o_values),
         "epsilon": rep.epsilon}, {"clip": list(rep.tolerance)}, rep.monotone)
-    path = out / "monotonicity.json"
-    write_report_json(path, [doc])
+    path = _write_report(out, "monotonicity.json", doc)
     csv_path = out / "density.csv"
     _write_csv(csv_path, "r,o_value", rep.radii, rep.o_values)
     return [path, csv_path], [(hyp_ok, rep.monotone)]
 
 
 def _run_audit_curvature_ratio(config, out: Path):
-    p = config.command_params
-    result = _converged_surface(config.potential, p["surface"])
-    field = sample_geometry(result.surface, config.potential)
+    _, field = _surface_field(config)
     sup = estimates.curvature_ratio_sup(field, config.potential)
     doc = _report("curvature_ratio_sup", {}, {"sup": sup}, {}, True)
-    path = out / "curvature_ratio.json"
-    write_report_json(path, [doc])
-    return [path], []
+    return [_write_report(out, "curvature_ratio.json", doc)], []
 
 
 def _run_audit_convexity(config, out: Path):
     p = config.command_params
-    result = _converged_surface(config.potential, p["surface"])
-    field = sample_geometry(result.surface, config.potential)
+    _, field = _surface_field(config)
     h = field.grid_h
     tol = float(p.get("tol", 10.0 * h**2 * max(field.norm_s2().max(), 1.0)))
     rep = estimates.convexity_report(field, config.potential, tol)
@@ -516,8 +468,7 @@ def _run_audit_convexity(config, out: Path):
         "min_K": rep.min_K, "min_k2": rep.min_k2, "theta_sup": rep.theta_sup,
         "lambda_K_inf": rep.lambda_K_inf, "verdict": rep.verdict},
         {"tol": tol}, passed)
-    path = out / "convexity.json"
-    write_report_json(path, [doc])
+    path = _write_report(out, "convexity.json", doc)
     csv_path = out / "convexity_samples.csv"
     k_hi = np.maximum(field.k1, field.k2)
     ratio = np.divide(k_hi, field.eta, out=np.full(field.n_samples, np.nan),
@@ -529,8 +480,7 @@ def _run_audit_convexity(config, out: Path):
 
 def _run_blowup(config, out: Path):
     p = config.command_params
-    result = _converged_surface(config.potential, p["surface"])
-    field = sample_geometry(result.surface, config.potential)
+    result, field = _surface_field(config)
     heights = [float(hh) for hh in p["heights"]]
     basepoints = [int(np.argmin(np.abs(field.mu - hh))) for hh in heights]
     rep = estimates.blowup_rescale(result, basepoints,
@@ -541,63 +491,51 @@ def _run_blowup(config, out: Path):
         "stages": [{"scale": s.scale, "slope_ratio": s.slope_ratio,
                     "hausdorff": s.hausdorff_distance, "c2": s.c2_distance}
                    for s in rep.stages]}, {}, True)
-    path = out / "blowup.json"
-    write_report_json(path, [doc])
-    return [path], []
+    return [_write_report(out, "blowup.json", doc)], []
 
 
 def _run_export(config, out: Path):
     p = config.command_params
     result = _converged_surface(config.potential, p["surface"])
     formats = [str(f) for f in p["formats"]]
-    paths = _export_solve(result, config.potential, out, "surface",
-                          formats=formats)
+    paths = _export_solve(result, config.potential, out, formats)
     if "JSON" in formats:
         doc = _report("export", {}, {"residual": result.residual}, {}, True)
-        path = out / "export.json"
-        write_report_json(path, [doc])
-        paths.append(path)
+        paths.append(_write_report(out, "export.json", doc))
     return paths, []
 
 
-_PIPELINES = {
-    "PotentialCheck": _run_potential_check,
-    "SolveRotational": lambda c, o: _run_solve(c, o, "rotational"),
-    "SolveTranslation": lambda c, o: _run_solve(c, o, "translation"),
-    "SolveGraph": lambda c, o: _run_solve(c, o, "graph"),
-    "AuditFundamental": _run_audit_fundamental,
-    "AuditStability": _run_audit_stability,
-    "AuditArea": _run_audit_area,
-    "AuditMonotonicity": _run_audit_monotonicity,
-    "AuditCurvatureRatio": _run_audit_curvature_ratio,
-    "AuditConvexity": _run_audit_convexity,
-    "Blowup": _run_blowup,
-    "Export": _run_export,
+# command -> (required command_params keys, pipeline)
+_COMMANDS = {
+    "PotentialCheck": (("z_lo", "z_hi", "n_samples"), _run_potential_check),
+    "SolveRotational": (("start", "s_max", "step"),
+                        lambda c, o: _run_solve(c, o, "rotational")),
+    "SolveTranslation": (("start", "s_max", "step"),
+                         lambda c, o: _run_solve(c, o, "translation")),
+    "SolveGraph": (("domain", "h", "boundary"),
+                   lambda c, o: _run_solve(c, o, "graph")),
+    "AuditFundamental": (("surface", "items"), _run_audit_fundamental),
+    "AuditStability": (("surface",), _run_audit_stability),
+    "AuditArea": (("surface", "rho"), _run_audit_area),
+    "AuditMonotonicity": (("surface", "radii", "epsilon"), _run_audit_monotonicity),
+    "AuditCurvatureRatio": (("surface",), _run_audit_curvature_ratio),
+    "AuditConvexity": (("surface",), _run_audit_convexity),
+    "Blowup": (("surface", "heights", "scales", "model"), _run_blowup),
+    "Export": (("surface", "formats"), _run_export),
 }
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("PHIMIN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError([f"PHIMIN_THREADS: not an integer: {raw!r}"])
-    if n < 1:
-        raise ConfigError(["PHIMIN_THREADS: must be >= 1"])
-    return n
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(config: RunConfig) -> RunManifest:
-    """Execute the configured pipeline and write the artifact manifest.
+    """Run the command's pipeline and write the artifact manifest.
 
     Deterministic for a fixed (config, seed): the computation is
-    sequential with fixed summation order regardless of PHIMIN_THREADS.
+    sequential with a fixed summation order.
     """
     t0 = time.perf_counter()
-    threads = _threads_cap()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths, audits = _PIPELINES[config.command](config, out)
+    paths, audits = _COMMANDS[config.command][1](config, out)
     exit_code = 1 if any(hyp and not ok for hyp, ok in audits) else 0
     artifacts = []
     for path in paths:
@@ -606,8 +544,7 @@ def run(config: RunConfig) -> RunManifest:
     manifest = RunManifest(
         config=json.loads(serialize_config(config)),
         artifacts=artifacts,
-        versions={"phimin": __version__, "numpy": np.__version__,
-                  "threads": threads},
+        versions={"phimin": __version__, "numpy": np.__version__},
         wall_time_s=time.perf_counter() - t0,
         exit_code=exit_code,
     )

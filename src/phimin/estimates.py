@@ -77,7 +77,6 @@ class DensityReport:
     epsilon: float
     monotone: bool
     tolerance: np.ndarray
-    o_values_weighted: np.ndarray = None  # non-standard comparison variant
 
 
 @dataclass
@@ -283,13 +282,11 @@ def _graph_disk_area(field: GeometryField, p: int, rho: float) -> float:
 
 
 def density_monotonicity(field: GeometryField, q: int, radii, spec: PotentialSpec,
-                         epsilon: float, weighted_variant: bool = False) -> DensityReport:
+                         epsilon: float) -> DensityReport:
     """Normalised density phi(r) A(r) / (4 pi r^2) over increasing radii.
 
     A(r) is the area of the surface inside the Euclidean ball B(q, r);
-    the weight is re-normalised so that phi(0) = 0 <= phi(eps) < 1.  The
-    optional variant records int e^(phi o mu) dA / (4 pi r^2) instead of
-    applying phi at the radius; it is a non-standard comparison value.
+    the weight is re-normalised so that phi(0) = 0 <= phi(eps) < 1.
     """
     radii = np.asarray(sorted(float(r) for r in radii))
     if radii.size == 0 or radii[0] <= 0.0:
@@ -299,7 +296,7 @@ def density_monotonicity(field: GeometryField, q: int, radii, spec: PotentialSpe
     norm_spec = normalized_for_window(spec, epsilon)
     q_pos = field.positions[int(q)]
 
-    areas, tols, weighted = _clipped_areas(field, q_pos, radii, norm_spec)
+    areas, tols = _clipped_areas(field, q_pos, radii)
     phis = np.array([eval_potential(norm_spec, r).phi for r in radii])
     o_vals = phis * areas / (4.0 * np.pi * radii**2)
     o_tols = phis * tols / (4.0 * np.pi * radii**2)
@@ -307,23 +304,18 @@ def density_monotonicity(field: GeometryField, q: int, radii, spec: PotentialSpe
                for k in range(radii.size - 1))
     return DensityReport(center=q_pos, radii=radii, o_values=o_vals,
                          epsilon=float(epsilon), monotone=bool(mono),
-                         tolerance=o_tols,
-                         o_values_weighted=(weighted / (4.0 * np.pi * radii**2)
-                                            if weighted_variant else None))
+                         tolerance=o_tols)
 
 
-def _clipped_areas(field: GeometryField, q: np.ndarray, radii: np.ndarray,
-                   norm_spec: PotentialSpec):
-    """(areas, clip tolerances, e^phi-weighted areas) of the surface in
-    B(q, r) for each radius r; the sampling set-up is shared by all radii."""
+def _clipped_areas(field: GeometryField, q: np.ndarray, radii: np.ndarray):
+    """(areas, clip tolerances) of the surface in B(q, r) for each radius
+    r; the sampling set-up is shared by all radii."""
     areas = np.empty(radii.size)
     tols = np.empty(radii.size)
-    weighted = np.empty(radii.size)
     if field.is_profile:
         curve: ProfileCurve = field.source
         mid = lambda a: 0.5 * (a[:-1] + a[1:])
         xm, zm = mid(curve.x), mid(curve.z)
-        wm = np.exp(eval_potential(norm_spec, zm).phi)
         ds = curve.step
         qr = float(np.hypot(q[0], q[1]))
         dz2 = (zm - q[2]) ** 2
@@ -349,14 +341,10 @@ def _clipped_areas(field: GeometryField, q: np.ndarray, radii: np.ndarray,
                 contrib = chord * ds
             areas[k] = contrib.sum()
             tols[k] = 2.0 * np.pi * r * ds  # boundary length times spacing
-            weighted[k] = (wm * contrib).sum()
-        return areas, tols, weighted
+        return areas, tols
 
     pos, h = _graph_lattice(field)
     cell_areas = _cell_areas(pos)
-    centers_mu = 0.25 * (pos[:-1, :-1, 2] + pos[1:, :-1, 2]
-                         + pos[:-1, 1:, 2] + pos[1:, 1:, 2])
-    wcell = np.exp(eval_potential(norm_spec, centers_mu).phi)
     # 4x4 subsample of each cell for the clipping fraction
     sub = np.linspace(1.0 / 8.0, 7.0 / 8.0, 4)
     fracs = np.zeros((radii.size,) + cell_areas.shape)
@@ -376,8 +364,7 @@ def _clipped_areas(field: GeometryField, q: np.ndarray, radii: np.ndarray,
         boundary_cells = (frac > 0) & (frac < 1)
         areas[k] = np.sum(cell_areas * frac)
         tols[k] = np.sum(cell_areas[boundary_cells]) / 16.0 + 2.0 * r * h
-        weighted[k] = np.sum(cell_areas * frac * wcell)
-    return areas, tols, weighted
+    return areas, tols
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ class StabilityAssembly:
     diagonal (lumped); all are restricted to ``region`` sample indices.
     """
 
-    weights: np.ndarray
     stiffness: sp.csr_matrix
     potential_term: np.ndarray
     mass: np.ndarray
@@ -84,11 +83,11 @@ def build_assembly(field: GeometryField, spec: PotentialSpec, region,
     pot = _operator_potential(field, spec)
     e_phi = np.exp(field.potential(spec).phi)
     if field.is_profile:
-        return _assemble_profile(field, spec, region, pot, e_phi, ruling_width)
-    return _assemble_graph(field, spec, region, pot, e_phi)
+        return _assemble_profile(field, region, pot, e_phi, ruling_width)
+    return _assemble_graph(field, region, pot, e_phi)
 
 
-def _assemble_profile(field, spec, region, pot, e_phi, ruling_width):
+def _assemble_profile(field, region, pot, e_phi, ruling_width):
     curve: ProfileCurve = field.source
     if np.any(np.diff(region) != 1):
         raise ValueError("profile regions must be contiguous sample ranges")
@@ -121,9 +120,8 @@ def _assemble_profile(field, spec, region, pot, e_phi, ruling_width):
     vals = np.concatenate([stiff[has_a], stiff[has_b], -stiff[both], -stiff[both]])
     K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     v_diag = pot[region] * mass
-    return StabilityAssembly(weights=e_phi[region], stiffness=K,
-                             potential_term=v_diag, mass=mass, region=region,
-                             extra_mode=extra)
+    return StabilityAssembly(stiffness=K, potential_term=v_diag, mass=mass,
+                             region=region, extra_mode=extra)
 
 
 def _cell_average(F, nx, ny):
@@ -141,7 +139,7 @@ def _cell_coefficients(field, e_phi):
     return [_cell_average(F, nx, ny) for F in nodal]
 
 
-def _assemble_graph(field, spec, region, pot, e_phi):
+def _assemble_graph(field, region, pot, e_phi):
     patch = field.source
     nx, ny, h = patch.nx, patch.ny, patch.h
     coef, gixx, giyy, gixy = _cell_coefficients(field, e_phi)
@@ -183,8 +181,8 @@ def _assemble_graph(field, spec, region, pot, e_phi):
     K_rr = K[region][:, region]
     mass = mass_full[region]
     v_diag = pot[region] * mass
-    return StabilityAssembly(weights=e_phi[region], stiffness=K_rr.tocsr(),
-                             potential_term=v_diag, mass=mass, region=region)
+    return StabilityAssembly(stiffness=K_rr.tocsr(), potential_term=v_diag,
+                             mass=mass, region=region)
 
 
 @dataclass

@@ -240,20 +240,6 @@ class GeometryField:
             grid[margin:nx - margin, margin:ny - margin] = True
         return grid.ravel()
 
-    def area_weights(self) -> np.ndarray:
-        """Per-sample area of the surface cell (ruling width 1 for
-        translation-invariant profiles)."""
-        if self.is_profile:
-            step = self.source.step
-            w = np.full(self.n_samples, step)
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            if self.source.kind == ROTATIONAL:
-                w = w * 2.0 * np.pi * self.source.x
-            return w
-        W = self._graph("W")
-        return (W * self.source.h**2).ravel()
-
     # -- graph derivative cache --------------------------------------------
 
     def _graph(self, key: str) -> np.ndarray:

@@ -6,9 +6,9 @@ import pytest
 
 import phimin.cli as cli_module
 from phimin import stability
-from phimin.cli import (COMMANDS, ConfigError, RunConfig, export_artifacts,
-                        main, parse_config, run, serialize_config,
-                        write_graph_obj)
+from phimin.cli import (COMMANDS, ConfigError, RunConfig, main, parse_config,
+                        run, serialize_config, write_graph_obj,
+                        write_report_json)
 from phimin.potential import PotentialSpec
 from phimin.solvers import AxisRegular, ShootingConfig, solve_rotational_profile
 from phimin.surface_geometry import GraphPatch, sample_geometry
@@ -86,6 +86,35 @@ def test_parse_rejects_unknown_command_and_missing_params():
     assert "command_params.domain" in paths and "command_params.h" in paths
 
 
+# the command list and each command's required command_params keys
+REQUIRED_PARAMS = {
+    "PotentialCheck": ("z_lo", "z_hi", "n_samples"),
+    "SolveRotational": ("start", "s_max", "step"),
+    "SolveTranslation": ("start", "s_max", "step"),
+    "SolveGraph": ("domain", "h", "boundary"),
+    "AuditFundamental": ("surface", "items"),
+    "AuditStability": ("surface",),
+    "AuditArea": ("surface", "rho"),
+    "AuditMonotonicity": ("surface", "radii", "epsilon"),
+    "AuditCurvatureRatio": ("surface",),
+    "AuditConvexity": ("surface",),
+    "Blowup": ("surface", "heights", "scales", "model"),
+    "Export": ("surface", "formats"),
+}
+
+
+def test_commands_keep_their_order():
+    assert COMMANDS == tuple(REQUIRED_PARAMS)
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_PARAMS))
+def test_empty_params_report_every_required_key(command):
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(_base_config(command, {})))
+    assert err.value.violations == [
+        f"command_params.{key}: missing" for key in REQUIRED_PARAMS[command]]
+
+
 def test_config_round_trip():
     cfg = parse_config(json.dumps(_base_config("SolveTranslation", REAPER_PARAMS)))
     again = parse_config(serialize_config(cfg))
@@ -124,8 +153,9 @@ def test_obj_export_counts(tmp_path):
 
 
 def test_empty_report_list(tmp_path):
-    paths = export_artifacts([], "JSON", tmp_path, stem="empty")
-    assert json.loads(paths[0].read_text()) == []
+    path = tmp_path / "empty.json"
+    write_report_json(path, [])
+    assert json.loads(path.read_text()) == []
 
 
 def test_audit_area_run_and_gate(tmp_path):

@@ -110,13 +110,6 @@ def test_density_radius_window_enforced(bowl_field, spec_linear):
         density_monotonicity(bowl_field, 0, [0.5, 1.5], spec_linear, 0.9)
 
 
-def test_density_weighted_variant_recorded(bowl_field, spec_linear):
-    rep = density_monotonicity(bowl_field, 0, [0.1, 0.2], spec_linear, 0.9,
-                               weighted_variant=True)
-    assert rep.o_values_weighted is not None
-    assert np.all(rep.o_values_weighted > 0.0)
-
-
 def test_density_radii_share_setup_without_mixing(spec_linear):
     # one call over several radii equals one call per radius, bit for bit
     h = 1 / 32
@@ -127,14 +120,11 @@ def test_density_radii_share_setup_without_mixing(spec_linear):
     field = sample_geometry(patch, spec_linear)
     center = 32 * 65 + 32
     radii = [0.1, 0.25, 0.4]
-    rep = density_monotonicity(field, center, radii, spec_linear, 0.9,
-                               weighted_variant=True)
+    rep = density_monotonicity(field, center, radii, spec_linear, 0.9)
     for k, r in enumerate(radii):
-        one = density_monotonicity(field, center, [r], spec_linear, 0.9,
-                                   weighted_variant=True)
+        one = density_monotonicity(field, center, [r], spec_linear, 0.9)
         assert one.o_values[0] == rep.o_values[k]
         assert one.tolerance[0] == rep.tolerance[k]
-        assert one.o_values_weighted[0] == rep.o_values_weighted[k]
 
 
 # -- curvature ratio ----------------------------------------------------------
