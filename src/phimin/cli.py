@@ -147,10 +147,15 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def _atomic_write(path: Path, data) -> None:
-    """Write a str, or an iterable of str chunks, to path atomically."""
+    """Write a str, or an iterable of str chunks, to path atomically; if
+    the chunks raise, the temporary file is removed and path is untouched."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines([data] if isinstance(data, str) else data)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines([data] if isinstance(data, str) else data)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -158,14 +163,63 @@ def _atomic_write(path: Path, data) -> None:
 _ROW_BLOCK = 4096
 
 
+def _words(keys, kind):
+    """Reprs of the distinct keys (the float64 bit patterns of kind "f",
+    the int64 values of kind "i") as rows of a zero-padded uint8 table."""
+    values = keys.view(np.float64) if kind == "f" else keys
+    text = np.empty(keys.size, "S24")  # no repr is longer
+    for start in range(0, keys.size, _ROW_BLOCK):
+        chunk = values[start:start + _ROW_BLOCK].tolist()
+        text[start:start + len(chunk)] = list(map(repr, chunk))
+    width = np.char.str_len(text).max()
+    return text.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+
+
 def _rows(*columns, sep=",", prefix=""):
-    """Text chunks of a table, one line per row; each value is written as
-    its repr (shortest round-trip digits of a float, the digits of an int)."""
-    line = prefix + sep.join(["%r"] * len(columns)) + "\n"
-    n = min(len(c) for c in columns)
+    """Text chunks of a table, one line per row, as long as the shortest
+    column; each value is written as its repr (shortest round-trip digits
+    of a float, the digits of an int).
+
+    Each distinct value of the table (a float by its bit pattern, so that
+    0.0 and -0.0 stay apart) is converted once; the lines of a block of
+    rows are then assembled from those words as bytes.
+    """
+    arrays = [np.asarray(c) for c in columns]
+    groups = {"f": [], "i": []}  # kind -> indices of its columns
+    for k, a in enumerate(arrays):
+        if a.dtype.kind not in "fiu":
+            raise TypeError(f"table columns must be float or int, not {a.dtype}")
+        groups["f" if a.dtype.kind == "f" else "i"].append(k)
+    n = min(a.size for a in arrays)
+    if n == 0:
+        return
+    # per column: (word table, word codes of its n entries)
+    cols = [None] * len(arrays)
+    for kind, members in groups.items():
+        if not members:
+            continue
+        dtype = np.float64 if kind == "f" else np.int64
+        keys = np.concatenate([arrays[k][:n].astype(dtype, copy=False)
+                               for k in members])
+        distinct, codes = np.unique(keys.view(np.int64), return_inverse=True)
+        table = _words(distinct, kind)
+        for k, row_codes in zip(members, codes.astype(np.int32).reshape(-1, n)):
+            cols[k] = table, row_codes
+    # the line template: the prefix, then a zero slot as wide as the longest
+    # word of each column, the slots apart by sep, and a newline; the zero
+    # padding a shorter word leaves in its slot is dropped
+    line, slots = bytearray(prefix.encode()), []
+    for k, (table, _) in enumerate(cols):
+        line += sep.encode() if k else b""
+        slots.append(slice(len(line), len(line) + table.shape[1]))
+        line += bytes(table.shape[1])
+    line = np.frombuffer(bytes(line + b"\n"), np.uint8)
     for start in range(0, n, _ROW_BLOCK):
-        block = [np.asarray(c)[start:start + _ROW_BLOCK].tolist() for c in columns]
-        yield "".join(line % row for row in zip(*block))
+        buf = np.empty((min(_ROW_BLOCK, n - start), line.size), np.uint8)
+        buf[:] = line
+        for (table, codes), slot in zip(cols, slots):
+            buf[:, slot] = np.take(table, codes[start:start + _ROW_BLOCK], axis=0)
+        yield buf[buf != 0].tobytes().decode("ascii")
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:
@@ -314,11 +368,17 @@ def _parse_boundary(spec: PotentialSpec, obj: dict):
 
 
 def _center_index(params: dict, field: GeometryField) -> int:
-    """The configured center sample; by default the first sample of a
-    profile (its axis point or start) and the middle node of a graph."""
-    patch = field.source
-    middle = 0 if field.is_profile else (patch.nx // 2) * patch.ny + patch.ny // 2
-    return int(params.get("center_index", middle))
+    """The configured center sample, a JSON integer in [0, n_samples); by
+    default the first sample of a profile (its axis point or start) and the
+    middle node of a graph."""
+    if "center_index" not in params:
+        patch = field.source
+        return 0 if field.is_profile else (patch.nx // 2) * patch.ny + patch.ny // 2
+    c = params["center_index"]
+    if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < field.n_samples:
+        raise ConfigError([f"command_params.center_index: {c!r} is not an "
+                           f"integer in [0, {field.n_samples})"])
+    return c
 
 
 def _export_solve(result: SolveResult, spec: PotentialSpec, out: Path, formats):

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import phimin.cli as cli_module
 from phimin import stability
@@ -186,12 +187,11 @@ def test_audit_convexity_hypotheses_fail_exits_zero(tmp_path):
     assert report["values"]["min_K"] < 0.0
 
 
-def test_determinism_across_runs_and_thread_caps(tmp_path, monkeypatch):
+def test_determinism_across_runs(tmp_path):
     doc = json.dumps(_base_config("SolveTranslation", {
         **REAPER_PARAMS, "step": 1e-3}))
     outputs = {}
-    for label, threads in (("a", "1"), ("b", "4"), ("c", "1")):
-        monkeypatch.setenv("PHIMIN_THREADS", threads)
+    for label in ("a", "b", "c"):
         cfg = parse_config(doc)
         cfg.output_dir = str(tmp_path / label)
         run(cfg)
@@ -535,3 +535,108 @@ def test_convexity_csv_bytes_match_per_row_format(tmp_path):
     data = (tmp_path / "convexity_samples.csv").read_bytes()
     assert b",nan\n" in data
     assert data == _old_table("sample,K,k2_over_eta", rows).encode()
+
+
+# -- the table writer against a pinned copy of the per-row writer -------------
+
+def _per_row_rows(*columns, sep=",", prefix=""):
+    """The earlier writer: every row formatted by one "%r" line."""
+    line = prefix + sep.join(["%r"] * len(columns)) + "\n"
+    n = min(len(c) for c in columns)
+    for start in range(0, n, cli_module._ROW_BLOCK):
+        block = [np.asarray(c)[start:start + cli_module._ROW_BLOCK].tolist()
+                 for c in columns]
+        yield "".join(line % row for row in zip(*block))
+
+
+def _bits(x):
+    return int(np.array(x, np.float64).view(np.int64))
+
+
+INT64 = np.iinfo(np.int64)
+# bit patterns of +-0, NaNs (negative and with payloads), +-inf, subnormals,
+# the extreme normals, and the values about 1e16 and 1e-5 where repr turns
+# to the exponent form
+FLOAT_BITS = [_bits(v) for v in (
+    0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+    2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 9999999999999998.0,
+    -1e16, 1e-5, 9.999999999999999e-06, 1e-4, 0.1, 1.0)] + [
+    0x7FF8000000000000, -0x0008000000000000, 0x7FF0000000000001,
+    0x7FF4000000000123, -0x000FFFFFFFFFFFFF]
+INT_VALUES = [INT64.min, INT64.min + 1, -1, 0, 1, INT64.max - 1, INT64.max]
+
+
+@st.composite
+def _tables(draw):
+    """(columns, sep, prefix) of a table whose columns may differ in length."""
+    block = cli_module._ROW_BLOCK
+    n_rows = draw(st.sampled_from([0, 1, block - 1, block, block + 1])
+                  | st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        length = n_rows + draw(st.sampled_from([0, 0, 1, 7]))
+        if draw(st.booleans()):
+            pool = FLOAT_BITS + draw(st.lists(st.integers(INT64.min, INT64.max)))
+            columns.append(rng.choice(np.array(pool, np.int64), length)
+                           .view(np.float64))
+        else:
+            pool = INT_VALUES + draw(st.lists(st.integers(INT64.min, INT64.max)))
+            columns.append(rng.choice(np.array(pool, np.int64), length))
+    sep, prefix = draw(st.sampled_from([(",", ""), (" ", "v "), (" ", "f ")]))
+    return columns, sep, prefix
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables())
+def test_rows_match_the_per_row_writer(table):
+    columns, sep, prefix = table
+    got = "".join(cli_module._rows(*columns, sep=sep, prefix=prefix))
+    assert got == "".join(_per_row_rows(*columns, sep=sep, prefix=prefix))
+
+
+@pytest.mark.parametrize("column", [np.array([True, False]),
+                                    np.array([1.0, None], dtype=object)])
+def test_rows_refuse_columns_that_are_neither_float_nor_int(column):
+    with pytest.raises(TypeError):
+        list(cli_module._rows(np.arange(2.0), column))
+
+
+def test_atomic_write_removes_its_temporary_file_when_the_chunks_raise(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "a,b\n"
+        raise RuntimeError("column failed")
+
+    with pytest.raises(RuntimeError, match="column failed"):
+        cli_module._atomic_write(path, chunks())
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+
+# -- center_index --------------------------------------------------------------
+
+BOWL_NODES = 33 * 33
+
+
+@pytest.mark.parametrize("center", [-1, BOWL_NODES, 2.5, True])
+def test_center_index_outside_the_samples_is_a_config_error(tmp_path, capsys, center):
+    config_path = tmp_path / "area.json"
+    config_path.write_text(json.dumps(_base_config("AuditArea", {
+        "surface": BOWL_GRAPH, "rho": 0.3, "center_index": center})))
+    assert main(["AuditArea", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "ConfigError: command_params.center_index:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params, center", [({}, 16 * 33 + 16),
+                                            ({"center_index": 500}, 500)])
+def test_center_index_default_and_in_range(tmp_path, params, center):
+    cfg = parse_config(json.dumps(_base_config("AuditArea", {
+        "surface": BOWL_GRAPH, "rho": 0.3, **params})))
+    cfg.output_dir = str(tmp_path)
+    run(cfg)
+    area = json.loads((tmp_path / "area.json").read_text())[0]
+    assert area["values"]["center_index"] == center
