@@ -12,14 +12,13 @@ __version__ = "0.1.0"
 from .potential import (PotentialSpec, PotentialEval, ConditionReport,
                         eval_potential, check_conditions, asymptotics,
                         normalized_for_window)
-from .ilmanen import (FrameQuantities, BoundedGeometryReport, ConformalShape,
-                      frame_quantities, bounded_geometry_check,
-                      to_ilmanen_shape)
+from .ilmanen import (FrameQuantities, BoundedGeometryReport,
+                      frame_quantities, bounded_geometry_check)
 from .surface_geometry import (ProfileCurve, GraphPatch, GeometryField,
                                ResidualReport, sample_geometry,
                                phi_minimal_residual,
                                fundamental_identity_residuals,
-                               principal_frame, drift_laplacian,
+                               drift_laplacian,
                                curvature_evolution_residuals)
 from .solvers import (ShootingConfig, NewtonConfig, SolveResult, AxisRegular,
                       PointStart, solve_rotational_profile,

@@ -32,8 +32,8 @@ from .potential import (PotentialSpec, check_conditions, spec_from_json,
 from .solvers import (AxisRegular, NewtonConfig, PointStart, ShootingConfig,
                       SolveResult, solve_graph, solve_rotational_profile,
                       solve_translation_profile)
-from .surface_geometry import (GeometryField, GraphPatch, ProfileCurve,
-                               fundamental_identity_residuals,
+from .surface_geometry import (ROTATIONAL, GeometryField, GraphPatch,
+                               ProfileCurve, fundamental_identity_residuals,
                                phi_minimal_residual, sample_geometry)
 from . import estimates, stability
 
@@ -477,11 +477,15 @@ def _run_audit_stability(config, out: Path):
 def _run_audit_area(config, out: Path):
     p = config.command_params
     _, field = _surface_field(config)
+    center = _center_index(p, field)
+    if field.is_profile and field.source.kind == ROTATIONAL and center != 0:
+        raise ConfigError([f"command_params.center_index: {center} is not the "
+                           "axis sample 0 of a rotational profile"])
     z_lo = float(field.mu.min())
     z_hi = float(field.mu.max()) + 1.0
     cond = check_conditions(config.potential, z_lo + 1e-9, z_hi, 101)
     rep = estimates.geodesic_disk_area_check(
-        field, _center_index(p, field), float(p["rho"]),
+        field, center, float(p["rho"]),
         config.potential, float(p.get("gamma", cond.gamma)))
     doc = _report("geodesic_disk_area", {"hypothesis_ok": rep.hypothesis_ok}, {
         "disk_area": rep.disk_area, "bound": rep.bound, "rho": rep.rho,

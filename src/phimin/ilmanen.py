@@ -51,16 +51,6 @@ class BoundedGeometryReport:
     complete_hint: bool
 
 
-@dataclass(frozen=True)
-class ConformalShape:
-    """Second fundamental form data of a surface point in the weighted metric."""
-
-    s_phi: np.ndarray
-    k1_phi: float
-    k2_phi: float
-    h_phi: float
-
-
 # index tables of the closed forms: connection (d_{3j} d_{ik} - d_{ij} d_{3k}),
 # the vertical indicator d_{i3} + d_{j3} and the off-diagonal mask i != j
 _UP = np.eye(3)[VERTICAL]
@@ -122,32 +112,6 @@ def bounded_geometry_check(spec: PotentialSpec, z_lo: float, z_hi: float,
 def conformal_curvatures(ev, k, eta):
     """e^(-phi/2) (k + (phi'/2) eta): principal curvatures k of the
     Euclidean metric in the weighted one, for the PotentialEval ev at the
-    same heights as eta; vectorised (k may carry a leading branch axis)."""
+    same heights as eta; vectorised (k may carry a leading branch axis).
+    The two sum to H^phi = e^(-phi/2) (H + phi' eta)."""
     return np.exp(-ev.phi / 2.0) * (k + 0.5 * ev.d1 * eta)
-
-
-def to_ilmanen_shape(spec: PotentialSpec, z: float, s_euclidean: np.ndarray,
-                     eta: float) -> ConformalShape:
-    """Convert Euclidean shape data at height z into the weighted metric.
-
-    s_euclidean is the 2x2 second fundamental form in a Euclidean
-    orthonormal tangent frame; eta the vertical normal component. The
-    form picks up e^(phi/2) while curvatures scale by e^(-phi/2):
-
-        S^phi(u, v) = e^(phi/2) (S(u, v) + (phi'/2) eta <u, v>)
-        k_i^phi     = e^(-phi/2) (k_i + (phi'/2) eta)
-        H^phi       = e^(-phi/2) (H + phi' eta)
-    """
-    if abs(eta) > 1.0 + 1e-12:
-        raise ValueError(f"|eta| must be <= 1, got {eta}")
-    s = np.asarray(s_euclidean, dtype=float)
-    if s.shape != (2, 2) or abs(s[0, 1] - s[1, 0]) > 1e-12 * (1.0 + abs(s).max()):
-        raise ValueError("s_euclidean must be 2x2 symmetric")
-    ev = eval_potential(spec, z)
-    s_phi = np.exp(ev.phi / 2.0) * (s + 0.5 * ev.d1 * eta * np.eye(2))
-    k = np.linalg.eigvalsh(s)
-    k1_phi, k2_phi = conformal_curvatures(ev, k, eta)
-    h_phi = np.exp(-ev.phi / 2.0) * (k[0] + k[1] + ev.d1 * eta)
-    return ConformalShape(s_phi=s_phi, k1_phi=float(k1_phi),
-                          k2_phi=float(k2_phi), h_phi=float(h_phi))
-

@@ -4,7 +4,7 @@ Two representations are supported: arclength-sampled profile curves
 (rotationally symmetric or translation-invariant surfaces) and height
 graphs over a rectangle.  Each is turned into a :class:`GeometryField`
 carrying height mu, angle function eta, normal, shape operator,
-principal data, and the residual machinery for the structure identities
+principal curvatures, and the residual machinery for the structure identities
 of weighted-minimal surfaces.
 
 Sign convention, fixed package-wide: the second fundamental form is
@@ -33,7 +33,6 @@ nonconstant slope.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -104,11 +103,11 @@ class ProfileCurve:
     def __len__(self) -> int:
         return len(self.s)
 
-    def validate(self, tol_factor: float = 50.0) -> None:
+    def validate(self) -> None:
         """Check the discrete tangent relation and axis regularity."""
         if len(self.s) < 5:
             raise StencilError("profile needs at least 5 samples")
-        tol = tol_factor * self.step**2
+        tol = 50.0 * self.step**2
         dx = np.gradient(self.x, self.step, edge_order=2)
         dz = np.gradient(self.z, self.step, edge_order=2)
         err = max(np.abs(dx - np.cos(self.theta)).max(),
@@ -179,10 +178,9 @@ class ResidualReport:
 class GeometryField:
     """Per-sample geometry of a discretised surface.
 
-    Vector quantities tangent to the surface (grad_mu, principal
-    directions) are stored in components of a per-point orthonormal
-    tangent frame; ``normal`` and ``positions`` are ambient.  Fields
-    filled by :func:`principal_frame` start as NaN.
+    Vector quantities tangent to the surface (grad_mu) are stored in
+    components of a per-point orthonormal tangent frame; ``normal`` and
+    ``positions`` are ambient.
     """
 
     source: object
@@ -196,11 +194,6 @@ class GeometryField:
     K: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
-    principal_dirs: np.ndarray = None
-    alpha_coeffs: np.ndarray = None
-    q_squared: np.ndarray = None
-    q_squared_alt: np.ndarray = None
-    umbilic: np.ndarray = None
     _graph_cache: dict = dc_field(default_factory=dict, repr=False)
     _potential: tuple = dc_field(default=None, init=False, repr=False, compare=False)
 
@@ -616,120 +609,7 @@ def _graph_identity(field: GeometryField, spec: PotentialSpec, item: int):
 
 
 # ---------------------------------------------------------------------------
-# principal frame and curvature evolution
-
-
-def principal_frame(field: GeometryField, delta_umb: float | None = None) -> GeometryField:
-    """Augment a field with principal directions, alpha coefficients and Q^2.
-
-    alpha_i = h_{12,i} / (k_1 - k_2) away from umbilics (NaN there);
-    Q^2 is recorded through both component routes, h12 derivatives and
-    (h11,2 , h22,1), with the alternative stored separately.
-    """
-    s_norm = np.sqrt(np.maximum(field.norm_s2(), 0.0))
-    if delta_umb is None:
-        delta_umb = 1e-8 * max(float(s_norm.max()), 1e-300)
-    out = dataclasses.replace(field)
-    out._graph_cache = field._graph_cache
-    n = field.n_samples
-    if field.is_profile:
-        gap = field.k1 - field.k2
-        umb = np.abs(gap) <= delta_umb
-        dirs = np.zeros((n, 2, 2))
-        dirs[:, 0, 0] = 1.0
-        dirs[:, 1, 1] = 1.0
-        curve: ProfileCurve = field.source
-        if curve.kind == ROTATIONAL:
-            h12_2 = _axis_ratio(curve)[0] * gap
-            h22_1 = np.gradient(field.k2, curve.step, edge_order=2)
-        else:
-            h12_2 = np.zeros(n)
-            h22_1 = np.zeros(n)
-        h12_1 = np.zeros(n)
-        h11_2 = np.zeros(n)
-        alphas = np.full((n, 2), np.nan)
-        ok = ~umb
-        alphas[ok, 0] = h12_1[ok] / gap[ok]
-        alphas[ok, 1] = h12_2[ok] / gap[ok]
-        q2 = np.where(ok, h12_1**2 + h12_2**2, np.nan)
-        q2_alt = np.where(ok, h11_2**2 + h22_1**2, np.nan)
-    else:
-        evals = np.stack([field.k1, field.k2], axis=1)
-        gap = evals[:, 1] - evals[:, 0]
-        umb = np.abs(gap) <= delta_umb
-        dirs = _graph_principal_dirs(field)
-        hs = _graph_shape_derivatives(field, dirs)
-        h12_1, h12_2, h11_2, h22_1 = hs
-        alphas = np.full((n, 2), np.nan)
-        ok = ~umb
-        # alpha_i built with the ascending-eigenvalue labels
-        alphas[ok, 0] = h12_1[ok] / (evals[ok, 0] - evals[ok, 1])
-        alphas[ok, 1] = h12_2[ok] / (evals[ok, 0] - evals[ok, 1])
-        q2 = np.where(ok, h12_1**2 + h12_2**2, np.nan)
-        q2_alt = np.where(ok, h11_2**2 + h22_1**2, np.nan)
-    out.principal_dirs = dirs
-    out.alpha_coeffs = alphas
-    out.q_squared = q2
-    out.q_squared_alt = q2_alt
-    out.umbilic = umb
-    return out
-
-
-def _graph_principal_dirs(field: GeometryField) -> np.ndarray:
-    """Frame components of the ascending-eigenvalue principal directions."""
-    evals, evecs = np.linalg.eigh(field.shape)
-    return evecs  # columns are eigenvectors, ascending order
-
-
-def _graph_shape_derivatives(field: GeometryField, dirs: np.ndarray):
-    """Covariant-derivative components h_{ab,c} on a graph patch.
-
-    Works in coordinates: (grad S)_{ij,k} = d_k S_ij - Gamma^l_{ki} S_lj
-    - Gamma^l_{kj} S_il with Gamma^l_{ki} = u_l u_ki / W^2, then contracts
-    with the principal directions converted to coordinate components.
-    """
-    patch: GraphPatch = field.source
-    h = patch.h
-    shp = patch.u.shape
-    ux, uy = field._graph("ux"), field._graph("uy")
-    W, W2 = field._graph("W"), field._graph("W2")
-    hess = np.empty(shp + (2, 2))
-    hess[..., 0, 0] = field._graph("uxx")
-    hess[..., 0, 1] = field._graph("uxy")
-    hess[..., 1, 0] = field._graph("uxy")
-    hess[..., 1, 1] = field._graph("uyy")
-    S = -hess / W[..., None, None]
-    grad_u = np.stack([ux, uy], axis=-1)
-
-    dS = np.empty(shp + (2, 2, 2))  # last index: derivative direction
-    for k, axis in enumerate((0, 1)):
-        dS[..., k] = np.moveaxis(
-            np.gradient(np.moveaxis(S, (2, 3), (0, 1)), h, axis=2 + axis,
-                        edge_order=2), (0, 1), (2, 3))
-        gamma = grad_u[..., None] * hess[..., k, :][..., None, :] / W2[..., None, None]
-        # Gamma^l_{k i} S_{l j} + Gamma^l_{k j} S_{i l}
-        corr = np.einsum("...li,...lj->...ij", gamma, S) \
-            + np.einsum("...lj,...il->...ij", gamma, S)
-        dS[..., k] -= corr
-
-    # frame -> coordinate components of the principal directions
-    r1 = np.sqrt(1.0 + ux**2).ravel()
-    Wf = W.ravel()
-    uxf, uyf = ux.ravel(), uy.ravel()
-    C = np.zeros((field.n_samples, 2, 2))
-    C[:, 0, 0] = 1.0 / r1
-    C[:, 0, 1] = -uxf * uyf / (Wf * r1)
-    C[:, 1, 1] = (1.0 + uxf**2) / (Wf * r1)
-    v_coord = np.einsum("nca,nab->ncb", C, dirs)  # v_coord[:, coord, label]
-
-    dS_flat = dS.reshape(field.n_samples, 2, 2, 2)
-    v1 = v_coord[:, :, 0]
-    v2 = v_coord[:, :, 1]
-    h12_1 = np.einsum("ni,nj,nk,nijk->n", v1, v2, v1, dS_flat)
-    h12_2 = np.einsum("ni,nj,nk,nijk->n", v1, v2, v2, dS_flat)
-    h11_2 = np.einsum("ni,nj,nk,nijk->n", v1, v1, v2, dS_flat)
-    h22_1 = np.einsum("ni,nj,nk,nijk->n", v2, v2, v1, dS_flat)
-    return h12_1, h12_2, h11_2, h22_1
+# curvature evolution
 
 
 def curvature_evolution_residuals(field: GeometryField, spec: PotentialSpec,
@@ -747,9 +627,13 @@ def curvature_evolution_residuals(field: GeometryField, spec: PotentialSpec,
     """
     if not field.is_profile:
         raise UnsupportedIdentityError("curvature evolution needs a profile source")
-    aug = principal_frame(field)
+    k1, k2 = field.k1, field.k2
+    gap = k1 - k2
+    S2 = field.norm_s2()
+    sup_s = float(np.sqrt(np.maximum(S2, 0.0)).max())
+    umbilic = np.abs(gap) <= 1e-8 * max(sup_s, 1e-300)
     mask = field.interior_mask(margin)
-    if np.all(aug.umbilic[mask]):
+    if np.all(umbilic[mask]):
         raise UmbilicRegionError("field is umbilic everywhere in the interior")
     if np.any(field.eta[mask] <= 0.0):
         raise ValueError("quotient identities need eta > 0 on the interior")
@@ -761,15 +645,14 @@ def curvature_evolution_residuals(field: GeometryField, spec: PotentialSpec,
     d1, d2, d3 = ev.d1, ev.d2, ev.d3
     sin_t = np.sin(curve.theta)
     eta = field.eta
-    k1, k2 = field.k1, field.k2
-    S2 = field.norm_s2()
     c, _ = _axis_ratio(curve)
     hm11, hm22 = _height_hessian(field, spec, c, sin_t, ds)
     hp11 = d3 * sin_t**2 + d2 * hm11   # Hess(phi')(v1, v1)
     hp22 = d2 * hm22                   # Hess(phi')(v2, v2)
     b11 = 2.0 * d2 * sin_t * (k1 * sin_t)
-    q2 = np.where(np.isnan(aug.q_squared), 0.0, aug.q_squared)
-    gap = k1 - k2
+    # Codazzi: Q^2 = h_{12,2}^2 with h_{12,2} = cos(theta)/x (k1 - k2),
+    # the only nonzero h_{12,i} on a profile; 0 at umbilics
+    q2 = np.where(umbilic, 0.0, (c * gap) ** 2)
     safe_gap = np.where(np.abs(gap) > 1e-300, gap, np.inf)
 
     phi_mu = ev.phi

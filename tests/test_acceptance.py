@@ -14,7 +14,9 @@ import phimin as pm
 from phimin.cli import parse_config, run
 from phimin.estimates import (blowup_rescale, convexity_report,
                               curvature_ratio_sup, density_monotonicity,
-                              geodesic_disk_area_check, rescale_profile)
+                              geodesic_disk_area_check, ilmanen_estimate_report,
+                              rescale_profile)
+from phimin.ilmanen import bounded_geometry_check
 from phimin.solvers import (AxisRegular, NewtonConfig, PointStart,
                             ShootingConfig, solve_graph,
                             solve_rotational_profile,
@@ -370,3 +372,38 @@ def test_criterion_10_determinism_and_formats(tmp_path):
     ok = identical and profile_schema_ok and graph_schema_ok
     _verdict(10, "determinism and formats", ok,
              f"identical={identical}, schemas ok={profile_schema_ok and graph_schema_ok}")
+
+
+def test_criterion_11_curvature_estimate():
+    def profiles(spec, s_max):
+        for step in (2e-3, 1e-3):
+            field = sample_geometry(solve_rotational_profile(spec, ShootingConfig(
+                start=AxisRegular(0.0), s_max=s_max, step=step)).surface, spec)
+            yield field, [0, field.n_samples - 1]
+
+    def reaper_graphs():
+        for h in (1 / 16, 1 / 32):
+            res = solve_graph(SPEC1, (-1, 1, -1, 1), h,
+                              lambda x, y: -np.log(np.cos(x)),
+                              NewtonConfig(tol_residual=1e-10))
+            assert res.converged
+            field = sample_geometry(res.surface, SPEC1)
+            yield field, np.where(~field.interior_mask(1))[0]
+
+    cases = [("bowl", SPEC1, profiles(SPEC1, 2.0)),
+             ("quadratic bowl", SPECQ, profiles(SPECQ, 1.5)),
+             ("reaper graph", SPEC1, reaper_graphs())]
+    ok = True
+    details = []
+    for name, spec, fields in cases:
+        sups = []
+        for field, boundary in fields:
+            geometry = bounded_geometry_check(spec, float(field.mu.min()),
+                                              float(field.mu.max()), 65)
+            sup = ilmanen_estimate_report(field, spec, boundary).sup_curvature_times_reach
+            ok = ok and geometry.bounded and np.isfinite(sup) and sup > 0.0
+            sups.append(sup)
+        drift = abs(sups[1] - sups[0]) / sups[0]
+        ok = ok and drift <= 1e-2
+        details.append(f"{name} {sups[1]:.4f} drift {drift:.1e}")
+    _verdict(11, "curvature estimate", ok, ", ".join(details))

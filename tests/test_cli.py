@@ -631,6 +631,16 @@ def test_center_index_outside_the_samples_is_a_config_error(tmp_path, capsys, ce
     assert "ConfigError: command_params.center_index:" in capsys.readouterr().err
 
 
+def test_center_index_off_the_axis_of_a_rotational_profile_is_a_config_error(
+        tmp_path, capsys):
+    config_path = tmp_path / "area.json"
+    config_path.write_text(json.dumps(_base_config("AuditArea", {
+        "surface": ROT_SURF, "rho": 0.3, "center_index": 17})))
+    assert main(["AuditArea", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "ConfigError: command_params.center_index: 17" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("params, center", [({}, 16 * 33 + 16),
                                             ({"center_index": 500}, 500)])
 def test_center_index_default_and_in_range(tmp_path, params, center):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phimin as pm
-from phimin.ilmanen import (bounded_geometry_check, frame_quantities,
-                            to_ilmanen_shape)
+from phimin.ilmanen import (bounded_geometry_check, conformal_curvatures,
+                            frame_quantities)
 from phimin.potential import PotentialSpec, eval_potential
 
 
@@ -128,25 +128,22 @@ def test_bounded_geometry_log_power():
 
 def test_ilmanen_shape_of_minimal_input():
     spec = PotentialSpec.linear(1.0)
-    s = np.diag([-0.3, -0.7])  # H = -1 = -phi' eta with eta = 1
-    shape = to_ilmanen_shape(spec, 0.0, s, 1.0)
-    assert shape.h_phi == pytest.approx(0.0, abs=1e-15)
+    k = np.array([-0.3, -0.7])  # H = -1 = -phi' eta with eta = 1
+    kc = conformal_curvatures(eval_potential(spec, 0.0), k, 1.0)
+    assert kc.sum() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_ilmanen_shape_identity_weight():
-    spec = PotentialSpec.constant(0.0)
-    s = np.array([[0.2, 0.1], [0.1, -0.4]])
-    shape = to_ilmanen_shape(spec, 1.0, s, 0.3)
-    assert np.allclose(shape.s_phi, s + 0.5 * 0.0 * np.eye(2))
-    k = np.linalg.eigvalsh(s)
-    assert shape.k1_phi == pytest.approx(k[0]) and shape.k2_phi == pytest.approx(k[1])
+    k = np.linalg.eigvalsh(np.array([[0.2, 0.1], [0.1, -0.4]]))
+    kc = conformal_curvatures(eval_potential(PotentialSpec.constant(0.0), 1.0), k, 0.3)
+    assert kc == pytest.approx(k)
 
 
 def test_ilmanen_shape_worked_example():
-    shape = to_ilmanen_shape(PotentialSpec.linear(1.0), 0.0, np.diag([-1.0, 0.0]), 1.0)
-    assert shape.k1_phi == pytest.approx(-0.5)
-    assert shape.k2_phi == pytest.approx(0.5)
-    assert shape.h_phi == pytest.approx(0.0, abs=1e-15)
+    kc = conformal_curvatures(eval_potential(PotentialSpec.linear(1.0), 0.0),
+                              np.array([-1.0, 0.0]), 1.0)
+    assert kc == pytest.approx([-0.5, 0.5])
+    assert kc.sum() == pytest.approx(0.0, abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,18 +151,20 @@ def test_ilmanen_shape_worked_example():
        c=st.floats(-1, 1), eta=st.floats(-1, 1))
 def test_trace_identity(z, a, b, c, eta):
     spec = PotentialSpec.quadratic(0.7, 0.2)
-    s = np.array([[a, c], [c, b]])
-    shape = to_ilmanen_shape(spec, z, s, eta)
-    assert shape.h_phi == pytest.approx(shape.k1_phi + shape.k2_phi,
-                                        rel=1e-12, abs=1e-12)
     ev = eval_potential(spec, z)
-    assert shape.h_phi == pytest.approx(
+    kc = conformal_curvatures(ev, np.linalg.eigvalsh(np.array([[a, c], [c, b]])), eta)
+    assert kc.sum() == pytest.approx(
         np.exp(-ev.phi / 2.0) * (a + b + ev.d1 * eta), rel=1e-12, abs=1e-12)
 
 
-def test_eta_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        to_ilmanen_shape(PotentialSpec.linear(1.0), 0.0, np.eye(2), 1.5)
+def test_conformal_mean_curvature_of_the_bowl(bowl_field, spec_linear):
+    # H + phi' eta = 0 makes H^phi = k1^phi + k2^phi vanish up to the
+    # O(h^2) error of the sampled curvatures
+    kc = conformal_curvatures(bowl_field.potential(spec_linear),
+                              np.stack([bowl_field.k1, bowl_field.k2]),
+                              bowl_field.eta)
+    assert np.abs(kc).max() > 0.04
+    assert np.abs(kc.sum(axis=0)).max() <= bowl_field.grid_h**2
 
 
 # -- closed forms against the index loops they replace ------------------------
@@ -224,13 +223,3 @@ def test_frame_arrays_over_heights_match_scalar_calls(spec):
         for a, b in zip(arrays, scalar):
             # numpy's and Python's powers may round d1**2, d1**3 one ulp apart
             assert np.allclose(a[k], b, rtol=8 * np.finfo(float).eps, atol=0.0)
-
-
-def test_conformal_curvatures_match_to_ilmanen_shape():
-    from phimin.ilmanen import conformal_curvatures
-
-    spec = PotentialSpec.quadratic(0.7, 0.2)
-    s = np.array([[0.3, -0.2], [-0.2, -0.9]])
-    shape = to_ilmanen_shape(spec, 1.4, s, 0.6)
-    k = conformal_curvatures(eval_potential(spec, 1.4), np.linalg.eigvalsh(s), 0.6)
-    assert (shape.k1_phi, shape.k2_phi) == (k[0], k[1])

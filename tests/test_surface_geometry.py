@@ -10,7 +10,7 @@ from phimin.surface_geometry import (AxisSingularityError, GraphPatch,
                                      curvature_evolution_residuals,
                                      drift_laplacian,
                                      fundamental_identity_residuals,
-                                     principal_frame, phi_minimal_residual,
+                                     phi_minimal_residual,
                                      sample_geometry)
 
 
@@ -141,69 +141,25 @@ def test_graph_rejects_tensor_identities(spec_linear):
         fundamental_identity_residuals(f, spec_linear, [7])
 
 
-def test_principal_frame_sphere_patch_all_umbilic(spec_zero):
-    # upper cap of the unit sphere as a graph
-    n = 17
-    half = 0.25
-    h = 2 * half / (n - 1)
-    xs = -half + h * np.arange(n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    patch = GraphPatch(domain=(-half, half, -half, half), h=h,
-                       u=np.sqrt(1.0 - X**2 - Y**2))
-    f = sample_geometry(patch, spec_zero)
-    # threshold above the O(h^2) eigenvalue splitting of the discretisation
-    aug = principal_frame(f, delta_umb=50.0 * patch.h**2)
-    interior = f.interior_mask(2)
-    assert np.all(aug.umbilic[interior])
-    assert np.all(np.isnan(aug.alpha_coeffs[interior]))
+def test_q_squared_routes_agree_on_profiles(bowl_field, quad_bowl, spec_quadratic):
+    # Codazzi on a rotational profile: h_{12,2} = cos(theta)/x (k1 - k2)
+    # equals h_{22,1} = dk2/ds, so both routes give the same Q^2
+    for field in (bowl_field, sample_geometry(quad_bowl.surface, spec_quadratic)):
+        curve = field.source
+        mask = field.interior_mask(4)
+        h22_1 = np.gradient(field.k2, curve.step, edge_order=2)[mask]
+        h12_2 = (np.cos(curve.theta[mask]) / curve.x[mask]
+                 * (field.k1 - field.k2)[mask])
+        scale = np.abs(h12_2).max()
+        assert np.abs(h22_1 - h12_2).max() <= 200.0 * field.grid_h**2 * max(scale, 1.0)
 
 
 def test_principal_frame_reaper(reaper_field):
-    aug = principal_frame(reaper_field)
     interior = reaper_field.interior_mask(2)
-    # ruling direction is flat: k2 = 0, and Q^2 vanishes
-    assert np.abs(reaper_field.k2[interior]).max() == 0.0
-    assert np.nanmax(np.abs(aug.q_squared[interior])) <= 1e-12
-    # profile direction carries the curvature: v1 = (1, 0) in the frame
-    assert np.allclose(aug.principal_dirs[interior][:, :, 0],
-                       np.tile([1.0, 0.0], (interior.sum(), 1)))
-
-
-def test_principal_frame_rotational_alpha_oracle(bowl_field):
-    # alpha_2 = <nabla_{v2} v1, v2> = cos(theta)/x on a rotational surface
-    aug = principal_frame(bowl_field)
-    curve = bowl_field.source
-    interior = bowl_field.interior_mask(2) & ~aug.umbilic
-    expected = np.cos(curve.theta[interior]) / curve.x[interior]
-    assert np.allclose(aug.alpha_coeffs[interior, 1], expected, rtol=1e-10)
-    assert np.allclose(aug.alpha_coeffs[interior, 0], 0.0, atol=1e-14)
-
-
-def test_q_squared_routes_agree_on_profiles(bowl_field, quad_bowl, spec_quadratic):
-    for field in (bowl_field, sample_geometry(quad_bowl.surface, spec_quadratic)):
-        aug = principal_frame(field)
-        mask = field.interior_mask(4) & ~aug.umbilic
-        diff = np.abs(aug.q_squared[mask] - aug.q_squared_alt[mask])
-        scale = np.abs(aug.q_squared[mask]).max()
-        assert diff.max() <= 200.0 * field.grid_h**2 * max(scale, 1.0)
-
-
-def test_q_squared_routes_agree_on_graph(spec_linear):
-    from phimin.solvers import NewtonConfig, solve_graph
-    from scipy.interpolate import CubicSpline
-    prof = pm.solve_rotational_profile(
-        spec_linear, ShootingConfig(start=AxisRegular(0.0), s_max=2.0, step=1e-3))
-    spline = CubicSpline(prof.surface.x, prof.surface.z)
-    diffs = []
-    for h in (1 / 24, 1 / 48):
-        res = solve_graph(spec_linear, (0.25, 1.0, 0.25, 1.0), h,
-                          lambda x, y: spline(np.hypot(x, y)),
-                          NewtonConfig(tol_residual=1e-11))
-        field = sample_geometry(res.surface, spec_linear)
-        aug = principal_frame(field)
-        mask = field.interior_mask(int(round(1 / (8 * h * 3)))) & ~aug.umbilic
-        diffs.append(np.abs(aug.q_squared[mask] - aug.q_squared_alt[mask]).max())
-    assert diffs[1] <= diffs[0] / 2.0
+    # ruling direction is flat: k2 = 0, so the Codazzi term h_{22,1} vanishes
+    assert np.all(reaper_field.k2 == 0.0)
+    h22_1 = np.gradient(reaper_field.k2, reaper_field.source.step, edge_order=2)
+    assert np.abs(h22_1[interior]).max() <= 1e-12
 
 
 def test_drift_laplacian_of_height_equals_slope(bowl_field, spec_linear):
