@@ -25,6 +25,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .potential import (PotentialSpec, check_conditions, spec_from_json,
@@ -165,12 +166,25 @@ _ROW_BLOCK = 4096
 
 def _words(keys, kind):
     """Reprs of the distinct keys (the float64 bit patterns of kind "f",
-    the int64 values of kind "i") as rows of a zero-padded uint8 table."""
+    the int64 values of kind "i") as rows of a zero-padded uint8 table.
+
+    Words come from orjson, which writes the shortest round-trip digits of
+    a float (Ryu; Adams, PLDI 2018) and the digits of an int, so they are
+    the digits repr writes.  The notation differs only for nonzero
+    |x| < 1e-4 and |x| >= 1e16 (orjson writes 0.00001 and 1e16 where repr
+    writes 1e-05 and 1e+16) and for inf and nan (orjson writes null); the
+    float keys there are written by repr.
+    """
     values = keys.view(np.float64) if kind == "f" else keys
     text = np.empty(keys.size, "S24")  # no repr is longer
     for start in range(0, keys.size, _ROW_BLOCK):
-        chunk = values[start:start + _ROW_BLOCK].tolist()
-        text[start:start + len(chunk)] = list(map(repr, chunk))
+        chunk = values[start:start + _ROW_BLOCK]
+        text[start:start + chunk.size] = orjson.dumps(
+            chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+        if kind == "f":
+            mag = np.abs(chunk)
+            odd = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16) | (mag == 0.0)))
+            text[start + odd] = list(map(repr, chunk[odd].tolist()))
     width = np.char.str_len(text).max()
     return text.astype(f"S{width}").view(np.uint8).reshape(-1, width)
 
@@ -181,8 +195,9 @@ def _rows(*columns, sep=",", prefix=""):
     of a float, the digits of an int).
 
     Each distinct value of the table (a float by its bit pattern, so that
-    0.0 and -0.0 stay apart) is converted once; the lines of a block of
-    rows are then assembled from those words as bytes.
+    0.0 and -0.0 stay apart) is converted once, by _words (orjson, with
+    repr where its notation differs); the lines of a block of rows are then
+    assembled from those words as bytes.
     """
     arrays = [np.asarray(c) for c in columns]
     groups = {"f": [], "i": []}  # kind -> indices of its columns

@@ -93,39 +93,69 @@ class SolveResult:
 
 
 def _integrate_profile(spec: PotentialSpec, kind: str, s0: float, y0, cfg):
-    """RK4 on (x, z, theta) from arclength s0 with domain monitoring."""
+    """RK4 on (x, z, theta) from arclength s0 with domain monitoring: the
+    height is checked against the domain floor before each stage evaluates
+    phi', and at the end of each step."""
     d1 = spec.rules.d1_scalar(spec)
     floor = spec.domain_left
     rotational = kind == ROTATIONAL
+    cos, sin = math.cos, math.sin
 
-    def rhs(x, z, theta):
-        ct = math.cos(theta)
-        st = math.sin(theta)
-        dtheta = d1(z) * ct
-        if rotational:
-            dtheta -= st / x
-        return ct, st, dtheta
+    def stage_exit(z, k, stage):
+        return DomainExitError(f"height {z:.6g} reached the domain boundary "
+                               f"at stage {stage} of step {k + 1}")
 
     h = cfg.step
+    hh = 0.5 * h
+    h6 = h / 6.0
     n_steps = int(round((cfg.s_max - s0) / h))
     xs = np.empty(n_steps + 1)
     zs = np.empty(n_steps + 1)
     ts = np.empty(n_steps + 1)
     x, z, t = y0
+    if z <= floor:
+        raise DomainExitError(f"start height {z:.6g} is not above the domain "
+                              f"boundary {floor:.6g}")
     xs[0], zs[0], ts[0] = x, z, t
     for k in range(n_steps):
-        k1 = rhs(x, z, t)
-        k2 = rhs(x + 0.5 * h * k1[0], z + 0.5 * h * k1[1], t + 0.5 * h * k1[2])
-        k3 = rhs(x + 0.5 * h * k2[0], z + 0.5 * h * k2[1], t + 0.5 * h * k2[2])
-        k4 = rhs(x + h * k3[0], z + h * k3[1], t + h * k3[2])
-        x += (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        z += (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        t += (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        # stage i: (a_i, b_i, c_i) = (x', z', theta') at its (x, z, theta)
+        a1 = cos(t)
+        b1 = sin(t)
+        c1 = d1(z) * a1
+        if rotational:
+            c1 -= b1 / x
+        x2, z2, t2 = x + hh * a1, z + hh * b1, t + hh * c1
+        if z2 <= floor:
+            raise stage_exit(z2, k, 2)
+        a2 = cos(t2)
+        b2 = sin(t2)
+        c2 = d1(z2) * a2
+        if rotational:
+            c2 -= b2 / x2
+        x3, z3, t3 = x + hh * a2, z + hh * b2, t + hh * c2
+        if z3 <= floor:
+            raise stage_exit(z3, k, 3)
+        a3 = cos(t3)
+        b3 = sin(t3)
+        c3 = d1(z3) * a3
+        if rotational:
+            c3 -= b3 / x3
+        x4, z4, t4 = x + h * a3, z + h * b3, t + h * c3
+        if z4 <= floor:
+            raise stage_exit(z4, k, 4)
+        a4 = cos(t4)
+        b4 = sin(t4)
+        c4 = d1(z4) * a4
+        if rotational:
+            c4 -= b4 / x4
+        x += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        z += h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+        t += h6 * (c1 + 2 * c2 + 2 * c3 + c4)
         if z <= floor:
             raise DomainExitError(
                 f"height {z:.6g} reached the domain boundary at step {k + 1}")
         if rotational and x < 1e-9:
-            if abs(math.sin(t)) > 1e-6:
+            if abs(sin(t)) > 1e-6:
                 raise AxisCollisionError(
                     f"profile hit the axis with theta = {t:.6g}")
             break

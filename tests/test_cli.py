@@ -226,6 +226,16 @@ def test_main_exit_codes(tmp_path):
     assert main(["SolveRotational", "--config", str(bad)]) == 2
 
 
+def test_domain_exit_inside_a_step_is_a_typed_error(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(_base_config("SolveTranslation", {
+        "start": {"kind": "point", "x0": 1.0, "z0": 5e-4, "theta0": -np.pi / 2},
+        "step": 1e-3, "s_max": 0.1}, potential={"family": "LogPower", "a": 1})))
+    assert main(["SolveTranslation", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "DomainExitError" in capsys.readouterr().err
+
+
 def test_export_command(tmp_path):
     cfg = parse_config(json.dumps(_base_config("Export", {
         "surface": {"kind": "graph", "domain": [0, 1, 0, 1], "h": 0.125,
@@ -585,6 +595,52 @@ def _tables(draw):
             columns.append(rng.choice(np.array(pool, np.int64), length))
     sep, prefix = draw(st.sampled_from([(",", ""), (" ", "v "), (" ", "f ")]))
     return columns, sep, prefix
+
+
+def _words_as_bytes(keys, kind):
+    table = cli_module._words(keys, kind)
+    return table.view(f"S{table.shape[1]}").ravel().tolist()
+
+
+def _reprs(keys, kind):
+    values = keys.view(np.float64) if kind == "f" else keys
+    return [repr(v).encode() for v in values.tolist()]
+
+
+def _word_keys(seed):
+    """Seeded int64 keys: 10**6 random bit patterns (NaN payloads,
+    subnormals and both of repr's notations among them), 2*10**5 floats
+    spread over [1e-4, 1e16), where the words are orjson's, integral floats,
+    the neighbours of the notation switches and the edge values."""
+    rng = np.random.default_rng(seed)
+    spread = 10.0 ** rng.uniform(-4, 16, 2 * 10**5)
+    switches = np.array([1e-4, 1e16])
+    floats = np.concatenate([
+        spread, np.round(spread[:10**4]), switches,
+        np.nextafter(switches, 0.0), np.nextafter(switches, np.inf)])
+    floats = np.concatenate([floats, -floats])
+    return np.unique(np.concatenate([
+        np.array(FLOAT_BITS + INT_VALUES, np.int64), floats.view(np.int64),
+        rng.integers(INT64.min, INT64.max, 10**6, np.int64, endpoint=True)]))
+
+
+WORD_KEYS = _word_keys(12)
+
+
+@pytest.mark.parametrize("kind", ["f", "i"])
+def test_words_match_repr(kind):
+    assert _words_as_bytes(WORD_KEYS, kind) == _reprs(WORD_KEYS, kind)
+
+
+@pytest.mark.parametrize("kind", ["f", "i"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_words_match_repr_about_one_block(kind, offset):
+    edges = np.array(FLOAT_BITS if kind == "f" else INT_VALUES, np.int64)
+    rest = np.random.default_rng(offset + 1).choice(
+        WORD_KEYS, cli_module._ROW_BLOCK + offset - edges.size, replace=False)
+    keys = np.unique(np.concatenate([edges, rest]))
+    assert keys.size == cli_module._ROW_BLOCK + offset
+    assert _words_as_bytes(keys, kind) == _reprs(keys, kind)
 
 
 @settings(max_examples=60, deadline=None)

@@ -98,6 +98,23 @@ def test_domain_exit_error():
         solve_translation_profile(spec, cfg)
 
 
+def test_domain_exit_at_a_stage_inside_the_step():
+    # z0 = 5e-4 falling straight down with step 1e-3: the second stage lands
+    # on z = 0, where phi' = a/z is singular, before the step end is reached
+    spec = pm.PotentialSpec.log_power(1.0)
+    cfg = ShootingConfig(start=PointStart(1.0, 5e-4, -np.pi / 2), s_max=0.1,
+                         step=1e-3)
+    with pytest.raises(DomainExitError, match="at stage 2 of step 1"):
+        solve_translation_profile(spec, cfg)
+
+
+def test_domain_exit_at_the_start():
+    spec = pm.PotentialSpec.log_power(1.0)
+    cfg = ShootingConfig(start=PointStart(1.0, 0.0, 0.0), s_max=0.1, step=1e-3)
+    with pytest.raises(DomainExitError, match="start height"):
+        solve_translation_profile(spec, cfg)
+
+
 def test_axis_point_start_rejected(spec_linear):
     cfg = ShootingConfig(start=PointStart(0.0, 0.0, 0.0), s_max=1.0, step=1e-3)
     with pytest.raises(AxisCollisionError):
