@@ -9,7 +9,8 @@ directory.  Exit codes: 0 all gated audits pass, 1 an audit whose
 hypotheses hold fails its conclusion, 2 errors.  The computation is
 sequential with a fixed summation order, so reruns of a config and seed
 give byte-identical artifacts.  ``_COMMANDS`` maps each command to the
-command_params keys it requires and to its pipeline.
+command_params keys it reads and to its pipeline, ``_SUBCONFIGS`` each
+sub-config kind to its keys; any other key is a config error.
 """
 
 from __future__ import annotations
@@ -87,6 +88,44 @@ def _validate_potential(obj, errors) -> PotentialSpec | None:
     return spec
 
 
+# sub-config -> kind -> (required keys, optional keys); a key of that name
+# holds a sub-config, whose "kind" picks the entry
+_SUBCONFIGS = {
+    "surface": {
+        "rotational": (("start", "s_max", "step"), ()),
+        "translation": (("start", "s_max", "step"), ()),
+        "graph": (("domain", "h", "boundary"),
+                  ("tol_residual", "max_iters", "initial_guess")),
+    },
+    "start": {"axis": (("z0",), ()), "point": (("x0", "z0", "theta0"), ())},
+    "boundary": {"constant": (("value",), ()), "grim_reaper": ((), ()),
+                 "bowl_profile": ((), ("step", "s_max")), "csv": (("path",), ())},
+}
+
+
+def _check_keys(obj: dict, path: str, required, optional, errors) -> None:
+    """Append to errors a violation for each missing and each unknown key
+    of obj, the object at path, and check the sub-configs it holds."""
+    at = f"{path}." if path else ""
+    errors += [f"{at}{key}: missing" for key in required if key not in obj]
+    for key, value in obj.items():
+        if key not in required and key not in optional:
+            errors.append(f"{at}{key}: unknown key")
+        elif key in _SUBCONFIGS:
+            _check_kind(value, at + key, _SUBCONFIGS[key], errors)
+
+
+def _check_kind(obj, path: str, kinds: dict, errors) -> None:
+    """Check obj, the sub-config at path, against the entry of its kind."""
+    if not isinstance(obj, dict):
+        errors.append(f"{path}: must be an object")
+    elif obj.get("kind") not in kinds:
+        errors.append(f"{path}.kind: {obj.get('kind')!r} not one of {tuple(kinds)}")
+    else:
+        required, optional = kinds[obj["kind"]]
+        _check_keys(obj, path, ("kind", *required), optional, errors)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document.
 
@@ -97,22 +136,23 @@ def parse_config(text: str) -> RunConfig:
     errors = []
     if not isinstance(obj, dict):
         raise ConfigError(["$: config must be a JSON object"])
-    if "potential" not in obj:
-        errors.append("potential: missing")
-        spec = None
-    else:
-        spec = _validate_potential(obj["potential"], errors)
+    _check_keys(obj, "", ("potential", "command"),
+                ("command_params", "output_dir", "seed"), errors)
+    spec = _validate_potential(obj["potential"], errors) if "potential" in obj else None
     command = obj.get("command")
-    if command not in COMMANDS:
+    if "command" in obj and command not in COMMANDS:
         errors.append(f"command: {command!r} not one of {COMMANDS}")
     params = obj.get("command_params", {})
     if not isinstance(params, dict):
         errors.append("command_params: must be an object")
         params = {}
     if command in _COMMANDS:
-        for key in _COMMANDS[command][0]:
-            if key not in params:
-                errors.append(f"command_params.{key}: missing")
+        keys = _COMMANDS[command][0]
+        if isinstance(keys, str):  # Solve<Kind>: the params are a surface of that kind
+            _check_kind({"kind": keys, **params}, "command_params",
+                        {keys: _SUBCONFIGS["surface"][keys]}, errors)
+        else:
+            _check_keys(params, "command_params", *keys, errors)
     for key in ("step", "h", "rho", "epsilon"):
         if key in params and not (isinstance(params[key], (int, float))
                                   and params[key] > 0):
@@ -133,13 +173,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def serialize_config(config: RunConfig) -> str:
-    obj = {
-        "potential": to_json_dict(config.potential),
-        "command": config.command,
-        "command_params": config.command_params,
-        "output_dir": config.output_dir,
-        "seed": config.seed,
-    }
+    obj = {**asdict(config), "potential": to_json_dict(config.potential)}
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
@@ -304,23 +338,20 @@ def _report(name: str, hypotheses: dict, values: dict, tolerances: dict,
 
 
 def _solve_surface(spec: PotentialSpec, sub: dict) -> SolveResult:
-    kind = sub.get("kind")
-    if kind in ("rotational", "translation"):
-        cfg = ShootingConfig(start=_parse_start(sub["start"]),
-                             s_max=float(sub["s_max"]), step=float(sub["step"]))
-        if kind == "rotational":
-            return solve_rotational_profile(spec, cfg)
-        return solve_translation_profile(spec, cfg)
-    if kind == "graph":
-        boundary = _parse_boundary(spec, sub["boundary"])
+    """Solve a surface sub-config; parse_config has checked its keys."""
+    if sub["kind"] == "graph":
         newton = NewtonConfig(
             tol_residual=float(sub.get("tol_residual", 1e-10)),
             max_iters=int(sub.get("max_iters", 30)),
             initial_guess=sub.get("initial_guess", "harmonic"),
         )
         return solve_graph(spec, tuple(sub["domain"]), float(sub["h"]),
-                           boundary, newton)
-    raise ConfigError([f"surface.kind: unknown {kind!r}"])
+                           _parse_boundary(spec, sub["boundary"]), newton)
+    cfg = ShootingConfig(start=_parse_start(sub["start"]),
+                         s_max=float(sub["s_max"]), step=float(sub["step"]))
+    if sub["kind"] == "rotational":
+        return solve_rotational_profile(spec, cfg)
+    return solve_translation_profile(spec, cfg)
 
 
 def _converged_surface(spec: PotentialSpec, sub: dict) -> SolveResult:
@@ -339,47 +370,50 @@ def _surface_field(config: RunConfig):
 
 
 def _parse_start(obj: dict):
-    if obj.get("kind") == "axis":
+    if obj["kind"] == "axis":
         return AxisRegular(z0=float(obj["z0"]))
-    if obj.get("kind") == "point":
-        return PointStart(x0=float(obj["x0"]), z0=float(obj["z0"]),
-                          theta0=float(obj["theta0"]))
-    raise ConfigError([f"start.kind: unknown {obj.get('kind')!r}"])
+    return PointStart(x0=float(obj["x0"]), z0=float(obj["z0"]),
+                      theta0=float(obj["theta0"]))
 
 
 def _parse_boundary(spec: PotentialSpec, obj: dict):
-    kind = obj.get("kind")
+    kind = obj["kind"]
     if kind == "constant":
         value = float(obj["value"])
         return lambda x, y: np.full_like(np.asarray(x, dtype=float), value)
     if kind == "grim_reaper":
         return lambda x, y: -np.log(np.cos(x))
     if kind == "bowl_profile":
-        step = float(obj.get("step", 5e-4))
-        s_max = float(obj.get("s_max", 3.0))
-        z0 = float(obj.get("z0", 0.0))
-        res = solve_rotational_profile(
-            spec, ShootingConfig(start=AxisRegular(z0), s_max=s_max, step=step))
-        curve: ProfileCurve = res.surface
-        return lambda x, y: np.interp(np.hypot(x, y), curve.x, curve.z)
-    if kind == "csv":
-        # columns x,y,value; boundary nodes must match listed points
-        data = np.genfromtxt(obj["path"], delimiter=",", names=True)
-        table = {(round(float(px), 9), round(float(py), 9)): float(v)
-                 for px, py, v in zip(data["x"], data["y"], data["value"])}
+        curve: ProfileCurve = solve_rotational_profile(spec, ShootingConfig(
+            start=AxisRegular(0.0), s_max=float(obj.get("s_max", 3.0)),
+            step=float(obj.get("step", 5e-4)))).surface
 
-        def lookup(x, y):
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
-            ys = np.atleast_1d(np.asarray(y, dtype=float))
-            try:
-                return np.array([table[(round(float(a), 9), round(float(b), 9))]
-                                 for a, b in zip(xs, ys)])
-            except KeyError as exc:
-                raise ConfigError(
-                    [f"boundary.path: node {exc} missing from the CSV"]) from exc
+        def bowl(x, y):
+            r = np.hypot(x, y)
+            # np.interp would hold the last height past the profile's end
+            if curve.x[-1] < r.max():
+                raise ConfigError([
+                    f"boundary.s_max: the profile ends at radius {curve.x[-1]:.6g}, "
+                    f"inside the edge node at radius {r.max():.6g}"])
+            return np.interp(r, curve.x, curve.z)
 
-        return lookup
-    raise ConfigError([f"boundary.kind: unknown {kind!r}"])
+        return bowl
+    # csv: columns x,y,value; boundary nodes must match listed points
+    data = np.genfromtxt(obj["path"], delimiter=",", names=True)
+    table = {(round(float(px), 9), round(float(py), 9)): float(v)
+             for px, py, v in zip(data["x"], data["y"], data["value"])}
+
+    def lookup(x, y):
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        ys = np.atleast_1d(np.asarray(y, dtype=float))
+        try:
+            return np.array([table[(round(float(a), 9), round(float(b), 9))]
+                             for a, b in zip(xs, ys)])
+        except KeyError as exc:
+            raise ConfigError(
+                [f"boundary.path: node {exc} missing from the CSV"]) from exc
+
+    return lookup
 
 
 def _center_index(params: dict, field: GeometryField) -> int:
@@ -436,10 +470,9 @@ def _run_potential_check(config, out: Path):
     return [_write_report(out, "potential_check.json", doc)], []
 
 
-def _run_solve(config, out: Path, kind: str):
-    p = dict(config.command_params)
-    p["kind"] = kind
-    result = _solve_surface(config.potential, p)
+def _run_solve(config, out: Path):
+    kind = _COMMANDS[config.command][0]
+    result = _solve_surface(config.potential, {**config.command_params, "kind": kind})
     paths = _export_solve(result, config.potential, out, ("CSV", "OBJ"))
     doc = _report(f"solve_{kind}", {"converged": result.converged}, {
         "residual": result.residual, "iterations": result.iterations,
@@ -463,24 +496,20 @@ def _run_audit_fundamental(config, out: Path):
 
 
 def _run_audit_stability(config, out: Path):
-    p = config.command_params
     _, field = _surface_field(config)
-    h = field.grid_h
-    margin = 2
-    interior = np.where(field.interior_mask(margin))[0]
-    lam_floor = float(p.get("lambda_floor", 10.0 * h))
-    spectrum = stability.first_eigenvalue(field, config.potential, interior,
-                                          tol=float(p.get("tol", 1e-9)))
+    interior = np.where(field.interior_mask(2))[0]
+    lam_floor = float(10.0 * field.grid_h)
+    spectrum = stability.first_eigenvalue(field, config.potential, interior, tol=1e-9)
     rng = np.random.default_rng(config.seed)
     trials = [spectrum.assembly.rayleigh(rng.standard_normal(interior.size))
-              for _ in range(int(p.get("n_trials", 20)))]
+              for _ in range(20)]
     mean_convex = bool(np.max(field.H) <= 1e-8)
     hypotheses = {"mean_convex": mean_convex}
     passed = spectrum.lambda1 >= -lam_floor
     doc = _report("stability_first_eigenvalue", hypotheses, {
         "lambda1": spectrum.lambda1, "residual": spectrum.residual,
         "iterations": spectrum.iterations,
-        "rayleigh_trial_min": min(trials) if trials else None},
+        "rayleigh_trial_min": min(trials)},
         {"lambda_floor": lam_floor}, passed)
     path = _write_report(out, "stability.json", doc)
     csv_path = out / "eigenfunction.csv"
@@ -500,8 +529,7 @@ def _run_audit_area(config, out: Path):
     z_hi = float(field.mu.max()) + 1.0
     cond = check_conditions(config.potential, z_lo + 1e-9, z_hi, 101)
     rep = estimates.geodesic_disk_area_check(
-        field, center, float(p["rho"]),
-        config.potential, float(p.get("gamma", cond.gamma)))
+        field, center, float(p["rho"]), config.potential, float(cond.gamma))
     doc = _report("geodesic_disk_area", {"hypothesis_ok": rep.hypothesis_ok}, {
         "disk_area": rep.disk_area, "bound": rep.bound, "rho": rep.rho,
         "center_index": rep.center_index}, {}, rep.passed)
@@ -518,7 +546,7 @@ def _run_audit_monotonicity(config, out: Path):
     z_lo = float(field.mu.min())
     cond = check_conditions(config.potential, z_lo + 1e-9, z_lo + 2.0, 51)
     hyp_ok = bool(cond.c1_holds and minimality.max_abs_residual
-                  <= float(p.get("minimality_tol", 100.0 * field.grid_h**2)))
+                  <= 100.0 * field.grid_h**2)
     doc = _report("density_monotonicity", {"c1_and_minimal": hyp_ok}, {
         "radii": list(rep.radii), "o_values": list(rep.o_values),
         "epsilon": rep.epsilon}, {"clip": list(rep.tolerance)}, rep.monotone)
@@ -536,10 +564,8 @@ def _run_audit_curvature_ratio(config, out: Path):
 
 
 def _run_audit_convexity(config, out: Path):
-    p = config.command_params
     _, field = _surface_field(config)
-    h = field.grid_h
-    tol = float(p.get("tol", 10.0 * h**2 * max(field.norm_s2().max(), 1.0)))
+    tol = float(10.0 * field.grid_h**2 * max(field.norm_s2().max(), 1.0))
     rep = estimates.convexity_report(field, config.potential, tol)
     hyp_ok = all(rep.hypotheses.values())
     passed = (rep.verdict != "NotConvex")
@@ -584,23 +610,22 @@ def _run_export(config, out: Path):
     return paths, []
 
 
-# command -> (required command_params keys, pipeline)
+# command -> (command_params keys, pipeline); the keys are (required,
+# optional), or for Solve<Kind> the surface kind that its params are
 _COMMANDS = {
-    "PotentialCheck": (("z_lo", "z_hi", "n_samples"), _run_potential_check),
-    "SolveRotational": (("start", "s_max", "step"),
-                        lambda c, o: _run_solve(c, o, "rotational")),
-    "SolveTranslation": (("start", "s_max", "step"),
-                         lambda c, o: _run_solve(c, o, "translation")),
-    "SolveGraph": (("domain", "h", "boundary"),
-                   lambda c, o: _run_solve(c, o, "graph")),
-    "AuditFundamental": (("surface", "items"), _run_audit_fundamental),
-    "AuditStability": (("surface",), _run_audit_stability),
-    "AuditArea": (("surface", "rho"), _run_audit_area),
-    "AuditMonotonicity": (("surface", "radii", "epsilon"), _run_audit_monotonicity),
-    "AuditCurvatureRatio": (("surface",), _run_audit_curvature_ratio),
-    "AuditConvexity": (("surface",), _run_audit_convexity),
-    "Blowup": (("surface", "heights", "scales", "model"), _run_blowup),
-    "Export": (("surface", "formats"), _run_export),
+    "PotentialCheck": ((("z_lo", "z_hi", "n_samples"), ()), _run_potential_check),
+    "SolveRotational": ("rotational", _run_solve),
+    "SolveTranslation": ("translation", _run_solve),
+    "SolveGraph": ("graph", _run_solve),
+    "AuditFundamental": ((("surface", "items"), ()), _run_audit_fundamental),
+    "AuditStability": ((("surface",), ()), _run_audit_stability),
+    "AuditArea": ((("surface", "rho"), ("center_index",)), _run_audit_area),
+    "AuditMonotonicity": ((("surface", "radii", "epsilon"), ("center_index",)),
+                          _run_audit_monotonicity),
+    "AuditCurvatureRatio": ((("surface",), ()), _run_audit_curvature_ratio),
+    "AuditConvexity": ((("surface",), ()), _run_audit_convexity),
+    "Blowup": ((("surface", "heights", "scales", "model"), ()), _run_blowup),
+    "Export": ((("surface", "formats"), ()), _run_export),
 }
 COMMANDS = tuple(_COMMANDS)
 

@@ -41,6 +41,8 @@ LOG2 = float(np.log(2.0))
 # profile samples whose blow-up window charts are built as one array; a
 # whole window at once is no faster and holds far more memory
 _WINDOW_BLOCK = 512
+# radius of the ball on which blow-ups are compared to their model
+_WINDOW = 1.0
 
 
 class PatchExceededError(ValueError):
@@ -71,7 +73,6 @@ class AreaReport:
 
 @dataclass
 class DensityReport:
-    center: np.ndarray
     radii: np.ndarray
     o_values: np.ndarray
     epsilon: float
@@ -92,7 +93,6 @@ class ConvexityReport:
 @dataclass
 class BlowupStage:
     scale: float
-    basepoint: np.ndarray
     slope_ratio: float
     hausdorff_distance: float
     c2_distance: float
@@ -117,9 +117,6 @@ class BlowupResult:
 @dataclass
 class IlmanenEstimateReport:
     sup_curvature_times_reach: float
-    sup_curvature_times_spectral: float
-    reach: float
-    sectional_bound: float
     sup_conformal_curvature: float
 
 
@@ -302,9 +299,8 @@ def density_monotonicity(field: GeometryField, q: int, radii, spec: PotentialSpe
     o_tols = phis * tols / (4.0 * np.pi * radii**2)
     mono = all(o_vals[k + 1] >= o_vals[k] - (o_tols[k] + o_tols[k + 1])
                for k in range(radii.size - 1))
-    return DensityReport(center=q_pos, radii=radii, o_values=o_vals,
-                         epsilon=float(epsilon), monotone=bool(mono),
-                         tolerance=o_tols)
+    return DensityReport(radii=radii, o_values=o_vals, epsilon=float(epsilon),
+                         monotone=bool(mono), tolerance=o_tols)
 
 
 def _clipped_areas(field: GeometryField, q: np.ndarray, radii: np.ndarray):
@@ -426,9 +422,8 @@ def convexity_report(field: GeometryField, spec: PotentialSpec,
 
 def ilmanen_estimate_report(field: GeometryField, spec: PotentialSpec,
                             boundary) -> IlmanenEstimateReport:
-    """Report-only sups of |S^phi| min(d_phi(p, boundary), R) and
-    |S^phi| min(d_phi, pi / (2 sqrt(A))) with R, A from the sampled
-    conformal curvature of the ambient space.
+    """Report-only sup of |S^phi| min(d_phi(p, boundary), R), with the
+    reach R from the sampled conformal curvature of the ambient space.
 
     d_phi uses conformal edge lengths e^(phi/2) x Euclidean; on profiles
     the meridian chain distance is used (an upper bound, adequate for a
@@ -459,15 +454,8 @@ def ilmanen_estimate_report(field: GeometryField, spec: PotentialSpec,
     sup_k = float(np.abs(sectional[:, _OFF]).max())
     sup_grad = float(np.abs(gradient[:, _OFF]).max())
     reach = 1.0 / (sup_k + np.sqrt(sup_grad)) if (sup_k + np.sqrt(sup_grad)) > 0 else np.inf
-    spectral = np.pi / (2.0 * np.sqrt(sup_k)) if sup_k > 0 else np.inf
-
-    sup1 = float(np.max(s_conf * np.minimum(d_phi, reach)))
-    sup2 = float(np.max(s_conf * np.minimum(d_phi, spectral)))
     return IlmanenEstimateReport(
-        sup_curvature_times_reach=sup1,
-        sup_curvature_times_spectral=sup2,
-        reach=float(reach),
-        sectional_bound=float(sup_k),
+        sup_curvature_times_reach=float(np.max(s_conf * np.minimum(d_phi, reach))),
         sup_conformal_curvature=float(s_conf.max()),
     )
 
@@ -476,26 +464,25 @@ def ilmanen_estimate_report(field: GeometryField, spec: PotentialSpec,
 # rescaling and blow-up comparison
 
 
-def rescale_profile(curve: ProfileCurve, lam: float,
-                    base_index: int = 0) -> ProfileCurve:
-    """The profile of lambda (Sigma - p) about a sample p of the curve.
+def rescale_profile(curve: ProfileCurve, lam: float) -> ProfileCurve:
+    """The profile of lambda (Sigma - p) about the first sample p of the curve.
 
-    Rotational curves must be rescaled about their axis sample so the
-    result is again a profile; curvature fields of the resulting surface
-    are exactly 1/lambda times the originals at matched samples.
+    A rotational curve must start on the axis, so the result is again a
+    profile; curvature fields of the resulting surface are exactly
+    1/lambda times the originals at matched samples.
     """
     if lam <= 0.0:
         raise ValueError("scale must be positive")
     if curve.kind == ROTATIONAL:
-        if not (curve.x[base_index] < 1e-10):
+        if not (curve.x[0] < 1e-10):
             raise ValueError("rotational rescaling needs an axis basepoint")
         x_new = lam * curve.x
     else:
-        x_new = lam * (curve.x - curve.x[base_index])
+        x_new = lam * (curve.x - curve.x[0])
     return ProfileCurve(
-        s=lam * (curve.s - curve.s[base_index]),
+        s=lam * (curve.s - curve.s[0]),
         x=x_new,
-        z=lam * (curve.z - curve.z[base_index]),
+        z=lam * (curve.z - curve.z[0]),
         theta=curve.theta.copy(),
         kind=curve.kind,
         step=lam * curve.step,
@@ -589,9 +576,9 @@ def _profile_model_distance(pts, etas, Hs, model: str, c_slope: float,
 
 
 def blowup_rescale(source, basepoints, scales, spec: PotentialSpec,
-                   model: str, window: float = 1.0) -> BlowupResult:
-    """Rescale lambda_n (Sigma - p_n) and compare to a limit model on a
-    fixed window ball.
+                   model: str) -> BlowupResult:
+    """Rescale lambda_n (Sigma - p_n) and compare to a limit model on the
+    unit ball.
 
     ``source`` is a profile SolveResult (or ProfileCurve), or a list of
     them (one per stage) for sequences built from separate solves;
@@ -621,14 +608,13 @@ def blowup_rescale(source, basepoints, scales, spec: PotentialSpec,
         if field is None or field.source is not curve:
             field = sample_geometry(curve, spec)
         ratio = float(eval_potential(spec, field.mu[p]).d1 / lam)
-        pts, etas, Hs, Ks = _window_samples(curve, field, p, lam, window)
+        pts, etas, Hs, Ks = _window_samples(curve, field, p, lam, _WINDOW)
         if model == "Plane":
             sign = np.sign(field.eta[p]) if field.eta[p] != 0 else 1.0
             hd, c2 = _plane_distance(pts, etas, Hs, sign)
         else:
-            hd, c2 = _profile_model_distance(pts, etas, Hs, model, ratio, window)
-        stages.append(BlowupStage(scale=lam, basepoint=field.positions[p],
-                                  slope_ratio=ratio, hausdorff_distance=hd,
+            hd, c2 = _profile_model_distance(pts, etas, Hs, model, ratio, _WINDOW)
+        stages.append(BlowupStage(scale=lam, slope_ratio=ratio, hausdorff_distance=hd,
                                   c2_distance=c2, n_window_samples=len(pts)))
     return BlowupResult(model=model, stages=stages, slope_constant=ratio)
 

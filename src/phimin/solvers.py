@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .potential import PotentialSpec, eval_potential
 from .surface_geometry import (GraphPatch, ProfileCurve, ROTATIONAL,
-                               TRANSLATION, sample_geometry,
+                               TRANSLATION, grid_shape, sample_geometry,
                                phi_minimal_residual)
 
 
@@ -492,18 +492,12 @@ def solve_graph(spec: PotentialSpec, domain, h: float, boundary,
     steps included, on this grid; ``diagnostics`` gives them with the
     number of LU factorisations, on this grid and on each coarser one.
     """
-    a, b, c, d = (float(v) for v in domain)
-    nx = int(round((b - a) / h)) + 1
-    ny = int(round((d - c) / h)) + 1
-    if not (math.isclose(a + (nx - 1) * h, b, rel_tol=0, abs_tol=1e-9 * max(1, abs(b)))
-            and math.isclose(c + (ny - 1) * h, d, rel_tol=0, abs_tol=1e-9 * max(1, abs(d)))):
-        raise ValueError("h must divide both domain sides")
-    xs = a + h * np.arange(nx)
-    ys = c + h * np.arange(ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    domain = tuple(float(v) for v in domain)
+    patch = GraphPatch(domain=domain, h=h, u=np.zeros(grid_shape(domain, h)))
+    X, Y = patch.grid()
 
-    u = np.zeros((nx, ny))
-    mask_edge = np.zeros((nx, ny), dtype=bool)
+    u = patch.u
+    mask_edge = np.zeros(u.shape, dtype=bool)
     mask_edge[0, :] = mask_edge[-1, :] = True
     mask_edge[:, 0] = mask_edge[:, -1] = True
     u[mask_edge] = np.asarray(boundary(X[mask_edge], Y[mask_edge]), dtype=float)
@@ -520,7 +514,7 @@ def solve_graph(spec: PotentialSpec, domain, h: float, boundary,
     if levels:
         diagnostics += "; nested start: " + "; ".join(levels)
     return SolveResult(
-        surface=GraphPatch(domain=(a, b, c, d), h=h, u=u),
+        surface=GraphPatch(domain=domain, h=h, u=u),
         residual=res_norm,
         iterations=iters,
         converged=res_norm <= cfg.tol_residual,

@@ -242,13 +242,14 @@ def quadratic_form(field: GeometryField, spec: PotentialSpec, u: np.ndarray,
 
 
 def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
-                     tol: float = 1e-10, ruling_width: float | None = None,
-                     max_iters: int = 500) -> SpectrumResult:
+                     tol: float = 1e-10,
+                     ruling_width: float | None = None) -> SpectrumResult:
     """Smallest eigenvalue of -L on the region, Dirichlet outside.
 
     Solves (stiffness - potential) u = lambda mass u by inverse iteration
-    shifted below the spectrum; the eigen-residual is measured in the
-    mass norm and the eigenfunction is mass-normalised with positive mean.
+    shifted below the spectrum, at most 500 iterations; the eigen-residual
+    is measured in the mass norm and the eigenfunction is mass-normalised
+    with positive mean.
     """
     asm = build_assembly(field, spec, region, ruling_width=ruling_width)
     K, V, M = asm.stiffness, asm.potential_term, asm.mass
@@ -269,7 +270,7 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
     lam = asm.rayleigh(x)
     res_norm = np.inf
     iters = 0
-    while iters < max_iters:
+    while iters < 500:
         y = lu.solve(M * x)
         y /= np.sqrt(y @ (M * y))
         lam = asm.rayleigh(y)
@@ -290,7 +291,7 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
             lu = factor(sigma)
     else:
         raise EigenConvergenceError(
-            f"eigen-residual {res_norm:.3e} after {max_iters} iterations")
+            f"eigen-residual {res_norm:.3e} after {iters} iterations")
     if x.sum() < 0:
         x = -x
     full = np.zeros(field.n_samples)
@@ -318,7 +319,7 @@ def jacobi_residual(field: GeometryField, spec: PotentialSpec, direction,
             raise ValueError("log-angle certificate needs eta > 0")
         w = np.log(np.maximum(field.eta, 1e-300))
         lhs = drift_laplacian(field, w, phi_mu)
-        grad_eta_sq = field.surface_gradient_sq(field.eta)
+        grad_eta_sq = field.surface_inner(field.eta, field.eta)
         gm2 = (field.grad_mu**2).sum(axis=1)
         res = lhs + grad_eta_sq / field.eta**2 + field.norm_s2() + ev.d2 * gm2
         return _make_report("log_angle_certificate", res, mask, field.grid_h, margin)

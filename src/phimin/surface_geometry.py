@@ -3,8 +3,8 @@
 Two representations are supported: arclength-sampled profile curves
 (rotationally symmetric or translation-invariant surfaces) and height
 graphs over a rectangle.  Each is turned into a :class:`GeometryField`
-carrying height mu, angle function eta, normal, shape operator,
-principal curvatures, and the residual machinery for the structure identities
+carrying height mu, angle function eta, normal, mean and Gauss
+curvature, principal curvatures, and the residual machinery for the structure identities
 of weighted-minimal surfaces.
 
 Sign convention, fixed package-wide: the second fundamental form is
@@ -33,6 +33,7 @@ nonconstant slope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -74,6 +75,20 @@ class UnsupportedIdentityError(ValueError):
 
 class UmbilicRegionError(ValueError):
     """Operation needs a non-umbilic region but none exists."""
+
+
+def grid_shape(domain, h: float) -> tuple[int, int]:
+    """(nx, ny) of the grid of spacing h on domain (a, b, c, d); raises
+    ValueError unless h > 0 divides both sides to within 1e-9 max(1, |b|)
+    and 1e-9 max(1, |d|)."""
+    a, b, c, d = (float(v) for v in domain)
+    nx = int(round((b - a) / h)) + 1
+    ny = int(round((d - c) / h)) + 1
+    if not (h > 0
+            and math.isclose(a + (nx - 1) * h, b, rel_tol=0, abs_tol=1e-9 * max(1, abs(b)))
+            and math.isclose(c + (ny - 1) * h, d, rel_tol=0, abs_tol=1e-9 * max(1, abs(d)))):
+        raise ValueError("h must be positive and divide both domain sides")
+    return nx, ny
 
 
 @dataclass
@@ -157,10 +172,8 @@ class GraphPatch:
             raise StencilError("graph patch needs at least a 5x5 grid")
         if not np.all(np.isfinite(self.u)):
             raise ValueError("graph heights must be finite")
-        a, b, c, d = self.domain
-        if not (np.isclose(a + (self.nx - 1) * self.h, b, atol=1e-9 * max(1, abs(b)))
-                and np.isclose(c + (self.ny - 1) * self.h, d, atol=1e-9 * max(1, abs(d)))):
-            raise ValueError("grid spacing does not tile the domain")
+        if grid_shape(self.domain, self.h) != self.u.shape:
+            raise ValueError("heights do not have the shape of the domain's grid")
 
 
 @dataclass
@@ -189,7 +202,6 @@ class GeometryField:
     eta: np.ndarray
     grad_mu: np.ndarray
     normal: np.ndarray
-    shape: np.ndarray
     H: np.ndarray
     K: np.ndarray
     k1: np.ndarray
@@ -253,18 +265,6 @@ class GeometryField:
         return self._graph_cache[key]
 
     # -- intrinsic calculus -------------------------------------------------
-
-    def surface_gradient_sq(self, f: np.ndarray) -> np.ndarray:
-        """|grad f|^2 on the surface, central differences."""
-        if self.is_profile:
-            fp = np.gradient(f, self.source.step, edge_order=2)
-            return fp**2
-        g = f.reshape(self.source.u.shape)
-        fx = np.gradient(g, self.source.h, axis=0, edge_order=2)
-        fy = np.gradient(g, self.source.h, axis=1, edge_order=2)
-        out = (self._graph("gixx") * fx**2 + 2.0 * self._graph("gixy") * fx * fy
-               + self._graph("giyy") * fy**2)
-        return out.ravel()
 
     def surface_inner(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """<grad f, grad g> on the surface."""
@@ -371,15 +371,12 @@ def _profile_geometry(curve: ProfileCurve, spec: PotentialSpec) -> GeometryField
         k_par[on_axis] = k_mer[on_axis]  # equal curvatures at a regular axis point
     else:
         k_par = np.zeros(n)
-    shape = np.zeros((n, 2, 2))
-    shape[:, 0, 0] = k_mer
-    shape[:, 1, 1] = k_par
     positions = np.column_stack([curve.x, np.zeros(n), curve.z])
     normal = np.column_stack([-sin_t, np.zeros(n), cos_t])
     grad_mu = np.column_stack([sin_t, np.zeros(n)])
     return GeometryField(
         source=curve, positions=positions, mu=curve.z.copy(), eta=cos_t,
-        grad_mu=grad_mu, normal=normal, shape=shape,
+        grad_mu=grad_mu, normal=normal,
         H=k_mer + k_par, K=k_mer * k_par, k1=k_mer, k2=k_par)
 
 
@@ -387,13 +384,12 @@ def _graph_geometry(patch: GraphPatch, spec: PotentialSpec) -> GeometryField:
     _check_heights(spec, patch.u)
     field = GeometryField(
         source=patch, positions=None, mu=None, eta=None, grad_mu=None,
-        normal=None, shape=None, H=None, K=None, k1=None, k2=None)
+        normal=None, H=None, K=None, k1=None, k2=None)
     ux, uy = field._graph("ux"), field._graph("uy")
     uxx, uyy, uxy = field._graph("uxx"), field._graph("uyy"), field._graph("uxy")
     W, W2 = field._graph("W"), field._graph("W2")
     X, Y = patch.grid()
 
-    n = patch.nx * patch.ny
     field.positions = np.column_stack([X.ravel(), Y.ravel(), patch.u.ravel()])
     field.mu = patch.u.ravel().copy()
     field.eta = (1.0 / W).ravel()
@@ -415,12 +411,6 @@ def _graph_geometry(patch: GraphPatch, spec: PotentialSpec) -> GeometryField:
     s11 = c11 * (b11 * c11)
     s12 = c11 * (b11 * c12 + b12 * c22)
     s22 = (c12 * (b11 * c12 + b12 * c22) + c22 * (b12 * c12 + b22 * c22))
-    shape = np.zeros((n, 2, 2))
-    shape[:, 0, 0] = s11.ravel()
-    shape[:, 0, 1] = s12.ravel()
-    shape[:, 1, 0] = s12.ravel()
-    shape[:, 1, 1] = s22.ravel()
-    field.shape = shape
     field.H = (s11 + s22).ravel()
     field.K = (s11 * s22 - s12**2).ravel()
     disc = np.sqrt(np.maximum((s11 - s22) ** 2 / 4.0 + s12**2, 0.0)).ravel()
@@ -448,13 +438,13 @@ def _make_report(name: str, res: np.ndarray, mask: np.ndarray, h: float,
     )
 
 
-def phi_minimal_residual(field: GeometryField, spec: PotentialSpec,
-                         margin: int = 2) -> ResidualReport:
-    """Max and RMS of |H + phi'(mu) eta| over interior samples."""
+def phi_minimal_residual(field: GeometryField, spec: PotentialSpec) -> ResidualReport:
+    """Max and RMS of |H + phi'(mu) eta| over the samples at least 2
+    stencil cells inside the boundary."""
     d1 = field.potential(spec).d1
     res = field.H + d1 * field.eta
-    return _make_report("weighted_minimality", res, field.interior_mask(margin),
-                        field.grid_h, margin)
+    return _make_report("weighted_minimality", res, field.interior_mask(2),
+                        field.grid_h, 2)
 
 
 def drift_laplacian(field: GeometryField, f: np.ndarray,

@@ -15,7 +15,7 @@ from phimin.cli import parse_config, run
 from phimin.estimates import (blowup_rescale, convexity_report,
                               curvature_ratio_sup, density_monotonicity,
                               geodesic_disk_area_check, ilmanen_estimate_report,
-                              rescale_profile)
+                              omori_gamma_check, rescale_profile)
 from phimin.ilmanen import bounded_geometry_check
 from phimin.solvers import (AxisRegular, NewtonConfig, PointStart,
                             ShootingConfig, solve_graph,
@@ -23,6 +23,7 @@ from phimin.solvers import (AxisRegular, NewtonConfig, PointStart,
                             solve_translation_profile)
 from phimin.stability import first_eigenvalue, jacobi_residual
 from phimin.surface_geometry import (GraphPatch, ProfileCurve,
+                                     curvature_evolution_residuals,
                                      fundamental_identity_residuals,
                                      sample_geometry)
 
@@ -310,7 +311,7 @@ def test_criterion_09_blowup():
     c2 = [st.c2_distance for st in rep.stages]
     decreasing = c2[0] > c2[1] > c2[2]
 
-    rescaled = rescale_profile(sol.surface, 4.0, 0)
+    rescaled = rescale_profile(sol.surface, 4.0)
     f2 = sample_geometry(rescaled, pm.PotentialSpec.linear(0.25))
     cov = max(np.abs(f2.k1 - field.k1 / 4.0).max(),
               np.abs(f2.k2 - field.k2 / 4.0).max(),
@@ -407,3 +408,34 @@ def test_criterion_11_curvature_estimate():
         ok = ok and drift <= 1e-2
         details.append(f"{name} {sups[1]:.4f} drift {drift:.1e}")
     _verdict(11, "curvature estimate", ok, ", ".join(details))
+
+
+def test_criterion_12_convexity_proof_ingredients():
+    # the k/eta quotient identities: second order in the step, on the grim
+    # reaper, the bowl and the quadratic bowl (residuals below 1e-12 skipped)
+    cases = [("reaper", SPEC1, solve_translation_profile,
+              dict(start=PointStart(0.0, 0.0, 0.0), s_max=1.4)),
+             ("bowl", SPEC1, solve_rotational_profile,
+              dict(start=AxisRegular(0.0), s_max=2.0)),
+             ("quadratic bowl", SPECQ, solve_rotational_profile,
+              dict(start=AxisRegular(0.0), s_max=1.5))]
+    orders = {}
+    for name, spec, solve, kw in cases:
+        maxima = []
+        for step in (4e-3, 2e-3):
+            field = sample_geometry(solve(spec, ShootingConfig(step=step, **kw)).surface,
+                                    spec)
+            reps = curvature_evolution_residuals(field, spec,
+                                                 margin=int(round(2e-2 / step)))
+            maxima.append({r.identity_name: r.max_abs_residual for r in reps})
+        orders.update({(name, key): float(np.log2(coarse / maxima[1][key]))
+                       for key, coarse in maxima[0].items() if coarse >= 1e-12})
+    # the Omori-Yau test function 2 log |p| on the bowl: no violation at any
+    # interior sample with |p| >= 2
+    bowl = sample_geometry(solve_rotational_profile(SPEC1, ShootingConfig(
+        start=AxisRegular(5.0), s_max=3.0, step=1e-3)).surface, SPEC1)
+    margins = [r.max_abs_residual for r in omori_gamma_check(bowl, SPEC1)]
+    ok = min(orders.values()) >= 1.8 and margins == [0.0, 0.0]
+    _verdict(12, "convexity proof ingredients", ok,
+             f"orders {min(orders.values()):.2f}..{max(orders.values()):.2f} over "
+             f"{len(orders)} residuals, Omori-Yau margins {margins}")

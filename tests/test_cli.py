@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ def test_audit_area_run_and_gate(tmp_path):
     cfg = parse_config(json.dumps(_base_config("AuditArea", {
         "surface": {"kind": "rotational", "start": {"kind": "axis", "z0": 0.0},
                     "s_max": 1.6, "step": 1e-3},
-        "rho": 0.3, "gamma": -1.0})))
+        "rho": 0.3})))
     cfg.output_dir = str(tmp_path)
     manifest = run(cfg)
     assert manifest.exit_code == 0
@@ -706,3 +707,112 @@ def test_center_index_default_and_in_range(tmp_path, params, center):
     run(cfg)
     area = json.loads((tmp_path / "area.json").read_text())[0]
     assert area["values"]["center_index"] == center
+
+
+# -- the key table -------------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_every_benchmark_config_parses(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    texts = []
+    for name in workloads.WORKLOADS:
+        wl = workloads.build(name, 3, tmp_path / name)
+        texts += [cmd.config_text(3) for cmd in wl.warmup + wl.commands]
+    assert texts
+    for text in texts:
+        parse_config(text)
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+GRAPH_PARAMS = {"domain": [-1, 1, -1, 1], "h": 0.25, "boundary": {"kind": "grim_reaper"}}
+AXIS = {"kind": "axis", "z0": 0.0}
+ROT_PARAMS = {"start": AXIS, "s_max": 1.0, "step": 1e-2}
+
+# one unknown and one missing key at each level, and an unknown kind at
+# each level that has kinds
+KEY_CASES = {
+    "top-unknown": ({**_base_config("SolveGraph", GRAPH_PARAMS), "sede": 3},
+                    "sede: unknown key"),
+    "top-missing": (_without(_base_config("SolveGraph", GRAPH_PARAMS), "potential"),
+                    "potential: missing"),
+    "params-unknown": (_base_config("SolveGraph", {**GRAPH_PARAMS, "tol_residul": 1.0}),
+                       "command_params.tol_residul: unknown key"),
+    "params-missing": (_base_config("SolveGraph", _without(GRAPH_PARAMS, "h")),
+                       "command_params.h: missing"),
+    "params-kind": (_base_config("SolveRotational", {**ROT_PARAMS, "kind": "graph"}),
+                    "command_params.kind: 'graph' not one of ('rotational',)"),
+    "surface-unknown": (_base_config("AuditStability", {
+        "surface": {**BOWL_GRAPH, "tol": 1e-9}}), "command_params.surface.tol: unknown key"),
+    "surface-missing": (_base_config("AuditStability", {
+        "surface": _without(BOWL_GRAPH, "h")}), "command_params.surface.h: missing"),
+    "surface-kind": (_base_config("AuditStability", {
+        "surface": {**BOWL_GRAPH, "kind": "sphere"}}),
+        "command_params.surface.kind: 'sphere' not one of "
+        "('rotational', 'translation', 'graph')"),
+    "start-unknown": (_base_config("SolveRotational", {
+        **ROT_PARAMS, "start": {**AXIS, "x0": 1.0}}),
+        "command_params.start.x0: unknown key"),
+    "start-missing": (_base_config("AuditConvexity", {"surface": {
+        "kind": "rotational", **ROT_PARAMS, "start": {"kind": "point", "x0": 1, "z0": 0}}}),
+        "command_params.surface.start.theta0: missing"),
+    "start-kind": (_base_config("SolveRotational", {**ROT_PARAMS, "start": {"z0": 0.0}}),
+                   "command_params.start.kind: None not one of ('axis', 'point')"),
+    "boundary-unknown": (_base_config("SolveGraph", {
+        **GRAPH_PARAMS, "boundary": {"kind": "grim_reaper", "value": 1.0}}),
+        "command_params.boundary.value: unknown key"),
+    "boundary-missing": (_base_config("Export", {"surface": {
+        "kind": "graph", **GRAPH_PARAMS, "boundary": {"kind": "csv"}}, "formats": ["CSV"]}),
+        "command_params.surface.boundary.path: missing"),
+    "boundary-kind": (_base_config("SolveGraph", {
+        **GRAPH_PARAMS, "boundary": {"kind": "bowl"}}),
+        "command_params.boundary.kind: 'bowl' not one of "
+        "('constant', 'grim_reaper', 'bowl_profile', 'csv')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_CASES))
+def test_unknown_and_missing_keys_exit_2_with_their_path(tmp_path, capsys, case):
+    config, violation = KEY_CASES[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([config["command"], "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {violation}\n"
+
+
+# the command_params options that became constants, each with a value
+@pytest.mark.parametrize("command, params, key", [
+    ("AuditStability", {"surface": ROT_SURF, "lambda_floor": 0.1}, "lambda_floor"),
+    ("AuditStability", {"surface": ROT_SURF, "tol": 1e-9}, "tol"),
+    ("AuditStability", {"surface": ROT_SURF, "n_trials": 20}, "n_trials"),
+    ("AuditArea", {"surface": ROT_SURF, "rho": 0.3, "gamma": -1.0}, "gamma"),
+    ("AuditMonotonicity", {"surface": ROT_SURF, "radii": [0.1, 0.2], "epsilon": 0.9,
+                           "minimality_tol": 1e-4}, "minimality_tol"),
+    ("AuditConvexity", {"surface": ROT_SURF, "tol": 1e-5}, "tol"),
+    ("SolveGraph", {**GRAPH_PARAMS, "boundary": {"kind": "bowl_profile", "z0": 0.0}},
+     "boundary.z0"),
+])
+def test_removed_options_are_config_errors(command, params, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(_base_config(command, params)))
+    assert err.value.violations == [f"command_params.{key}: unknown key"]
+
+
+@pytest.mark.parametrize("boundary, code", [({"kind": "bowl_profile"}, 2),
+                                            ({"kind": "bowl_profile", "s_max": 4.5}, 0)])
+def test_bowl_profile_boundary_reaches_every_edge_node(tmp_path, capsys, boundary, code):
+    # the Linear bowl shot to s = 3 ends at x = 2.3477, inside the corner
+    # radius 2 sqrt 2 of [-2, 2]^2; shot to s = 4.5 it reaches x = 3.008
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config("SolveGraph", {
+        "domain": [-2, 2, -2, 2], "h": 0.125, "boundary": boundary})))
+    assert main(["SolveGraph", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == code
+    assert ("ConfigError: boundary.s_max:" in capsys.readouterr().err) == (code == 2)

@@ -266,7 +266,7 @@ def test_quadratic_tips_approach_unit_bowl(spec_quadratic):
 def test_rescaling_covariance_exact(tall_bowl, spec_linear):
     lam = 4.0
     field = sample_geometry(tall_bowl.surface, spec_linear)
-    rescaled = rescale_profile(tall_bowl.surface, lam, 0)
+    rescaled = rescale_profile(tall_bowl.surface, lam)
     f2 = sample_geometry(rescaled, pm.PotentialSpec.linear(1.0 / lam))
     assert np.abs(f2.k1 - field.k1 / lam).max() <= 1e-12
     assert np.abs(f2.k2 - field.k2 / lam).max() <= 1e-12
@@ -449,10 +449,7 @@ def _ilmanen_report_loop(field, spec, boundary):
         sup_k = max(sup_k, float(np.abs(fq.sectional[off]).max()))
         sup_grad = max(sup_grad, float(np.abs(fq.curvature_gradient_e3[off]).max()))
     reach = 1.0 / (sup_k + np.sqrt(sup_grad)) if (sup_k + np.sqrt(sup_grad)) > 0 else np.inf
-    spectral = np.pi / (2.0 * np.sqrt(sup_k)) if sup_k > 0 else np.inf
-    return (float(np.max(s_conf * np.minimum(d_phi, reach))),
-            float(np.max(s_conf * np.minimum(d_phi, spectral))),
-            float(reach), float(sup_k), float(s_conf.max()))
+    return float(np.max(s_conf * np.minimum(d_phi, reach))), float(s_conf.max())
 
 
 def test_ilmanen_report_matches_the_loop(bowl_field, reaper_field, quad_bowl,

@@ -64,6 +64,18 @@ def test_small_grid_rejected(spec_zero):
                                    u=np.zeros((4, 4))), spec_zero)
 
 
+def test_patch_and_solver_share_the_strict_tiling_rule(spec_zero):
+    # 1e-6 past a whole number of cells: within np.isclose's default rtol
+    domain = (0.0, 1.000001, 0.0, 1.0)
+    with pytest.raises(ValueError, match="divide"):
+        GraphPatch(domain=domain, h=0.25, u=np.zeros((5, 5))).validate()
+    # a negative h would tile [0, 1] with a negative cell count
+    for dom, h in ((domain, 0.25), ((0.0, 1.0, 0.0, 1.0), -0.25)):
+        with pytest.raises(ValueError, match="divide"):
+            pm.solve_graph(spec_zero, dom, h, lambda x, y: 0.0 * x, pm.NewtonConfig())
+    GraphPatch(domain=(0.0, 1.0, 0.0, 1.0), h=0.25, u=np.zeros((5, 5))).validate()
+
+
 def test_identity_suite_orders_on_profiles(spec_zero, spec_linear, spec_quadratic):
     """All eight identities converge at order >= 1.8 under step halving.
 
