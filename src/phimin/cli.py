@@ -32,8 +32,8 @@ from . import __version__
 from .potential import (PotentialSpec, check_conditions, spec_from_json,
                         to_json_dict)
 from .solvers import (AxisRegular, NewtonConfig, PointStart, ShootingConfig,
-                      SolveResult, solve_graph, solve_rotational_profile,
-                      solve_translation_profile)
+                      SolveResult, rotational_curve, solve_graph,
+                      solve_rotational_profile, solve_translation_profile)
 from .surface_geometry import (ROTATIONAL, GeometryField, GraphPatch,
                                ProfileCurve, fundamental_identity_residuals,
                                phi_minimal_residual, sample_geometry)
@@ -103,9 +103,35 @@ _SUBCONFIGS = {
 }
 
 
+def _number(v, types=(int, float)) -> bool:
+    """A JSON number (a JSON integer for types=int); bools are neither."""
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
+# key -> (test of its value, what the value must be), wherever the key is
+_VALUES = {
+    **dict.fromkeys(("z_lo", "z_hi", "s_max", "z0", "x0", "theta0", "value"),
+                    (_number, "a number")),
+    **dict.fromkeys(("step", "h", "rho", "epsilon", "tol_residual"),
+                    (lambda v: _number(v) and v > 0, "a positive number")),
+    **dict.fromkeys(("n_samples", "max_iters"),
+                    (lambda v: _number(v, int), "an integer")),
+    **dict.fromkeys(("radii", "heights", "scales"),
+                    (lambda v: isinstance(v, list) and all(map(_number, v)),
+                     "a list of numbers")),
+    "items": (lambda v: isinstance(v, list) and all(_number(i, int) for i in v),
+              "a list of integers"),
+    "domain": (lambda v: isinstance(v, list) and len(v) == 4
+               and all(map(_number, v)) and v[0] < v[1] and v[2] < v[3],
+               "four numbers [x_lo, x_hi, y_lo, y_hi] with x_lo < x_hi "
+               "and y_lo < y_hi"),
+}
+
+
 def _check_keys(obj: dict, path: str, required, optional, errors) -> None:
     """Append to errors a violation for each missing and each unknown key
-    of obj, the object at path, and check the sub-configs it holds."""
+    of obj, the object at path, and for each value _VALUES refuses, and
+    check the sub-configs it holds."""
     at = f"{path}." if path else ""
     errors += [f"{at}{key}: missing" for key in required if key not in obj]
     for key, value in obj.items():
@@ -113,6 +139,8 @@ def _check_keys(obj: dict, path: str, required, optional, errors) -> None:
             errors.append(f"{at}{key}: unknown key")
         elif key in _SUBCONFIGS:
             _check_kind(value, at + key, _SUBCONFIGS[key], errors)
+        elif key in _VALUES and not _VALUES[key][0](value):
+            errors.append(f"{at}{key}: must be {_VALUES[key][1]}")
 
 
 def _check_kind(obj, path: str, kinds: dict, errors) -> None:
@@ -153,10 +181,6 @@ def parse_config(text: str) -> RunConfig:
                         {keys: _SUBCONFIGS["surface"][keys]}, errors)
         else:
             _check_keys(params, "command_params", *keys, errors)
-    for key in ("step", "h", "rho", "epsilon"):
-        if key in params and not (isinstance(params[key], (int, float))
-                                  and params[key] > 0):
-            errors.append(f"command_params.{key}: must be a positive number")
     seed = obj.get("seed", 0)
     if not isinstance(seed, int):
         errors.append("seed: must be an integer")
@@ -194,33 +218,10 @@ def _atomic_write(path: Path, data) -> None:
     os.replace(tmp, path)
 
 
-# table rows converted to text per block, so no file is held in memory whole
-_ROW_BLOCK = 4096
-
-
-def _words(keys, kind):
-    """Reprs of the distinct keys (the float64 bit patterns of kind "f",
-    the int64 values of kind "i") as rows of a zero-padded uint8 table.
-
-    Words come from orjson, which writes the shortest round-trip digits of
-    a float (Ryu; Adams, PLDI 2018) and the digits of an int, so they are
-    the digits repr writes.  The notation differs only for nonzero
-    |x| < 1e-4 and |x| >= 1e16 (orjson writes 0.00001 and 1e16 where repr
-    writes 1e-05 and 1e+16) and for inf and nan (orjson writes null); the
-    float keys there are written by repr.
-    """
-    values = keys.view(np.float64) if kind == "f" else keys
-    text = np.empty(keys.size, "S24")  # no repr is longer
-    for start in range(0, keys.size, _ROW_BLOCK):
-        chunk = values[start:start + _ROW_BLOCK]
-        text[start:start + chunk.size] = orjson.dumps(
-            chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
-        if kind == "f":
-            mag = np.abs(chunk)
-            odd = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16) | (mag == 0.0)))
-            text[start + odd] = list(map(repr, chunk[odd].tolist()))
-    width = np.char.str_len(text).max()
-    return text.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+# table rows converted to text per block, so no file is held in memory whole;
+# blocks of 4096 rows wrote no faster and left the process about 4 MiB more
+# resident memory after a 20,001-row profile table
+_ROW_BLOCK = 1024
 
 
 def _rows(*columns, sep=",", prefix=""):
@@ -228,47 +229,47 @@ def _rows(*columns, sep=",", prefix=""):
     column; each value is written as its repr (shortest round-trip digits
     of a float, the digits of an int).
 
-    Each distinct value of the table (a float by its bit pattern, so that
-    0.0 and -0.0 stay apart) is converted once, by _words (orjson, with
-    repr where its notation differs); the lines of a block of rows are then
-    assembled from those words as bytes.
+    Per block of _ROW_BLOCK rows, each run of adjacent float (or int)
+    columns is stacked as one float64 (int64) array and written by one
+    orjson call, which writes the shortest round-trip digits of a float
+    (Ryu; Adams, PLDI 2018) and the digits of an int, so the digits repr
+    writes; its rows are split into lines.  The notation differs only for
+    1e-9 <= |x| < 1e-4 and |x| >= 1e16 (orjson writes 0.00001 and 1e16
+    where repr writes 1e-05 and 1e+16) and for inf and nan (orjson writes
+    null); a row holding such a float is written by repr.
     """
     arrays = [np.asarray(c) for c in columns]
-    groups = {"f": [], "i": []}  # kind -> indices of its columns
-    for k, a in enumerate(arrays):
+    runs = []  # (float64 or int64, the adjacent columns of that kind)
+    for a in arrays:
         if a.dtype.kind not in "fiu":
             raise TypeError(f"table columns must be float or int, not {a.dtype}")
-        groups["f" if a.dtype.kind == "f" else "i"].append(k)
+        dtype = np.float64 if a.dtype.kind == "f" else np.int64
+        if runs and runs[-1][0] is dtype:
+            runs[-1][1].append(a)
+        else:
+            runs.append((dtype, [a]))
     n = min(a.size for a in arrays)
-    if n == 0:
-        return
-    # per column: (word table, word codes of its n entries)
-    cols = [None] * len(arrays)
-    for kind, members in groups.items():
-        if not members:
-            continue
-        dtype = np.float64 if kind == "f" else np.int64
-        keys = np.concatenate([arrays[k][:n].astype(dtype, copy=False)
-                               for k in members])
-        distinct, codes = np.unique(keys.view(np.int64), return_inverse=True)
-        table = _words(distinct, kind)
-        for k, row_codes in zip(members, codes.astype(np.int32).reshape(-1, n)):
-            cols[k] = table, row_codes
-    # the line template: the prefix, then a zero slot as wide as the longest
-    # word of each column, the slots apart by sep, and a newline; the zero
-    # padding a shorter word leaves in its slot is dropped
-    line, slots = bytearray(prefix.encode()), []
-    for k, (table, _) in enumerate(cols):
-        line += sep.encode() if k else b""
-        slots.append(slice(len(line), len(line) + table.shape[1]))
-        line += bytes(table.shape[1])
-    line = np.frombuffer(bytes(line + b"\n"), np.uint8)
+    sep_b, head = sep.encode(), prefix.encode()
     for start in range(0, n, _ROW_BLOCK):
-        buf = np.empty((min(_ROW_BLOCK, n - start), line.size), np.uint8)
-        buf[:] = line
-        for (table, codes), slot in zip(cols, slots):
-            buf[:, slot] = np.take(table, codes[start:start + _ROW_BLOCK], axis=0)
-        yield buf[buf != 0].tobytes().decode("ascii")
+        stop = min(start + _ROW_BLOCK, n)
+        parts = []
+        for dtype, run in runs:
+            block = np.empty((stop - start, len(run)), dtype)
+            for k, a in enumerate(run):
+                block[:, k] = a[start:stop]
+            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+            if sep != ",":
+                text = text.replace(b",", sep_b)
+            lines = text.split(b"]" + sep_b + b"[")
+            if dtype is np.float64:
+                mag = np.abs(block)
+                same = (mag < 1e16) & ((mag >= 1e-4) | (mag < 1e-9))
+                rows = np.flatnonzero(~same.all(axis=1))
+                for i, row in zip(rows.tolist(), block[rows].tolist()):
+                    lines[i] = sep.join(map(repr, row)).encode()
+            parts.append(lines)
+        lines = parts[0] if len(parts) == 1 else map(sep_b.join, zip(*parts))
+        yield (head + (b"\n" + head).join(lines) + b"\n").decode("ascii")
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:
@@ -363,10 +364,16 @@ def _converged_surface(spec: PotentialSpec, sub: dict) -> SolveResult:
     return result
 
 
+def _field(result: SolveResult, spec: PotentialSpec) -> GeometryField:
+    """A profile solve's sampled geometry, or a graph's, sampled here."""
+    field = result.field
+    return sample_geometry(result.surface, spec) if field is None else field
+
+
 def _surface_field(config: RunConfig):
     """(converged solve, geometry field) of command_params["surface"]."""
     result = _converged_surface(config.potential, config.command_params["surface"])
-    return result, sample_geometry(result.surface, config.potential)
+    return result, _field(result, config.potential)
 
 
 def _parse_start(obj: dict):
@@ -384,13 +391,16 @@ def _parse_boundary(spec: PotentialSpec, obj: dict):
     if kind == "grim_reaper":
         return lambda x, y: -np.log(np.cos(x))
     if kind == "bowl_profile":
-        curve: ProfileCurve = solve_rotational_profile(spec, ShootingConfig(
-            start=AxisRegular(0.0), s_max=float(obj.get("s_max", 3.0)),
-            step=float(obj.get("step", 5e-4)))).surface
+        cfg = ShootingConfig(start=AxisRegular(0.0),
+                             s_max=float(obj.get("s_max", 3.0)),
+                             step=float(obj.get("step", 5e-4)))
 
         def bowl(x, y):
             r = np.hypot(x, y)
-            # np.interp would hold the last height past the profile's end
+            # shot as far as the farthest node; np.interp reads only the
+            # interval about each radius, and would hold the last height
+            # past the profile's end
+            curve = rotational_curve(spec, cfg, x_stop=r.max())
             if curve.x[-1] < r.max():
                 raise ConfigError([
                     f"boundary.s_max: the profile ends at radius {curve.x[-1]:.6g}, "
@@ -439,7 +449,7 @@ def _export_solve(result: SolveResult, spec: PotentialSpec, out: Path, formats):
         write = (write_profile_csv if isinstance(surface, ProfileCurve)
                  else write_graph_csv)
         paths.append(out / "surface.csv")
-        write(paths[-1], sample_geometry(surface, spec))
+        write(paths[-1], _field(result, spec))
     if "OBJ" in formats and not isinstance(surface, ProfileCurve):
         # the mesh needs no geometry field, so any grid size works
         paths.append(out / "surface.obj")

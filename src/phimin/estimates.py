@@ -34,8 +34,8 @@ from .potential import (PotentialDomainError, PotentialSpec, eval_potential,
 from .solvers import (AxisRegular, PointStart, ShootingConfig, SolveResult,
                       solve_rotational_profile, solve_translation_profile)
 from .surface_geometry import (GeometryField, GraphPatch, ProfileCurve,
-                               ResidualReport, ROTATIONAL, TRANSLATION,
-                               drift_laplacian, sample_geometry, _make_report)
+                               ROTATIONAL, TRANSLATION, drift_laplacian,
+                               sample_geometry, _make_report)
 
 LOG2 = float(np.log(2.0))
 # profile samples whose blow-up window charts are built as one array; a

@@ -29,16 +29,16 @@ interpolated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .potential import PotentialSpec, eval_potential
-from .surface_geometry import (GraphPatch, ProfileCurve, ROTATIONAL,
-                               TRANSLATION, grid_shape, sample_geometry,
-                               phi_minimal_residual)
+from .surface_geometry import (GeometryField, GraphPatch, ProfileCurve,
+                               ROTATIONAL, TRANSLATION, grid_shape,
+                               sample_geometry, phi_minimal_residual)
 
 
 class DomainExitError(RuntimeError):
@@ -90,12 +90,16 @@ class SolveResult:
     iterations: int
     converged: bool
     diagnostics: str = ""
+    # the geometry sampled for a profile's residual; None for a graph
+    field: GeometryField | None = None
 
 
-def _integrate_profile(spec: PotentialSpec, kind: str, s0: float, y0, cfg):
+def _integrate_profile(spec: PotentialSpec, kind: str, s0: float, y0, cfg,
+                       x_stop: float = math.inf):
     """RK4 on (x, z, theta) from arclength s0 with domain monitoring: the
     height is checked against the domain floor before each stage evaluates
-    phi', and at the end of each step."""
+    phi', and at the end of each step.  The integration ends early at the
+    first sample with x >= x_stop."""
     d1 = spec.rules.d1_scalar(spec)
     floor = spec.domain_left
     rotational = kind == ROTATIONAL
@@ -160,13 +164,16 @@ def _integrate_profile(spec: PotentialSpec, kind: str, s0: float, y0, cfg):
                     f"profile hit the axis with theta = {t:.6g}")
             break
         xs[k + 1], zs[k + 1], ts[k + 1] = x, z, t
+        if x >= x_stop:
+            return xs[:k + 2], zs[:k + 2], ts[:k + 2]
     else:
         return xs, zs, ts
     return xs[:k + 1], zs[:k + 1], ts[:k + 1]
 
 
 def _profile_result(spec, curve: ProfileCurve) -> SolveResult:
-    report = phi_minimal_residual(sample_geometry(curve, spec), spec)
+    field = sample_geometry(curve, spec)
+    report = phi_minimal_residual(field, spec)
     c_factor = report.max_abs_residual / curve.step**2
     return SolveResult(
         surface=curve,
@@ -174,12 +181,15 @@ def _profile_result(spec, curve: ProfileCurve) -> SolveResult:
         iterations=len(curve) - 1,
         converged=True,
         diagnostics=f"minimality residual <= C step^2 with C = {c_factor:.3g}",
+        field=field,
     )
 
 
-def solve_rotational_profile(spec: PotentialSpec, cfg: ShootingConfig) -> SolveResult:
-    """Integrate the rotationally symmetric profile of a weighted-minimal
-    surface; axis-regular starts cross x = 0 by a series step."""
+def rotational_curve(spec: PotentialSpec, cfg: ShootingConfig,
+                     x_stop: float = math.inf) -> ProfileCurve:
+    """The rotationally symmetric profile of a weighted-minimal surface,
+    shot until s_max or its first sample with x >= x_stop; axis-regular
+    starts cross x = 0 by a series step."""
     if isinstance(cfg.start, AxisRegular):
         z0 = cfg.start.z0
         ev = eval_potential(spec, z0)
@@ -190,7 +200,8 @@ def solve_rotational_profile(spec: PotentialSpec, cfg: ShootingConfig) -> SolveR
         x1 = h - th1**2 * h**3 / 6.0
         z1 = z0 + th1 * h**2 / 2.0 + (th3 - th1**3 / 6.0) * h**4 / 4.0
         t1 = th1 * h + th3 * h**3
-        xs, zs, ts = _integrate_profile(spec, ROTATIONAL, h, (x1, z1, t1), cfg)
+        xs, zs, ts = _integrate_profile(spec, ROTATIONAL, h, (x1, z1, t1), cfg,
+                                        x_stop)
         xs = np.concatenate([[0.0], xs])
         zs = np.concatenate([[z0], zs])
         ts = np.concatenate([[0.0], ts])
@@ -198,12 +209,17 @@ def solve_rotational_profile(spec: PotentialSpec, cfg: ShootingConfig) -> SolveR
         if cfg.start.x0 <= 0.0:
             raise AxisCollisionError("point starts need x0 > 0; use AxisRegular")
         y0 = (cfg.start.x0, cfg.start.z0, cfg.start.theta0)
-        xs, zs, ts = _integrate_profile(spec, ROTATIONAL, 0.0, y0, cfg)
+        xs, zs, ts = _integrate_profile(spec, ROTATIONAL, 0.0, y0, cfg, x_stop)
     else:
         raise TypeError("start must be AxisRegular or PointStart")
     s = cfg.step * np.arange(len(xs))
-    curve = ProfileCurve(s=s, x=xs, z=zs, theta=ts, kind=ROTATIONAL, step=cfg.step)
-    return _profile_result(spec, curve)
+    return ProfileCurve(s=s, x=xs, z=zs, theta=ts, kind=ROTATIONAL, step=cfg.step)
+
+
+def solve_rotational_profile(spec: PotentialSpec, cfg: ShootingConfig) -> SolveResult:
+    """The rotational profile of rotational_curve, shot to s_max, with its
+    sampled geometry and minimality residual."""
+    return _profile_result(spec, rotational_curve(spec, cfg))
 
 
 def solve_translation_profile(spec: PotentialSpec, cfg: ShootingConfig) -> SolveResult:

@@ -29,8 +29,7 @@ import scipy.sparse.linalg as spla
 # eval_potential is unused here, but bench/tracing.py wraps it in every layer module
 from .potential import PotentialSpec, eval_potential
 from .surface_geometry import (GeometryField, ProfileCurve, ResidualReport,
-                               ROTATIONAL, TRANSLATION, drift_laplacian,
-                               _make_report)
+                               ROTATIONAL, drift_laplacian, _make_report)
 
 
 class SupportError(ValueError):

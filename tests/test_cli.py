@@ -12,8 +12,9 @@ from phimin.cli import (COMMANDS, ConfigError, RunConfig, main, parse_config,
                         run, serialize_config, write_graph_obj,
                         write_report_json)
 from phimin.potential import PotentialSpec
-from phimin.solvers import AxisRegular, ShootingConfig, solve_rotational_profile
-from phimin.surface_geometry import GraphPatch, sample_geometry
+from phimin.solvers import (AxisRegular, ShootingConfig, rotational_curve,
+                            solve_rotational_profile)
+from phimin.surface_geometry import GraphPatch, grid_shape, sample_geometry
 
 
 def _base_config(command, params, potential=None):
@@ -598,24 +599,30 @@ def _tables(draw):
     return columns, sep, prefix
 
 
-def _words_as_bytes(keys, kind):
-    table = cli_module._words(keys, kind)
-    return table.view(f"S{table.shape[1]}").ravel().tolist()
+def _column(keys, kind):
+    """The int64 keys as a float column (their bit patterns) or an int one."""
+    return keys.view(np.float64) if kind == "f" else keys
+
+
+# lists of lines, so that a failure reports the first differing line rather
+# than a diff of two texts of 10**6 lines
+def _written(keys, kind):
+    return "".join(cli_module._rows(_column(keys, kind))).splitlines(keepends=True)
 
 
 def _reprs(keys, kind):
-    values = keys.view(np.float64) if kind == "f" else keys
-    return [repr(v).encode() for v in values.tolist()]
+    return [f"{v!r}\n" for v in _column(keys, kind).tolist()]
 
 
 def _word_keys(seed):
     """Seeded int64 keys: 10**6 random bit patterns (NaN payloads,
     subnormals and both of repr's notations among them), 2*10**5 floats
     spread over [1e-4, 1e16), where the words are orjson's, integral floats,
-    the neighbours of the notation switches and the edge values."""
+    the neighbours of the notation switches (orjson's at 1e-9, repr's at
+    1e-4 and 1e16) and the edge values."""
     rng = np.random.default_rng(seed)
     spread = 10.0 ** rng.uniform(-4, 16, 2 * 10**5)
-    switches = np.array([1e-4, 1e16])
+    switches = np.array([1e-9, 1e-4, 1e16])
     floats = np.concatenate([
         spread, np.round(spread[:10**4]), switches,
         np.nextafter(switches, 0.0), np.nextafter(switches, np.inf)])
@@ -628,9 +635,11 @@ def _word_keys(seed):
 WORD_KEYS = _word_keys(12)
 
 
+# each key is written as one line of a one-column float (its bit pattern)
+# or int table
 @pytest.mark.parametrize("kind", ["f", "i"])
 def test_words_match_repr(kind):
-    assert _words_as_bytes(WORD_KEYS, kind) == _reprs(WORD_KEYS, kind)
+    assert _written(WORD_KEYS, kind) == _reprs(WORD_KEYS, kind)
 
 
 @pytest.mark.parametrize("kind", ["f", "i"])
@@ -641,7 +650,7 @@ def test_words_match_repr_about_one_block(kind, offset):
         WORD_KEYS, cli_module._ROW_BLOCK + offset - edges.size, replace=False)
     keys = np.unique(np.concatenate([edges, rest]))
     assert keys.size == cli_module._ROW_BLOCK + offset
-    assert _words_as_bytes(keys, kind) == _reprs(keys, kind)
+    assert _written(keys, kind) == _reprs(keys, kind)
 
 
 @settings(max_examples=60, deadline=None)
@@ -816,3 +825,99 @@ def test_bowl_profile_boundary_reaches_every_edge_node(tmp_path, capsys, boundar
     assert main(["SolveGraph", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == code
     assert ("ConfigError: boundary.s_max:" in capsys.readouterr().err) == (code == 2)
+
+
+def _graph_surface(**params):
+    return {"kind": "graph", "domain": [-1, 1, -1, 1], "h": 0.25,
+            "boundary": {"kind": "grim_reaper"}, **params}
+
+
+DOMAIN_RULE = ("must be four numbers [x_lo, x_hi, y_lo, y_hi] with x_lo < x_hi "
+               "and y_lo < y_hi")
+# case -> (command, command_params, the one violation)
+VALUE_CASES = {
+    "domain-two": ("AuditConvexity", {"surface": _graph_surface(domain=[-1, 1])},
+                   f"command_params.surface.domain: {DOMAIN_RULE}"),
+    "domain-reversed": ("AuditConvexity",
+                        {"surface": _graph_surface(domain=[1, -1, -1, 1])},
+                        f"command_params.surface.domain: {DOMAIN_RULE}"),
+    "h-string": ("AuditConvexity", {"surface": _graph_surface(h="0.25")},
+                 "command_params.surface.h: must be a positive number"),
+    "tol-bool": ("AuditConvexity", {"surface": _graph_surface(tol_residual=True)},
+                 "command_params.surface.tol_residual: must be a positive number"),
+    "max-iters-float": ("AuditConvexity", {"surface": _graph_surface(max_iters=2.5)},
+                        "command_params.surface.max_iters: must be an integer"),
+    "step-string": ("AuditConvexity", {"surface": {**ROT_SURF, "step": "0.01"}},
+                    "command_params.surface.step: must be a positive number"),
+    "s-max-bool": ("AuditConvexity", {"surface": {**ROT_SURF, "s_max": False}},
+                   "command_params.surface.s_max: must be a number"),
+    "z0-string": ("AuditConvexity",
+                  {"surface": {**ROT_SURF, "start": {"kind": "axis", "z0": "0"}}},
+                  "command_params.surface.start.z0: must be a number"),
+    "z-hi-string": ("PotentialCheck", {"z_lo": 0.1, "z_hi": "1", "n_samples": 5},
+                    "command_params.z_hi: must be a number"),
+    "n-samples-float": ("PotentialCheck", {"z_lo": 0.1, "z_hi": 1.0, "n_samples": 5.0},
+                        "command_params.n_samples: must be an integer"),
+    "items-string": ("AuditFundamental", {"surface": ROT_SURF, "items": [1, "2"]},
+                     "command_params.items: must be a list of integers"),
+    "radii-number": ("AuditMonotonicity",
+                     {"surface": ROT_SURF, "radii": 0.1, "epsilon": 0.9},
+                     "command_params.radii: must be a list of numbers"),
+    "rho-negative": ("AuditArea", {"surface": ROT_SURF, "rho": -0.3},
+                     "command_params.rho: must be a positive number"),
+    "value-null": ("SolveGraph",
+                   {**GRAPH_PARAMS, "boundary": {"kind": "constant", "value": None}},
+                   "command_params.boundary.value: must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_CASES))
+def test_bad_values_exit_2_with_their_path(tmp_path, capsys, case):
+    command, params, violation = VALUE_CASES[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config(command, params)))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {violation}\n"
+
+
+LINEAR, QUADRATIC = PotentialSpec.linear(1.0), PotentialSpec.quadratic(1.0, 1.0)
+BOWL_BOUNDARY_CASES = {
+    "Linear-1": (LINEAR, (-1.0, 1.0, -1.0, 1.0), 1 / 32, {"kind": "bowl_profile"}),
+    "Quadratic-1": (QUADRATIC, (-1.0, 1.0, -1.0, 1.0), 1 / 32, {"kind": "bowl_profile"}),
+    "Linear-2": (LINEAR, (-2.0, 2.0, -2.0, 2.0), 1 / 8,
+                 {"kind": "bowl_profile", "s_max": 4.5}),
+    # the Quadratic bowl shot to s = 4.5 ends at x = 1.46, inside the corners
+    "Quadratic-2": (QUADRATIC, (-2.0, 2.0, -2.0, 2.0), 1 / 8,
+                    {"kind": "bowl_profile", "s_max": 4.5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOWL_BOUNDARY_CASES))
+def test_bowl_boundary_shot_to_the_farthest_node_matches_the_full_profile(case):
+    spec, domain, h, boundary = BOWL_BOUNDARY_CASES[case]
+    patch = GraphPatch(domain=domain, h=h, u=np.zeros(grid_shape(domain, h)))
+    X, Y = patch.grid()
+    edge = np.ones(X.shape, dtype=bool)
+    edge[1:-1, 1:-1] = False
+    x, y = X[edge], Y[edge]
+    r = np.hypot(x, y)
+    cfg = ShootingConfig(start=AxisRegular(0.0), s_max=boundary.get("s_max", 3.0),
+                         step=5e-4)
+    full = solve_rotational_profile(spec, cfg).surface
+    bowl = cli_module._parse_boundary(spec, boundary)
+    if full.x[-1] < r.max():
+        with pytest.raises(ConfigError, match="boundary.s_max"):
+            bowl(x, y)
+        return
+    short = rotational_curve(spec, cfg, x_stop=r.max())
+    assert short.x[-2] < r.max() <= short.x[-1] and len(short) < len(full)
+    assert bowl(x, y).tobytes() == np.interp(r, full.x, full.z).tobytes()
+
+
+def test_profile_solves_keep_the_field_that_the_audits_read(tmp_path):
+    cfg = parse_config(json.dumps(_base_config("AuditConvexity", {"surface": ROT_SURF})))
+    result, field = cli_module._surface_field(cfg)
+    assert result.field is field
+    assert field.source is result.surface
+    graph = cli_module._solve_surface(cfg.potential, {"kind": "graph", **GRAPH_PARAMS})
+    assert graph.field is None
