@@ -104,8 +104,10 @@ _SUBCONFIGS = {
 
 
 def _number(v, types=(int, float)) -> bool:
-    """A JSON number (a JSON integer for types=int); bools are neither."""
-    return isinstance(v, types) and not isinstance(v, bool)
+    """A JSON number (a JSON integer for types=int) that a float holds;
+    bools are neither, nor NaN and Infinity, which json.loads accepts."""
+    return (isinstance(v, types) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 # key -> (test of its value, what the value must be), wherever the key is
@@ -227,16 +229,17 @@ _ROW_BLOCK = 1024
 def _rows(*columns, sep=",", prefix=""):
     """Text chunks of a table, one line per row, as long as the shortest
     column; each value is written as its repr (shortest round-trip digits
-    of a float, the digits of an int).
+    of a float, the digits of an int), and sep is one character.
 
     Per block of _ROW_BLOCK rows, each run of adjacent float (or int)
-    columns is stacked as one float64 (int64) array and written by one
-    orjson call, which writes the shortest round-trip digits of a float
-    (Ryu; Adams, PLDI 2018) and the digits of an int, so the digits repr
-    writes; its rows are split into lines.  The notation differs only for
-    1e-9 <= |x| < 1e-4 and |x| >= 1e16 (orjson writes 0.00001 and 1e16
-    where repr writes 1e-05 and 1e+16) and for inf and nan (orjson writes
-    null); a row holding such a float is written by repr.
+    columns is stacked as one float64 (int64) array and written flat by
+    one orjson call, which writes the shortest round-trip digits of a
+    float (Ryu; Adams, PLDI 2018) and the digits of an int, so the digits
+    repr writes; every k-th comma of a run of k columns becomes a newline.
+    The notation differs only for 1e-9 <= |x| < 1e-4 and |x| >= 1e16
+    (orjson writes 0.00001 and 1e16 where repr writes 1e-05 and 1e+16)
+    and for inf and nan (orjson writes null); a row holding such a float
+    is written by repr.
     """
     arrays = [np.asarray(c) for c in columns]
     runs = []  # (float64 or int64, the adjacent columns of that kind)
@@ -257,10 +260,12 @@ def _rows(*columns, sep=",", prefix=""):
             block = np.empty((stop - start, len(run)), dtype)
             for k, a in enumerate(run):
                 block[:, k] = a[start:stop]
-            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
-            if sep != ",":
-                text = text.replace(b",", sep_b)
-            lines = text.split(b"]" + sep_b + b"[")
+            text = orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+            chars = np.frombuffer(text, np.uint8)[1:-1].copy()
+            commas = np.flatnonzero(chars == ord(","))
+            chars[commas] = ord(sep)
+            chars[commas[len(run) - 1::len(run)]] = ord("\n")
+            lines = chars.tobytes().split(b"\n")
             if dtype is np.float64:
                 mag = np.abs(block)
                 same = (mag < 1e16) & ((mag >= 1e-4) | (mag < 1e-9))

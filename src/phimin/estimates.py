@@ -562,7 +562,7 @@ def _profile_model_distance(pts, etas, Hs, model: str, c_slope: float,
     step = min(2e-3, window / 200.0)
     spec, res = _model_profile(model, max(c_slope, 1e-8), 2.5 * window, step)
     curve: ProfileCurve = res.surface
-    mfield = sample_geometry(curve, spec)
+    mfield = res.field
     if model == "Bowl":
         r_samp = np.hypot(pts[:, 0], pts[:, 1])
     else:
@@ -602,11 +602,12 @@ def blowup_rescale(source, basepoints, scales, spec: PotentialSpec,
     ratio = float("nan")
     field = None
     for src, p, lam in zip(source, basepoints, scales):
-        curve = src.surface if isinstance(src, SolveResult) else src
+        solved = isinstance(src, SolveResult)
+        curve = src.surface if solved else src
         if not isinstance(curve, ProfileCurve):
             raise TypeError("blow-up comparison works on profile sources")
         if field is None or field.source is not curve:
-            field = sample_geometry(curve, spec)
+            field = src.field if solved else sample_geometry(curve, spec)
         ratio = float(eval_potential(spec, field.mu[p]).d1 / lam)
         pts, etas, Hs, Ks = _window_samples(curve, field, p, lam, _WINDOW)
         if model == "Plane":

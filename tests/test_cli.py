@@ -865,6 +865,18 @@ VALUE_CASES = {
                      "command_params.radii: must be a list of numbers"),
     "rho-negative": ("AuditArea", {"surface": ROT_SURF, "rho": -0.3},
                      "command_params.rho: must be a positive number"),
+    "s-max-nan": ("SolveRotational", {**ROT_PARAMS, "s_max": float("nan")},
+                  "command_params.s_max: must be a number"),
+    "s-max-infinity": ("SolveRotational", {**ROT_PARAMS, "s_max": float("inf")},
+                       "command_params.s_max: must be a number"),
+    "step-infinity": ("AuditConvexity", {"surface": {**ROT_SURF, "step": float("inf")}},
+                      "command_params.surface.step: must be a positive number"),
+    "domain-infinity": ("AuditConvexity",
+                        {"surface": _graph_surface(domain=[-1, 1, -1, float("inf")])},
+                        f"command_params.surface.domain: {DOMAIN_RULE}"),
+    "value-nan": ("SolveGraph",
+                  {**GRAPH_PARAMS, "boundary": {"kind": "constant", "value": float("nan")}},
+                  "command_params.boundary.value: must be a number"),
     "value-null": ("SolveGraph",
                    {**GRAPH_PARAMS, "boundary": {"kind": "constant", "value": None}},
                    "command_params.boundary.value: must be a number"),

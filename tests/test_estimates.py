@@ -406,11 +406,15 @@ def test_blowup_samples_a_shared_source_once(tall_bowl, spec_linear, monkeypatch
     field = real(tall_bowl.surface, spec_linear)
     heights = [4.0, 8.0, 16.0]
     bps = [int(np.argmin(np.abs(field.mu - h))) for h in heights]
-    rep = blowup_rescale(tall_bowl, bps, heights, spec_linear, "Plane")
+    rep = blowup_rescale(tall_bowl.surface, bps, heights, spec_linear, "Plane")
+    assert len(calls) == 1
+    # a SolveResult brings the field that its solve sampled
+    assert blowup_rescale(tall_bowl, bps, heights, spec_linear, "Plane") == rep
     assert len(calls) == 1
     # each stage is what a one-stage call on the same point gives
     for stage, bp, h in zip(rep.stages, bps, heights):
-        alone = blowup_rescale(tall_bowl, [bp], [h], spec_linear, "Plane").stages[0]
+        alone = blowup_rescale(tall_bowl.surface, [bp], [h], spec_linear,
+                               "Plane").stages[0]
         assert (stage.slope_ratio, stage.hausdorff_distance, stage.c2_distance,
                 stage.n_window_samples) == (alone.slope_ratio, alone.hausdorff_distance,
                                             alone.c2_distance, alone.n_window_samples)
