@@ -80,7 +80,17 @@ def _validate_potential(obj, errors) -> PotentialSpec | None:
         errors.append(f"potential: {exc}")
         return None
     p = spec.params
-    if "Lambda" in p:
+    # checked as given, since spec_from_json passes offset, alpha and the
+    # coefficients through float(), which takes bools and numeric strings
+    given = {**dict(obj.get("params") or {}), **obj}
+    bad = [f"potential.{key}: must be a number"
+           for key in (*p, "offset", "alpha")
+           if key in given and key != "coefficients" and not _number(given[key])
+           and not (key == "alpha" and given[key] is None)]
+    if "coefficients" in p and not all(map(_number, given["coefficients"])):
+        bad.append("potential.coefficients: must be a list of numbers")
+    errors += bad
+    if "Lambda" in p and not bad:
         if p["Lambda"] < 0.0:
             errors.append("potential.Lambda: admissible tails need Lambda >= 0")
         if p["Lambda"] == 0.0 and not p["beta"] > 0.0:
@@ -95,7 +105,7 @@ _SUBCONFIGS = {
         "rotational": (("start", "s_max", "step"), ()),
         "translation": (("start", "s_max", "step"), ()),
         "graph": (("domain", "h", "boundary"),
-                  ("tol_residual", "max_iters", "initial_guess")),
+                  ("tol_residual", "max_iters")),
     },
     "start": {"axis": (("z0",), ()), "point": (("x0", "z0", "theta0"), ())},
     "boundary": {"constant": (("value",), ()), "grim_reaper": ((), ()),
@@ -349,7 +359,6 @@ def _solve_surface(spec: PotentialSpec, sub: dict) -> SolveResult:
         newton = NewtonConfig(
             tol_residual=float(sub.get("tol_residual", 1e-10)),
             max_iters=int(sub.get("max_iters", 30)),
-            initial_guess=sub.get("initial_guess", "harmonic"),
         )
         return solve_graph(spec, tuple(sub["domain"]), float(sub["h"]),
                            _parse_boundary(spec, sub["boundary"]), newton)

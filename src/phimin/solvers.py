@@ -20,8 +20,8 @@ whose step cuts the max-norm residual to at most _CHORD_RATIO = 0.1 of the
 last one is kept, otherwise the Jacobian is rebuilt and factored at the
 current iterate and its step damped.  The unknowns are numbered in a
 nested-dissection order of the grid (George, SIAM J. Numer. Anal. 10,
-1973), so the LU keeps that order (NATURAL column ordering).  The default
-start is nested iteration (Briggs, Henson and McCormick, A Multigrid
+1973), so the LU keeps that order (NATURAL column ordering).  Newton
+starts from nested iteration (Briggs, Henson and McCormick, A Multigrid
 Tutorial, ch. 3): the grid of spacing 2h is solved first and its solution
 interpolated.
 """
@@ -76,7 +76,6 @@ class ShootingConfig:
 class NewtonConfig:
     tol_residual: float = 1e-10
     max_iters: int = 30
-    initial_guess: object = "harmonic"
 
     def __post_init__(self):
         if self.tol_residual <= 0:
@@ -408,30 +407,6 @@ def _nested_start(spec: PotentialSpec, u_bc: np.ndarray, h: float,
     return u
 
 
-def _initial_grid(spec: PotentialSpec, cfg: NewtonConfig, X, Y, u_bc,
-                  h: float, levels: list):
-    guess = cfg.initial_guess
-    if isinstance(guess, list):  # the JSON form of the tuple guesses
-        guess = tuple(guess)
-    u = u_bc.copy()
-    if isinstance(guess, str) and guess == "harmonic":
-        return _nested_start(spec, u_bc, h, cfg, levels)
-    if isinstance(guess, str) and guess == "zero":
-        u[1:-1, 1:-1] = 0.0
-        return u
-    if isinstance(guess, tuple) and guess[0] == "paraboloid":
-        a = float(guess[1])
-        u[1:-1, 1:-1] = a * (X[1:-1, 1:-1] ** 2 + Y[1:-1, 1:-1] ** 2)
-        return u
-    if isinstance(guess, tuple) and guess[0] == "supplied":
-        grid = np.asarray(guess[1], dtype=float)
-        if grid.shape != u.shape:
-            raise ValueError("supplied initial guess has the wrong shape")
-        u[1:-1, 1:-1] = grid[1:-1, 1:-1]
-        return u
-    raise ValueError(f"unknown initial guess {guess!r}")
-
-
 # a chord step is kept when it cuts the max-norm residual to at most this
 # share of the last one
 _CHORD_RATIO = 0.1
@@ -501,8 +476,8 @@ def solve_graph(spec: PotentialSpec, domain, h: float, boundary,
     Dirichlet data.
 
     ``boundary`` is a callable (x, y) -> height, evaluated once on the
-    edge nodes.  The "harmonic" initial guess is a nested-iteration start
-    (see _nested_start).  Convergence means max-norm PDE residual <=
+    edge nodes.  Newton starts from the nested-iteration grid of
+    _nested_start.  Convergence means max-norm PDE residual <=
     cfg.tol_residual; on failure the last iterate is returned with
     converged = False.  ``iterations`` counts the Newton steps, chord
     steps included, on this grid; ``diagnostics`` gives them with the
@@ -520,7 +495,7 @@ def solve_graph(spec: PotentialSpec, domain, h: float, boundary,
     if np.any(u[mask_edge] <= spec.domain_left):
         raise DomainExitError("boundary heights leave the weight domain")
     levels = []
-    u = _initial_grid(spec, cfg, X, Y, u, h, levels)
+    u = _nested_start(spec, u, h, cfg, levels)
     if np.any(u <= spec.domain_left):
         raise DomainExitError("initial iterate leaves the weight domain")
 

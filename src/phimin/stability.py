@@ -133,8 +133,8 @@ def _cell_coefficients(field, e_phi):
     """Cell-centred coefficient e^phi W and inverse metric gixx, giyy, gixy
     of a graph field."""
     nx, ny = field.source.nx, field.source.ny
-    nodal = [e_phi * field._graph("W").ravel()]
-    nodal += [field._graph(key) for key in ("gixx", "giyy", "gixy")]
+    g = field.partials
+    nodal = [e_phi * g.W.ravel(), g.gixx, g.giyy, g.gixy]
     return [_cell_average(F, nx, ny) for F in nodal]
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,13 +188,31 @@ class ResidualReport:
     interior_margin: int
 
 
+class GraphPartials(NamedTuple):
+    """Nodal partials of a graph's height u on its grid, with
+    W2 = 1 + |grad u|^2, W = sqrt(W2) and the inverse metric
+    g^ij = delta_ij - u_i u_j / W2."""
+
+    ux: np.ndarray
+    uy: np.ndarray
+    uxx: np.ndarray
+    uyy: np.ndarray
+    uxy: np.ndarray
+    W: np.ndarray
+    W2: np.ndarray
+    gixx: np.ndarray
+    giyy: np.ndarray
+    gixy: np.ndarray
+
+
 @dataclass
 class GeometryField:
     """Per-sample geometry of a discretised surface.
 
     Vector quantities tangent to the surface (grad_mu) are stored in
     components of a per-point orthonormal tangent frame; ``normal`` and
-    ``positions`` are ambient.
+    ``positions`` are ambient.  ``partials`` holds a graph's grid partials
+    and is None on a profile.
     """
 
     source: object
@@ -206,7 +225,7 @@ class GeometryField:
     K: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
-    _graph_cache: dict = dc_field(default_factory=dict, repr=False)
+    partials: GraphPartials | None = dc_field(default=None, repr=False)
     _potential: tuple = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -245,25 +264,6 @@ class GeometryField:
             grid[margin:nx - margin, margin:ny - margin] = True
         return grid.ravel()
 
-    # -- graph derivative cache --------------------------------------------
-
-    def _graph(self, key: str) -> np.ndarray:
-        if not self._graph_cache:
-            patch = self.source
-            u, h = patch.u, patch.h
-            ux = np.gradient(u, h, axis=0, edge_order=2)
-            uy = np.gradient(u, h, axis=1, edge_order=2)
-            uxx = _second_diff(u, h, axis=0)
-            uyy = _second_diff(u, h, axis=1)
-            uxy = np.gradient(ux, h, axis=1, edge_order=2)
-            W2 = 1.0 + ux**2 + uy**2
-            W = np.sqrt(W2)
-            self._graph_cache.update(
-                ux=ux, uy=uy, uxx=uxx, uyy=uyy, uxy=uxy, W=W, W2=W2,
-                gixx=1.0 - ux**2 / W2, giyy=1.0 - uy**2 / W2,
-                gixy=-ux * uy / W2)
-        return self._graph_cache[key]
-
     # -- intrinsic calculus -------------------------------------------------
 
     def surface_inner(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -279,8 +279,8 @@ class GeometryField:
         fy = np.gradient(F, h, axis=1, edge_order=2)
         gx = np.gradient(G, h, axis=0, edge_order=2)
         gy = np.gradient(G, h, axis=1, edge_order=2)
-        out = (self._graph("gixx") * fx * gx + self._graph("giyy") * fy * gy
-               + self._graph("gixy") * (fx * gy + fy * gx))
+        g = self.partials
+        out = g.gixx * fx * gx + g.giyy * fy * gy + g.gixy * (fx * gy + fy * gx)
         return out.ravel()
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
@@ -303,11 +303,10 @@ class GeometryField:
         fxx = _second_diff(F, h, axis=0)
         fyy = _second_diff(F, h, axis=1)
         fxy = np.gradient(fx, h, axis=1, edge_order=2)
-        gixx, giyy, gixy = self._graph("gixx"), self._graph("giyy"), self._graph("gixy")
-        trace_u = (gixx * self._graph("uxx") + 2.0 * gixy * self._graph("uxy")
-                   + giyy * self._graph("uyy"))
-        drift = (self._graph("ux") * fx + self._graph("uy") * fy) / self._graph("W2")
-        lap = gixx * fxx + 2.0 * gixy * fxy + giyy * fyy - trace_u * drift
+        g = self.partials
+        trace_u = g.gixx * g.uxx + 2.0 * g.gixy * g.uxy + g.giyy * g.uyy
+        drift = (g.ux * fx + g.uy * fy) / g.W2
+        lap = g.gixx * fxx + 2.0 * g.gixy * fxy + g.giyy * fyy - trace_u * drift
         return lap.ravel()
 
 
@@ -382,24 +381,27 @@ def _profile_geometry(curve: ProfileCurve, spec: PotentialSpec) -> GeometryField
 
 def _graph_geometry(patch: GraphPatch, spec: PotentialSpec) -> GeometryField:
     _check_heights(spec, patch.u)
-    field = GeometryField(
-        source=patch, positions=None, mu=None, eta=None, grad_mu=None,
-        normal=None, H=None, K=None, k1=None, k2=None)
-    ux, uy = field._graph("ux"), field._graph("uy")
-    uxx, uyy, uxy = field._graph("uxx"), field._graph("uyy"), field._graph("uxy")
-    W, W2 = field._graph("W"), field._graph("W2")
+    u, h = patch.u, patch.h
+    ux = np.gradient(u, h, axis=0, edge_order=2)
+    uy = np.gradient(u, h, axis=1, edge_order=2)
+    uxx = _second_diff(u, h, axis=0)
+    uyy = _second_diff(u, h, axis=1)
+    uxy = np.gradient(ux, h, axis=1, edge_order=2)
+    W2 = 1.0 + ux**2 + uy**2
+    W = np.sqrt(W2)
+    partials = GraphPartials(ux=ux, uy=uy, uxx=uxx, uyy=uyy, uxy=uxy, W=W, W2=W2,
+                             gixx=1.0 - ux**2 / W2, giyy=1.0 - uy**2 / W2,
+                             gixy=-ux * uy / W2)
     X, Y = patch.grid()
 
-    field.positions = np.column_stack([X.ravel(), Y.ravel(), patch.u.ravel()])
-    field.mu = patch.u.ravel().copy()
-    field.eta = (1.0 / W).ravel()
-    field.normal = np.column_stack(
-        [(-ux / W).ravel(), (-uy / W).ravel(), (1.0 / W).ravel()])
+    positions = np.column_stack([X.ravel(), Y.ravel(), patch.u.ravel()])
+    mu = patch.u.ravel().copy()
+    eta = (1.0 / W).ravel()
+    normal = np.column_stack([(-ux / W).ravel(), (-uy / W).ravel(), (1.0 / W).ravel()])
 
     # orthonormal tangent frame E1 ~ (1,0,ux), E2 completing it
     r1 = np.sqrt(1.0 + ux**2)
-    field.grad_mu = np.column_stack(
-        [(ux / r1).ravel(), (uy / (W * r1)).ravel()])
+    grad_mu = np.column_stack([(ux / r1).ravel(), (uy / (W * r1)).ravel()])
 
     # second fundamental form in the frame: C^T (-Hess u / W) C
     c11 = 1.0 / r1
@@ -411,13 +413,13 @@ def _graph_geometry(patch: GraphPatch, spec: PotentialSpec) -> GeometryField:
     s11 = c11 * (b11 * c11)
     s12 = c11 * (b11 * c12 + b12 * c22)
     s22 = (c12 * (b11 * c12 + b12 * c22) + c22 * (b12 * c12 + b22 * c22))
-    field.H = (s11 + s22).ravel()
-    field.K = (s11 * s22 - s12**2).ravel()
+    H = (s11 + s22).ravel()
+    K = (s11 * s22 - s12**2).ravel()
     disc = np.sqrt(np.maximum((s11 - s22) ** 2 / 4.0 + s12**2, 0.0)).ravel()
-    mid = field.H / 2.0
-    field.k1 = mid - disc
-    field.k2 = mid + disc
-    return field
+    mid = H / 2.0
+    return GeometryField(
+        source=patch, positions=positions, mu=mu, eta=eta, grad_mu=grad_mu,
+        normal=normal, H=H, K=K, k1=mid - disc, k2=mid + disc, partials=partials)
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +573,10 @@ def _graph_identity(field: GeometryField, spec: PotentialSpec, item: int):
         eta_g = field.eta.reshape(patch.u.shape)
         ex = np.gradient(eta_g, h, axis=0, edge_order=2).ravel()
         ey = np.gradient(eta_g, h, axis=1, edge_order=2).ravel()
-        ux, uy = field._graph("ux").ravel(), field._graph("uy").ravel()
-        uxx = field._graph("uxx").ravel()
-        uxy = field._graph("uxy").ravel()
-        uyy = field._graph("uyy").ravel()
-        W = field._graph("W").ravel()
+        g = field.partials
+        ux, uy = g.ux.ravel(), g.uy.ravel()
+        uxx, uxy, uyy = g.uxx.ravel(), g.uxy.ravel(), g.uyy.ravel()
+        W = g.W.ravel()
         sx = -(uxx * ux + uxy * uy) / W**3
         sy = -(uxy * ux + uyy * uy) / W**3
         return np.maximum(np.abs(r_unit),
@@ -585,10 +586,10 @@ def _graph_identity(field: GeometryField, spec: PotentialSpec, item: int):
         return d1**2 - d1**2 * gm2 - field.H**2
     if item == 3:
         # coordinate components: Hess(mu) = Hess(u)/W^2, S = -Hess(u)/W
-        W = field._graph("W").ravel()
+        g = field.partials
+        W = g.W.ravel()
         out = np.zeros(field.n_samples)
-        for du in ("uxx", "uxy", "uyy"):
-            uij = field._graph(du).ravel()
+        for uij in (g.uxx.ravel(), g.uxy.ravel(), g.uyy.ravel()):
             out = np.maximum(out, np.abs(d1 * uij / W**2 - field.H * (-uij / W)))
         return out
     if item == 5:

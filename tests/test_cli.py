@@ -392,18 +392,9 @@ BOWL_GRAPH = {"kind": "graph", "domain": [-1, 1, -1, 1], "h": 0.0625,
               "boundary": {"kind": "bowl_profile"}}
 
 
-def test_json_list_initial_guess_is_accepted(tmp_path):
-    # Newton does not converge from the steeper paraboloid (exit 1, not an
-    # error); from the bowl's own vertex curvature 1/4 it does
-    for a, code in ((0.5, 1), (0.25, 0)):
-        cfg = parse_config(json.dumps(_base_config(
-            "SolveGraph", {**BOWL_GRAPH, "initial_guess": ["paraboloid", a]})))
-        cfg.output_dir = str(tmp_path / str(a))
-        assert run(cfg).exit_code == code
-
-
 def test_audits_and_export_refuse_unconverged_graph(tmp_path):
-    surface = {**BOWL_GRAPH, "max_iters": 1, "initial_guess": "zero"}
+    # one Newton step from the nested start leaves residual 6.75e-4
+    surface = {**BOWL_GRAPH, "max_iters": 1}
     cases = [("SolveGraph", dict(surface), 1),
              ("AuditConvexity", {"surface": surface}, 2),
              ("AuditStability", {"surface": surface}, 2),
@@ -807,6 +798,7 @@ def test_unknown_and_missing_keys_exit_2_with_their_path(tmp_path, capsys, case)
     ("AuditConvexity", {"surface": ROT_SURF, "tol": 1e-5}, "tol"),
     ("SolveGraph", {**GRAPH_PARAMS, "boundary": {"kind": "bowl_profile", "z0": 0.0}},
      "boundary.z0"),
+    ("SolveGraph", {**GRAPH_PARAMS, "initial_guess": "harmonic"}, "initial_guess"),
 ])
 def test_removed_options_are_config_errors(command, params, key):
     with pytest.raises(ConfigError) as err:
@@ -834,7 +826,7 @@ def _graph_surface(**params):
 
 DOMAIN_RULE = ("must be four numbers [x_lo, x_hi, y_lo, y_hi] with x_lo < x_hi "
                "and y_lo < y_hi")
-# case -> (command, command_params, the one violation)
+# case -> (command, command_params, the one violation[, potential])
 VALUE_CASES = {
     "domain-two": ("AuditConvexity", {"surface": _graph_surface(domain=[-1, 1])},
                    f"command_params.surface.domain: {DOMAIN_RULE}"),
@@ -881,13 +873,35 @@ VALUE_CASES = {
                    {**GRAPH_PARAMS, "boundary": {"kind": "constant", "value": None}},
                    "command_params.boundary.value: must be a number"),
 }
+# bad weight values, each run by PotentialCheck
+CHECK_PARAMS = {"z_lo": 0.1, "z_hi": 1.0, "n_samples": 5}
+SERIES = {"family": "Series", "Lambda": 0.0, "beta": 1.0, "coefficients": [-0.2],
+          "u0": 1.0}
+for case, potential, violation in [
+        ("slope-nan", {"family": "Linear", "slope": float("nan")}, "slope"),
+        ("slope-infinity", {"family": "Linear", "slope": float("inf")}, "slope"),
+        ("slope-bool", {"family": "Linear", "slope": True}, "slope"),
+        ("slope-null", {"family": "Linear", "params": {"slope": None}}, "slope"),
+        ("lambda-string", {**SERIES, "Lambda": "0"}, "Lambda"),
+        ("offset-infinity", {"family": "Linear", "slope": 1, "offset": float("inf")},
+         "offset"),
+        ("offset-string", {"family": "Linear", "slope": 1, "offset": "1"}, "offset"),
+        ("alpha-nan", {"family": "Linear", "slope": 1, "alpha": float("nan")}, "alpha"),
+        ("alpha-bool", {"family": "LogPower", "a": 1, "alpha": True}, "alpha")]:
+    VALUE_CASES[case] = ("PotentialCheck", CHECK_PARAMS,
+                         f"potential.{violation}: must be a number", potential)
+for case, coefficients in [("coefficients-nan", [float("nan")]),
+                           ("coefficients-bool", [-0.2, True])]:
+    VALUE_CASES[case] = ("PotentialCheck", CHECK_PARAMS,
+                         "potential.coefficients: must be a list of numbers",
+                         {**SERIES, "coefficients": coefficients})
 
 
 @pytest.mark.parametrize("case", sorted(VALUE_CASES))
 def test_bad_values_exit_2_with_their_path(tmp_path, capsys, case):
-    command, params, violation = VALUE_CASES[case]
+    command, params, violation, *potential = VALUE_CASES[case]
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(_base_config(command, params)))
+    path.write_text(json.dumps(_base_config(command, params, *potential)))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {violation}\n"
 

@@ -6,7 +6,7 @@ import phimin as pm
 from phimin.solvers import (AxisCollisionError, AxisRegular, DomainExitError,
                             NewtonConfig, PointStart, ShootingConfig,
                             _dissection_order, _graph_jacobian,
-                            _harmonic_extension, graph_pde_residual,
+                            _harmonic_extension, _newton, graph_pde_residual,
                             solve_graph, solve_rotational_profile,
                             solve_translation_profile)
 from phimin.surface_geometry import sample_geometry, phi_minimal_residual
@@ -182,12 +182,8 @@ def test_newton_from_exact_solution_stops_immediately(spec_linear):
     xs = -1.0 + h * np.arange(n)
     u1d = _reaper_1d_discrete(xs, h)
     grid = np.tile(u1d[:, None], (1, n))
-    lookup = dict(zip(np.round(xs, 12), u1d))
-    boundary = lambda x, y: np.array([lookup[v] for v in np.round(np.atleast_1d(x), 12)])
-    res = solve_graph(spec_linear, (-1, 1, -1, 1), h, boundary,
-                      NewtonConfig(tol_residual=1e-10,
-                                   initial_guess=("supplied", grid)))
-    assert res.converged and res.iterations <= 2
+    _, res_norm, iters, _ = _newton(spec_linear, grid, h, NewtonConfig(tol_residual=1e-10))
+    assert res_norm <= 1e-10 and iters <= 2
 
 
 def _bowl_boundary(bowl):
@@ -205,11 +201,10 @@ def test_nested_start_matches_single_level_solve(spec_linear, bowl):
     xs = -1.0 + h * np.arange(n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     u_bc = boundary(X, Y)
-    single = solve_graph(spec_linear, (-1, 1, -1, 1), h, boundary,
-                         NewtonConfig(initial_guess=("supplied",
-                                                     _harmonic_extension(u_bc))))
-    assert single.converged and "nested start" not in single.diagnostics
-    assert np.abs(nested.surface.u - single.surface.u).max() <= 1e-12
+    single, res_norm, _, _ = _newton(spec_linear, _harmonic_extension(u_bc), h,
+                                     NewtonConfig())
+    assert res_norm <= NewtonConfig().tol_residual
+    assert np.abs(nested.surface.u - single).max() <= 1e-12
 
 
 def test_nested_start_needs_few_fine_steps(spec_linear, bowl):
@@ -256,19 +251,6 @@ def test_prolonged_start_outside_domain_falls_back_to_harmonic():
     res = solve_graph(spec, (-1, 1, -1, 1), 1 / 32, boundary, NewtonConfig())
     assert res.converged and res.surface.u.min() > 0.0
     assert "h = 0.03125: prolonged start left the weight domain" in res.diagnostics
-
-
-def test_json_list_initial_guesses_match_tuples(spec_linear, bowl):
-    h = 1 / 16
-    boundary = _bowl_boundary(bowl)
-    ref = solve_graph(spec_linear, (-1, 1, -1, 1), h, boundary, NewtonConfig())
-    for guess in (["paraboloid", 0.5], ["supplied", ref.surface.u.tolist()]):
-        from_list = solve_graph(spec_linear, (-1, 1, -1, 1), h, boundary,
-                                NewtonConfig(initial_guess=guess))
-        from_tuple = solve_graph(spec_linear, (-1, 1, -1, 1), h, boundary,
-                                 NewtonConfig(initial_guess=tuple(guess)))
-        assert np.array_equal(from_list.surface.u, from_tuple.surface.u)
-        assert from_list.diagnostics == from_tuple.diagnostics
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (4, 4), (5, 5), (31, 31), (63, 31),
