@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from .potential import (PotentialSpec, PotentialEval, ConditionReport,
                         eval_potential, check_conditions, asymptotics,
                         normalized_for_window)
-from .ilmanen import (FrameQuantities, BoundedGeometryReport,
-                      frame_quantities, bounded_geometry_check)
+from .ilmanen import (BoundedGeometryReport, ambient_curvatures,
+                      bounded_geometry_check)
 from .surface_geometry import (ProfileCurve, GraphPatch, GeometryField,
                                ResidualReport, sample_geometry,
                                phi_minimal_residual,

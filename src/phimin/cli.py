@@ -120,19 +120,24 @@ def _number(v, types=(int, float)) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
+_EXPORT_FORMATS = ("CSV", "OBJ", "JSON")
+
 # key -> (test of its value, what the value must be), wherever the key is
 _VALUES = {
     **dict.fromkeys(("z_lo", "z_hi", "s_max", "z0", "x0", "theta0", "value"),
                     (_number, "a number")),
     **dict.fromkeys(("step", "h", "rho", "epsilon", "tol_residual"),
                     (lambda v: _number(v) and v > 0, "a positive number")),
-    **dict.fromkeys(("n_samples", "max_iters"),
-                    (lambda v: _number(v, int), "an integer")),
+    "n_samples": (lambda v: _number(v, int), "an integer"),
+    "max_iters": (lambda v: _number(v, int) and v >= 1, "a positive integer"),
     **dict.fromkeys(("radii", "heights", "scales"),
                     (lambda v: isinstance(v, list) and all(map(_number, v)),
                      "a list of numbers")),
     "items": (lambda v: isinstance(v, list) and all(_number(i, int) for i in v),
               "a list of integers"),
+    "formats": (lambda v: isinstance(v, list) and len(v) > 0
+                and all(f in _EXPORT_FORMATS for f in v),
+                f"a non-empty list drawn from {_EXPORT_FORMATS}"),
     "domain": (lambda v: isinstance(v, list) and len(v) == 4
                and all(map(_number, v)) and v[0] < v[1] and v[2] < v[3],
                "four numbers [x_lo, x_hi, y_lo, y_hi] with x_lo < x_hi "
@@ -626,9 +631,8 @@ def _run_blowup(config, out: Path):
 def _run_export(config, out: Path):
     p = config.command_params
     result = _converged_surface(config.potential, p["surface"])
-    formats = [str(f) for f in p["formats"]]
-    paths = _export_solve(result, config.potential, out, formats)
-    if "JSON" in formats:
+    paths = _export_solve(result, config.potential, out, p["formats"])
+    if "JSON" in p["formats"]:
         doc = _report("export", {}, {"residual": result.residual}, {}, True)
         paths.append(_write_report(out, "export.json", doc))
     return paths, []

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .ilmanen import _OFF, _frame_arrays, conformal_curvatures
+from .ilmanen import ambient_curvatures, conformal_curvatures
 from .potential import (PotentialDomainError, PotentialSpec, eval_potential,
                         normalized_for_window)
 from .solvers import (AxisRegular, PointStart, ShootingConfig, SolveResult,
@@ -450,9 +450,9 @@ def ilmanen_estimate_report(field: GeometryField, spec: PotentialSpec,
         d_phi = d_phi.ravel()
 
     heights = np.linspace(float(field.mu.min()), float(field.mu.max()), 65)
-    _, sectional, gradient = _frame_arrays(eval_potential(spec, heights))
-    sup_k = float(np.abs(sectional[:, _OFF]).max())
-    sup_grad = float(np.abs(gradient[:, _OFF]).max())
+    k_h, k_v, g_h, g_v = ambient_curvatures(spec, heights)
+    sup_k = float(np.abs([k_h, k_v]).max())
+    sup_grad = float(np.abs([g_h, g_v]).max())
     reach = 1.0 / (sup_k + np.sqrt(sup_grad)) if (sup_k + np.sqrt(sup_grad)) > 0 else np.inf
     return IlmanenEstimateReport(
         sup_curvature_times_reach=float(np.max(s_conf * np.minimum(d_phi, reach))),

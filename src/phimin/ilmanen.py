@@ -1,19 +1,15 @@
 """Conformal geometry of the ambient space with metric e^phi <.,.>.
 
-All quantities are expressed in the conformally normalised orthonormal
-frame e_i^phi = e^(-phi/2) e_i, where index 2 (0-based) is the vertical
-direction.  The weight depends on height only, so every coefficient is a
-closed-form expression in phi and its derivatives:
+The weight depends on height only, so the metric has exactly two
+sectional curvatures, closed forms in phi and its derivatives:
 
-    connection    <D_{e_i} e_j, e_k> = (phi'/2) e^(-phi/2)
-                                       (d_{3j} d_{ik} - d_{ij} d_{3k})
-    sectional     K(e_i, e_j) = (e^-phi / 4)
-                  ((phi'^2 - 2 phi'') [3 in {i,j}] - phi'^2),  i != j
-    gradient      vertical component of the curvature gradient, a cubic
-                  polynomial in (phi', phi'', phi''').
+    horizontal planes   K_h = -e^-phi phi'^2 / 4
+    vertical planes     K_v = -e^-phi phi'' / 2
 
-The sectional formula is symmetric in (i, j); since i != j at most one
-index is vertical, so the indicator [3 in {i,j}] = d_{i3} + d_{j3}.
+and their height gradients G = e^phi dK/dz are cubic polynomials in
+(phi', phi'', phi'''):
+
+    G_h = (phi'^3 - 2 phi' phi'') / 4,    G_v = (phi' phi'' - phi''') / 2.
 """
 
 from __future__ import annotations
@@ -23,23 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import PotentialSpec, eval_potential, _derivatives, _sampled_sup
-
-VERTICAL = 2  # 0-based index of the height direction
-
-
-@dataclass(frozen=True)
-class FrameQuantities:
-    """Connection, sectional curvature and curvature gradient at height z.
-
-    connection[i, j, k] = <D_{e_i^phi} e_j^phi, e_k^phi>^phi
-    sectional[i, j]     = K^phi(e_i^phi, e_j^phi)   (diagonal unused)
-    curvature_gradient_e3[i, j] = vertical component of grad K^phi(e_i, e_j)
-    """
-
-    z: float
-    connection: np.ndarray
-    sectional: np.ndarray
-    curvature_gradient_e3: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -51,39 +30,15 @@ class BoundedGeometryReport:
     complete_hint: bool
 
 
-# index tables of the closed forms: connection (d_{3j} d_{ik} - d_{ij} d_{3k}),
-# the vertical indicator d_{i3} + d_{j3} and the off-diagonal mask i != j
-_UP = np.eye(3)[VERTICAL]
-_CONNECTION = (np.einsum("j,ik->ijk", _UP, np.eye(3))
-               - np.einsum("ij,k->ijk", np.eye(3), _UP))
-_VERTICAL_PAIR = _UP[:, None] + _UP[None, :]
-_OFF = ~np.eye(3, dtype=bool)
-
-
-def _frame_arrays(ev):
-    """(connection, sectional, curvature_gradient_e3) from a PotentialEval
-    at one height or an array of heights (leading axes of the results)."""
-    phi, d1, d2, d3 = ev.phi, ev.d1, ev.d2, ev.d3
-    per_height = lambda v: np.asarray(v)[..., None, None]
-    half_root = per_height(0.5 * np.exp(-phi / 2.0) * d1)
-    connection = half_root[..., None] * _CONNECTION
-
-    factor = per_height(0.25 * np.exp(-phi))
-    tilt = per_height(d1**2 - 2.0 * d2)
-    sectional = np.where(_OFF, factor * (tilt * _VERTICAL_PAIR - per_height(d1**2)), 0.0)
-
-    # vertical gradient component: e^phi times d/dz of the sectional value
-    base = per_height(d1**3 - 2.0 * d1 * d2)
-    lift = per_height(-d1**3 + 4.0 * d1 * d2 - 2.0 * d3)
-    gradient = np.where(_OFF, 0.25 * (base + _VERTICAL_PAIR * lift), 0.0)
-    return connection, sectional, gradient
-
-
-def frame_quantities(spec: PotentialSpec, z: float) -> FrameQuantities:
-    """Closed-form frame coefficients of the conformal ambient metric at z."""
-    connection, sectional, gradient = _frame_arrays(eval_potential(spec, z))
-    return FrameQuantities(z=float(z), connection=connection,
-                           sectional=sectional, curvature_gradient_e3=gradient)
+def ambient_curvatures(spec: PotentialSpec, z):
+    """(K_h, K_v, G_h, G_v) at height z, a scalar or an array: the
+    sectional curvatures of horizontal and of vertical planes, and e^phi
+    times their derivatives in z."""
+    ev = eval_potential(spec, z)
+    d1, d2 = ev.d1, ev.d2
+    scale = np.exp(-ev.phi)
+    return (-0.25 * scale * (d1 * d1), -0.5 * scale * d2,
+            0.25 * (d1 * d1 * d1 - 2.0 * d1 * d2), 0.5 * (d1 * d2 - ev.d3))
 
 
 def _bounded_quantity(spec: PotentialSpec, z):

@@ -139,6 +139,15 @@ class ConditionReport:
 # the families
 
 
+def _inverse_powers(coeffs, w):
+    """sum_i coeffs[i-1] w^i by Horner's rule, with the same + and * on a
+    float and on an array."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = (acc + c) * w
+    return acc
+
+
 class Family:
     """The rules of one weight family; FAMILIES holds one instance each.
 
@@ -147,9 +156,10 @@ class Family:
     at an array z, no domain checks) and ``d1_scalar(spec)`` (a scalar phi'
     closure for the RK4 loop).  ``gamma``, ``c1`` and ``d3_nonpositive``
     are exact verdicts, or None where check_conditions must sample.  The
-    tail verdicts are written once for phi' = Lambda z + beta + sum_i c_i z^-i,
-    whose triple (Lambda, beta, c) ``tail`` returns; a family without that
-    form returns None and overrides them.
+    closed forms and the tail verdicts are written once for
+    phi' = Lambda z + beta + sum_i c_i z^-i, whose triple (Lambda, beta, c)
+    ``tail`` returns; a family without that form returns None and
+    overrides them.
     """
 
     default_alpha = float("-inf")
@@ -208,6 +218,33 @@ class Family:
             left_ok = True
         return tail_ok and left_ok
 
+    def derivatives(self, spec: PotentialSpec, z):
+        """phi, phi', phi'', phi''' of the tail form, the inverse powers
+        integrated and differentiated term by term."""
+        lam, beta, coeffs = self.tail(spec)
+        zero = np.zeros_like(z)
+        phi, d1, d2, d3 = 0.5 * lam * z * z + beta * z, lam * z + beta, lam + zero, zero
+        if coeffs:
+            w = 1.0 / z
+            orders = range(1, len(coeffs) + 1)
+            phi = phi + coeffs[0] * np.log(z) - _inverse_powers(
+                [c / (i - 1) for i, c in zip(orders, coeffs) if i > 1], w)
+            d1 = d1 + _inverse_powers(coeffs, w)
+            d2 = d2 - w * _inverse_powers([i * c for i, c in zip(orders, coeffs)], w)
+            d3 = d3 + w * w * _inverse_powers(
+                [i * (i + 1) * c for i, c in zip(orders, coeffs)], w)
+        return phi, d1, d2, d3
+
+    def d1_scalar(self, spec: PotentialSpec):
+        """The cheapest scalar closure of the phi' of ``derivatives``, with
+        the same operations, so that the two agree bit for bit."""
+        lam, beta, coeffs = self.tail(spec)
+        if coeffs:
+            return lambda z: lam * z + beta + _inverse_powers(coeffs, 1.0 / z)
+        if lam == 0.0:
+            return lambda z: beta
+        return lambda z: lam * z + beta
+
     def complete_hint(self, spec: PotentialSpec) -> bool:
         """Analytic hint that phi > 0 outside a compact set."""
         lam, beta, _ = self.tail(spec)
@@ -219,15 +256,6 @@ class Quadratic(Family):
 
     name = "Quadratic"
     params = ("Lambda", "beta")
-
-    def derivatives(self, spec, z):
-        lam, beta, _ = self.tail(spec)
-        zero = np.zeros_like(z)
-        return 0.5 * lam * z * z + beta * z, lam * z + beta, lam + zero, zero
-
-    def d1_scalar(self, spec):
-        lam, beta, _ = self.tail(spec)
-        return lambda z: lam * z + beta
 
     def tail(self, spec):
         return spec.params["Lambda"], spec.params["beta"], ()
@@ -251,23 +279,16 @@ class Quadratic(Family):
 
 
 class Linear(Quadratic):
-    """phi' = slope (the soliton weight).
+    """phi' = slope (the soliton weight): Quadratic with Lambda = 0.
 
-    Gamma and c1 are Quadratic's with Lambda = 0, which give the same
-    bits; phi is not, as 0.5*0*z*z + m*z and m*z differ in the sign of 0.
+    Its phi is 0.5*0*z*z + m*z, which is +0.0 where m*z alone is -0.0
+    (z = 0 with m < 0, or m = 0 with z < 0).  eval_potential adds the
+    offset, and adding +0.0 turns -0.0 into +0.0, so only an offset of
+    -0.0 shows the sign.
     """
 
     name = "Linear"
     params = ("slope",)
-
-    def derivatives(self, spec, z):
-        m = spec.params["slope"]
-        zero = np.zeros_like(z)
-        return m * z, m + zero, zero, zero.copy()
-
-    def d1_scalar(self, spec):
-        _, m, _ = self.tail(spec)
-        return lambda z: m
 
     def tail(self, spec):
         return 0.0, spec.params["slope"], ()
@@ -280,9 +301,8 @@ class Constant(Linear):
     params = ("c0",)
 
     def derivatives(self, spec, z):
-        c0 = spec.params["c0"]
-        zero = np.zeros_like(z)
-        return c0 + zero, zero, zero.copy(), zero.copy()
+        _, d1, d2, d3 = super().derivatives(spec, z)
+        return spec.params["c0"] + np.zeros_like(z), d1, d2, d3
 
     def tail(self, spec):
         return 0.0, 0.0, ()
@@ -347,8 +367,8 @@ class LogPower(Family):
 
 
 class Series(Family):
-    """phi' = Lambda u + beta + sum_i c_i u^-i, integrated/differentiated
-    term by term.  ``u0`` must exceed max(alpha, 0), but no check reads it."""
+    """phi' = Lambda u + beta + sum_i c_i u^-i, the tail form with inverse
+    powers.  ``u0`` must exceed max(alpha, 0), but no check reads it."""
 
     name = "Series"
     params = ("Lambda", "beta", "coefficients", "u0")
@@ -364,33 +384,6 @@ class Series(Family):
             # inverse powers are singular at 0, regardless of alpha
             return max(spec.alpha, 0.0)
         return spec.alpha
-
-    def derivatives(self, spec, z):
-        lam, beta, coeffs = self.tail(spec)
-        phi = 0.5 * lam * z * z + beta * z
-        d1 = lam * z + beta
-        d2 = np.full_like(z, lam)
-        d3 = np.zeros_like(z)
-        for i, c in enumerate(coeffs, start=1):
-            d1 = d1 + c * z**(-i)
-            d2 = d2 - i * c * z**(-i - 1)
-            d3 = d3 + i * (i + 1) * c * z**(-i - 2)
-            if i == 1:
-                phi = phi + c * np.log(z)
-            else:
-                phi = phi - c / ((i - 1) * z**(i - 1))
-        return phi, d1, d2, d3
-
-    def d1_scalar(self, spec):
-        lam, beta, coeffs = self.tail(spec)
-
-        def d1(z):
-            val = lam * z + beta
-            for i, c in enumerate(coeffs, start=1):
-                val += c * z ** (-i)
-            return val
-
-        return d1
 
     def tail(self, spec):
         p = spec.params

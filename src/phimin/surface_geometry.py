@@ -491,7 +491,7 @@ def _profile_identity(field: GeometryField, spec: PotentialSpec, item: int):
     step = curve.step
     ds = lambda arr: np.gradient(arr, step, edge_order=2)
     ev = field.potential(spec)
-    d1, d2, d3 = ev.d1, ev.d2, ev.d3
+    d1, d2 = ev.d1, ev.d2
     sin_t = np.sin(curve.theta)
     eta = field.eta
     k1, k2 = field.k1, field.k2
@@ -531,11 +531,7 @@ def _profile_identity(field: GeometryField, spec: PotentialSpec, item: int):
         r3 = lap_n3 + d1 * d_eta * sin_t + d2 * eta * sin_t**2 + S2 * eta
         return np.maximum(np.abs(r1), np.abs(r3))
 
-    # items 7, 8 share Hess(phi') = phi''' dmu x dmu + phi'' Hess(mu)
-    hm11, hm22 = _height_hessian(field, spec, c, sin_t, ds)
-    hp11 = d3 * sin_t**2 + d2 * hm11
-    hp22 = d2 * hm22
-    b11 = 2.0 * d2 * sin_t * (k1 * sin_t)
+    hp11, hp22, b11 = _weight_hessian(field, spec, c, sin_t, ds)
     if item == 7:
         hh11 = _second_diff(H, step)
         hh22 = c * ds(H)
@@ -550,8 +546,10 @@ def _profile_identity(field: GeometryField, spec: PotentialSpec, item: int):
     return np.maximum(np.abs(r11), np.abs(r22))
 
 
-def _height_hessian(field, spec, c, sin_t, ds):
-    """Hess(mu) in the frame, via H S / phi' where the slope is nonzero."""
+def _weight_hessian(field, spec, c, sin_t, ds):
+    """(Hess(phi')(v1, v1), Hess(phi')(v2, v2), B(v1, v1)) on a profile,
+    with Hess(phi') = phi''' dmu x dmu + phi'' Hess(mu) and Hess(mu) in
+    the frame via H S / phi' where the slope is nonzero."""
     ev = field.potential(spec)
     use_identity = np.abs(ev.d1) > 1e-12
     hm11 = np.where(use_identity,
@@ -560,7 +558,10 @@ def _height_hessian(field, spec, c, sin_t, ds):
     hm22 = np.where(use_identity,
                     field.H * field.k2 / np.where(use_identity, ev.d1, 1.0),
                     c * sin_t)
-    return hm11, hm22
+    hp11 = ev.d3 * sin_t**2 + ev.d2 * hm11
+    hp22 = ev.d2 * hm22
+    b11 = 2.0 * ev.d2 * sin_t * (field.k1 * sin_t)
+    return hp11, hp22, b11
 
 
 def _graph_identity(field: GeometryField, spec: PotentialSpec, item: int):
@@ -633,14 +634,11 @@ def curvature_evolution_residuals(field: GeometryField, spec: PotentialSpec,
     step = curve.step
     ds = lambda arr: np.gradient(arr, step, edge_order=2)
     ev = field.potential(spec)
-    d1, d2, d3 = ev.d1, ev.d2, ev.d3
+    d2, d3 = ev.d2, ev.d3
     sin_t = np.sin(curve.theta)
     eta = field.eta
     c, _ = _axis_ratio(curve)
-    hm11, hm22 = _height_hessian(field, spec, c, sin_t, ds)
-    hp11 = d3 * sin_t**2 + d2 * hm11   # Hess(phi')(v1, v1)
-    hp22 = d2 * hm22                   # Hess(phi')(v2, v2)
-    b11 = 2.0 * d2 * sin_t * (k1 * sin_t)
+    hp11, hp22, b11 = _weight_hessian(field, spec, c, sin_t, ds)
     # Codazzi: Q^2 = h_{12,2}^2 with h_{12,2} = cos(theta)/x (k1 - k2),
     # the only nonzero h_{12,i} on a profile; 0 at umbilics
     q2 = np.where(umbilic, 0.0, (c * gap) ** 2)

@@ -838,7 +838,9 @@ VALUE_CASES = {
     "tol-bool": ("AuditConvexity", {"surface": _graph_surface(tol_residual=True)},
                  "command_params.surface.tol_residual: must be a positive number"),
     "max-iters-float": ("AuditConvexity", {"surface": _graph_surface(max_iters=2.5)},
-                        "command_params.surface.max_iters: must be an integer"),
+                        "command_params.surface.max_iters: must be a positive integer"),
+    "max-iters-zero": ("AuditConvexity", {"surface": _graph_surface(max_iters=0)},
+                       "command_params.surface.max_iters: must be a positive integer"),
     "step-string": ("AuditConvexity", {"surface": {**ROT_SURF, "step": "0.01"}},
                     "command_params.surface.step: must be a positive number"),
     "s-max-bool": ("AuditConvexity", {"surface": {**ROT_SURF, "s_max": False}},
@@ -869,6 +871,11 @@ VALUE_CASES = {
     "value-nan": ("SolveGraph",
                   {**GRAPH_PARAMS, "boundary": {"kind": "constant", "value": float("nan")}},
                   "command_params.boundary.value: must be a number"),
+    **{case: ("Export", {"surface": ROT_SURF, "formats": formats},
+              "command_params.formats: must be a non-empty list drawn from "
+              "('CSV', 'OBJ', 'JSON')")
+       for case, formats in [("formats-unknown", ["XYZ"]), ("formats-string", "CSV"),
+                             ("formats-empty", [])]},
     "value-null": ("SolveGraph",
                    {**GRAPH_PARAMS, "boundary": {"kind": "constant", "value": None}},
                    "command_params.boundary.value: must be a number"),
@@ -890,6 +897,12 @@ for case, potential, violation in [
         ("alpha-bool", {"family": "LogPower", "a": 1, "alpha": True}, "alpha")]:
     VALUE_CASES[case] = ("PotentialCheck", CHECK_PARAMS,
                          f"potential.{violation}: must be a number", potential)
+VALUE_CASES["lambda-negative"] = (
+    "PotentialCheck", CHECK_PARAMS, "potential.Lambda: admissible tails need Lambda >= 0",
+    {"family": "Quadratic", "Lambda": -1.0, "beta": 1.0})
+VALUE_CASES["beta-zero-lambda"] = (
+    "PotentialCheck", CHECK_PARAMS, "potential.beta: beta > 0 required when Lambda = 0",
+    {**SERIES, "beta": 0.0})
 for case, coefficients in [("coefficients-nan", [float("nan")]),
                            ("coefficients-bool", [-0.2, True])]:
     VALUE_CASES[case] = ("PotentialCheck", CHECK_PARAMS,

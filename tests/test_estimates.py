@@ -425,9 +425,9 @@ def test_blowup_samples_a_shared_source_once(tall_bowl, spec_linear, monkeypatch
 
 def _ilmanen_report_loop(field, spec, boundary):
     """The report with the conformal curvatures written out and one
-    frame_quantities call per height."""
+    ambient_curvatures call per height."""
     from phimin.estimates import _lattice_distances
-    from phimin.ilmanen import frame_quantities
+    from phimin.ilmanen import ambient_curvatures
 
     boundary = np.asarray(sorted(set(int(b) for b in boundary)), dtype=np.int64)
     ev = pm.eval_potential(spec, field.mu)
@@ -447,11 +447,10 @@ def _ilmanen_report_loop(field, spec, boundary):
         d_phi = _lattice_distances(
             pos, boundary, conformal_weight=conf.reshape(patch.nx, patch.ny)).ravel()
     sup_k = sup_grad = 0.0
-    off = ~np.eye(3, dtype=bool)
     for z in np.linspace(float(field.mu.min()), float(field.mu.max()), 65):
-        fq = frame_quantities(spec, z)
-        sup_k = max(sup_k, float(np.abs(fq.sectional[off]).max()))
-        sup_grad = max(sup_grad, float(np.abs(fq.curvature_gradient_e3[off]).max()))
+        k_h, k_v, g_h, g_v = ambient_curvatures(spec, z)
+        sup_k = max(sup_k, abs(k_h), abs(k_v))
+        sup_grad = max(sup_grad, abs(g_h), abs(g_v))
     reach = 1.0 / (sup_k + np.sqrt(sup_grad)) if (sup_k + np.sqrt(sup_grad)) > 0 else np.inf
     return float(np.max(s_conf * np.minimum(d_phi, reach))), float(s_conf.max())
 

@@ -3,48 +3,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phimin as pm
-from phimin.ilmanen import (bounded_geometry_check, conformal_curvatures,
-                            frame_quantities)
+from phimin.ilmanen import (ambient_curvatures, bounded_geometry_check,
+                            conformal_curvatures)
 from phimin.potential import PotentialSpec, eval_potential
 
 
 def test_flat_space_everything_vanishes():
-    fq = frame_quantities(PotentialSpec.constant(0.0), 1.0)
-    assert np.all(fq.connection == 0.0)
-    assert np.all(fq.sectional == 0.0)
-    assert np.all(fq.curvature_gradient_e3 == 0.0)
+    assert ambient_curvatures(PotentialSpec.constant(0.0), 1.0) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_linear_weight_sectional_values():
     c = 1.3
     spec = PotentialSpec.linear(c)
     z = 0.7
-    fq = frame_quantities(spec, z)
+    k_h, k_v, _, _ = ambient_curvatures(spec, z)
     phi = eval_potential(spec, z).phi
-    assert fq.sectional[0, 1] == pytest.approx(-0.25 * np.exp(-phi) * c**2, rel=1e-14)
-    # with phi'' = 0 the mixed vertical planes keep the same value
-    assert fq.sectional[2, 1] == pytest.approx(-0.5 * np.exp(-phi) * 0.0
-                                               - 0.25 * np.exp(-phi) * c**2 * 0.0
-                                               + 0.25 * np.exp(-phi) * (c**2 - 0.0 - c**2),
-                                               abs=1e-14)
+    assert k_h == pytest.approx(-0.25 * np.exp(-phi) * c**2, rel=1e-14)
+    # with phi'' = 0 the vertical planes are flat
+    assert k_v == 0.0
 
 
 def test_quadratic_weight_vertical_sectional():
     spec = PotentialSpec.quadratic(1.0, 0.0)
-    fq = frame_quantities(spec, 1.0)
-    assert fq.sectional[2, 1] == pytest.approx(-0.5 * np.exp(-0.5), rel=1e-14)
-
-
-@settings(max_examples=40, deadline=None)
-@given(slope=st.floats(-2, 2), z=st.floats(0.5, 5.0), lam=st.floats(0, 2))
-def test_connection_antisymmetry_and_sectional_symmetry(slope, z, lam):
-    spec = PotentialSpec.quadratic(lam, slope)
-    fq = frame_quantities(spec, z)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                assert fq.connection[i, j, k] == -fq.connection[i, k, j]
-    assert np.allclose(fq.sectional, fq.sectional.T, atol=0.0)
+    k_v = ambient_curvatures(spec, 1.0)[1]
+    assert k_v == pytest.approx(-0.5 * np.exp(-0.5), rel=1e-14)
 
 
 def _fd_sectional(spec, z, h):
@@ -79,6 +61,9 @@ def test_fd_sectional_oracle_on_hyperbolic_space():
     k12, k13 = _fd_sectional(spec, 1.7, 1e-4)
     assert k12 == pytest.approx(-1.0, abs=1e-7)
     assert k13 == pytest.approx(-1.0, abs=1e-7)
+    k_h, k_v, _, _ = ambient_curvatures(spec, 1.7)
+    assert k_h == pytest.approx(-1.0, rel=1e-14)
+    assert k_v == pytest.approx(-1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("spec,z", [
@@ -87,11 +72,11 @@ def test_fd_sectional_oracle_on_hyperbolic_space():
     (PotentialSpec.quadratic(0.5, 0.0), 1.4),
 ])
 def test_sectional_matches_finite_differences_at_order_2(spec, z):
-    fq = frame_quantities(spec, z)
+    k_h, k_v, _, _ = ambient_curvatures(spec, z)
     errs = []
     for h in (1e-2, 5e-3):
         k12, k13 = _fd_sectional(spec, z, h)
-        errs.append(max(abs(k12 - fq.sectional[0, 1]), abs(k13 - fq.sectional[0, 2])))
+        errs.append(max(abs(k12 - k_h), abs(k13 - k_v)))
     assert errs[1] <= errs[0] / 3.0 or errs[1] < 1e-12
 
 
@@ -99,8 +84,7 @@ def test_sectional_horizontal_value_from_eval():
     spec = PotentialSpec.quadratic(2.0, 0.3)
     z = 1.1
     ev = eval_potential(spec, z)
-    fq = frame_quantities(spec, z)
-    assert fq.sectional[0, 1] == -0.25 * np.exp(-ev.phi) * ev.d1**2
+    assert ambient_curvatures(spec, z)[0] == -0.25 * np.exp(-ev.phi) * (ev.d1 * ev.d1)
 
 
 def test_bounded_geometry_linear():
@@ -167,32 +151,7 @@ def test_conformal_mean_curvature_of_the_bowl(bowl_field, spec_linear):
     assert np.abs(kc.sum(axis=0)).max() <= bowl_field.grid_h**2
 
 
-# -- closed forms against the index loops they replace ------------------------
-
-def _frame_quantities_loops(spec, z):
-    """The per-index loops that frame_quantities broadcasts."""
-    ev = eval_potential(spec, z)
-    phi, d1, d2, d3 = ev.phi, ev.d1, ev.d2, ev.d3
-    half_root = 0.5 * np.exp(-phi / 2.0) * d1
-    connection = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                connection[i, j, k] = half_root * (
-                    (j == 2) * (i == k) - (i == j) * (k == 2))
-    sectional = np.zeros((3, 3))
-    gradient = np.zeros((3, 3))
-    factor = 0.25 * np.exp(-phi)
-    base = d1**3 - 2.0 * d1 * d2
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            vertical = float((i == 2) + (j == 2))
-            sectional[i, j] = factor * ((d1**2 - 2.0 * d2) * vertical - d1**2)
-            gradient[i, j] = 0.25 * (base + vertical * (-d1**3 + 4.0 * d1 * d2 - 2.0 * d3))
-    return connection, sectional, gradient
-
+# -- the four closed forms over all families ------------------------------------
 
 _FRAME_SPECS = [
     PotentialSpec.constant(0.3), PotentialSpec.linear(1.3),
@@ -202,24 +161,21 @@ _FRAME_SPECS = [
 
 
 @pytest.mark.parametrize("spec", _FRAME_SPECS, ids=lambda s: s.family)
-def test_frame_quantities_match_the_loops_bit_for_bit(spec):
-    for z in np.linspace(0.05, 6.0, 237):
-        fq = frame_quantities(spec, z)
-        want = _frame_quantities_loops(spec, z)
-        got = (fq.connection, fq.sectional, fq.curvature_gradient_e3)
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+def test_frame_arrays_over_heights_match_scalar_calls(spec):
+    zs = np.linspace(0.05, 6.0, 65)
+    arrays = ambient_curvatures(spec, zs)
+    for k, z in enumerate(zs):
+        scalar = ambient_curvatures(spec, z)
+        assert [a[k].hex() for a in arrays] == [float(b).hex() for b in scalar]
 
 
 @pytest.mark.parametrize("spec", _FRAME_SPECS, ids=lambda s: s.family)
-def test_frame_arrays_over_heights_match_scalar_calls(spec):
-    from phimin.ilmanen import _frame_arrays
-
-    zs = np.linspace(0.05, 6.0, 65)
-    arrays = _frame_arrays(eval_potential(spec, zs))
-    for k, z in enumerate(zs):
-        fq = frame_quantities(spec, z)
-        scalar = (fq.connection, fq.sectional, fq.curvature_gradient_e3)
-        for a, b in zip(arrays, scalar):
-            # numpy's and Python's powers may round d1**2, d1**3 one ulp apart
-            assert np.allclose(a[k], b, rtol=8 * np.finfo(float).eps, atol=0.0)
+def test_gradients_are_e_phi_times_the_height_derivatives(spec):
+    # central differences of K_h and K_v: O(h^2) truncation, O(eps/h) rounding
+    h = 1e-5
+    for z in (0.3, 1.1, 2.7):
+        below, above = ambient_curvatures(spec, z - h), ambient_curvatures(spec, z + h)
+        e_phi = np.exp(eval_potential(spec, z).phi)
+        for k, g in zip((0, 1), ambient_curvatures(spec, z)[2:]):
+            fd = e_phi * (above[k] - below[k]) / (2.0 * h)
+            assert fd == pytest.approx(g, rel=1e-6, abs=1e-8)
