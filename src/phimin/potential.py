@@ -226,13 +226,12 @@ class Family:
         phi, d1, d2, d3 = 0.5 * lam * z * z + beta * z, lam * z + beta, lam + zero, zero
         if coeffs:
             w = 1.0 / z
-            orders = range(1, len(coeffs) + 1)
+            terms = list(enumerate(coeffs, start=1))
             phi = phi + coeffs[0] * np.log(z) - _inverse_powers(
-                [c / (i - 1) for i, c in zip(orders, coeffs) if i > 1], w)
+                [c / (i - 1) for i, c in terms[1:]], w)
             d1 = d1 + _inverse_powers(coeffs, w)
-            d2 = d2 - w * _inverse_powers([i * c for i, c in zip(orders, coeffs)], w)
-            d3 = d3 + w * w * _inverse_powers(
-                [i * (i + 1) * c for i, c in zip(orders, coeffs)], w)
+            d2 = d2 - w * _inverse_powers([i * c for i, c in terms], w)
+            d3 = d3 + w * w * _inverse_powers([i * (i + 1) * c for i, c in terms], w)
         return phi, d1, d2, d3
 
     def d1_scalar(self, spec: PotentialSpec):
