@@ -34,8 +34,9 @@ from .potential import (PotentialSpec, check_conditions, spec_from_json,
 from .solvers import (AxisRegular, NewtonConfig, PointStart, ShootingConfig,
                       SolveResult, rotational_curve, solve_graph,
                       solve_rotational_profile, solve_translation_profile)
-from .surface_geometry import (ROTATIONAL, GeometryField, GraphPatch,
-                               ProfileCurve, fundamental_identity_residuals,
+from .surface_geometry import (IDENTITY_NAMES, ROTATIONAL, GeometryField,
+                               GraphPatch, ProfileCurve,
+                               fundamental_identity_residuals,
                                phi_minimal_residual, sample_geometry)
 from . import estimates, stability
 
@@ -111,6 +112,8 @@ _SUBCONFIGS = {
     "boundary": {"constant": (("value",), ()), "grim_reaper": ((), ()),
                  "bowl_profile": ((), ("step", "s_max")), "csv": (("path",), ())},
 }
+# kind -> the shot a sub-config of that kind runs when it omits step or s_max
+_SHOT_DEFAULTS = {"bowl_profile": {"s_max": 3.0, "step": 5e-4}}
 
 
 def _number(v, types=(int, float)) -> bool:
@@ -130,11 +133,15 @@ _VALUES = {
                     (lambda v: _number(v) and v > 0, "a positive number")),
     "n_samples": (lambda v: _number(v, int), "an integer"),
     "max_iters": (lambda v: _number(v, int) and v >= 1, "a positive integer"),
-    **dict.fromkeys(("radii", "heights", "scales"),
+    **dict.fromkeys(("heights", "scales"),
                     (lambda v: isinstance(v, list) and all(map(_number, v)),
                      "a list of numbers")),
-    "items": (lambda v: isinstance(v, list) and all(_number(i, int) for i in v),
-              "a list of integers"),
+    "radii": (lambda v: isinstance(v, list) and len(v) > 0
+              and all(_number(r) and r > 0 for r in v),
+              "a non-empty list of positive numbers"),
+    "items": (lambda v: isinstance(v, list) and len(v) > 0
+              and all(_number(i, int) and i in IDENTITY_NAMES for i in v),
+              f"a non-empty list drawn from {tuple(IDENTITY_NAMES)}"),
     "formats": (lambda v: isinstance(v, list) and len(v) > 0
                 and all(f in _EXPORT_FORMATS for f in v),
                 f"a non-empty list drawn from {_EXPORT_FORMATS}"),
@@ -169,6 +176,10 @@ def _check_kind(obj, path: str, kinds: dict, errors) -> None:
     else:
         required, optional = kinds[obj["kind"]]
         _check_keys(obj, path, ("kind", *required), optional, errors)
+        shot = {**_SHOT_DEFAULTS.get(obj["kind"], {}), **obj}
+        step, s_max = shot.get("step"), shot.get("s_max")
+        if _number(step) and _number(s_max) and 0 < step and s_max <= step:
+            errors.append(f"{path}.step: must be below s_max")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -198,6 +209,11 @@ def parse_config(text: str) -> RunConfig:
                         {keys: _SUBCONFIGS["surface"][keys]}, errors)
         else:
             _check_keys(params, "command_params", *keys, errors)
+    surface = params.get("surface")
+    if (command == "Export" and isinstance(params.get("formats"), list)
+            and "OBJ" in params["formats"] and isinstance(surface, dict)
+            and surface.get("kind") in ("rotational", "translation")):
+        errors.append("command_params.formats: OBJ needs a graph surface")
     seed = obj.get("seed", 0)
     if not isinstance(seed, int):
         errors.append("seed: must be an integer")
@@ -410,9 +426,9 @@ def _parse_boundary(spec: PotentialSpec, obj: dict):
     if kind == "grim_reaper":
         return lambda x, y: -np.log(np.cos(x))
     if kind == "bowl_profile":
-        cfg = ShootingConfig(start=AxisRegular(0.0),
-                             s_max=float(obj.get("s_max", 3.0)),
-                             step=float(obj.get("step", 5e-4)))
+        shot = {**_SHOT_DEFAULTS[kind], **obj}
+        cfg = ShootingConfig(start=AxisRegular(0.0), s_max=float(shot["s_max"]),
+                             step=float(shot["step"]))
 
         def bowl(x, y):
             r = np.hypot(x, y)

@@ -852,11 +852,35 @@ VALUE_CASES = {
                     "command_params.z_hi: must be a number"),
     "n-samples-float": ("PotentialCheck", {"z_lo": 0.1, "z_hi": 1.0, "n_samples": 5.0},
                         "command_params.n_samples: must be an integer"),
-    "items-string": ("AuditFundamental", {"surface": ROT_SURF, "items": [1, "2"]},
-                     "command_params.items: must be a list of integers"),
-    "radii-number": ("AuditMonotonicity",
-                     {"surface": ROT_SURF, "radii": 0.1, "epsilon": 0.9},
-                     "command_params.radii: must be a list of numbers"),
+    **{case: ("AuditFundamental", {"surface": ROT_SURF, "items": items},
+              "command_params.items: must be a non-empty list drawn from "
+              "(1, 2, 3, 4, 5, 6, 7, 8)")
+       for case, items in [("items-string", [1, "2"]), ("items-empty", []),
+                           ("items-unknown", [1, 9])]},
+    **{case: ("AuditMonotonicity", {"surface": ROT_SURF, "radii": radii, "epsilon": 0.9},
+              "command_params.radii: must be a non-empty list of positive numbers")
+       for case, radii in [("radii-number", 0.1), ("radii-zero", [0.0, 0.1]),
+                           ("radii-negative", [-0.1]), ("radii-empty", [])]},
+    "step-at-s-max": ("SolveRotational", {**ROT_PARAMS, "step": 1.0},
+                      "command_params.step: must be below s_max"),
+    "step-above-surface-s-max": ("AuditConvexity",
+                                 {"surface": {**ROT_SURF, "step": 2.0}},
+                                 "command_params.surface.step: must be below s_max"),
+    "step-above-bowl-default-s-max": (
+        "SolveGraph", {**GRAPH_PARAMS, "boundary": {"kind": "bowl_profile", "step": 4.0}},
+        "command_params.boundary.step: must be below s_max"),
+    "s-max-negative": ("SolveTranslation",
+                       {"start": {"kind": "point", "x0": 0.0, "z0": 0.0, "theta0": 0.0},
+                        "s_max": -1.0, "step": 1e-2},
+                       "command_params.step: must be below s_max"),
+    **{case: ("Export", {"surface": surface, "formats": formats},
+              "command_params.formats: OBJ needs a graph surface")
+       for case, surface, formats in [
+           ("formats-obj-rotational", ROT_SURF, ["OBJ"]),
+           ("formats-csv-obj-translation",
+            {"kind": "translation", "start": {"kind": "point", "x0": 0.0, "z0": 0.0,
+                                              "theta0": 0.0},
+             "s_max": 1.0, "step": 1e-2}, ["CSV", "OBJ"])]},
     "rho-negative": ("AuditArea", {"surface": ROT_SURF, "rho": -0.3},
                      "command_params.rho: must be a positive number"),
     "s-max-nan": ("SolveRotational", {**ROT_PARAMS, "s_max": float("nan")},

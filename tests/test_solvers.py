@@ -1,12 +1,20 @@
+import gc
+import json
+import math
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import phimin as pm
+from phimin import solvers
+from phimin.cli import main
 from phimin.solvers import (AxisCollisionError, AxisRegular, DomainExitError,
-                            NewtonConfig, PointStart, ShootingConfig,
-                            _dissection_order, _graph_jacobian,
-                            _harmonic_extension, _newton, graph_pde_residual,
+                            LinearSolveError, NewtonConfig, PointStart,
+                            ShootingConfig, _Hierarchy, _dissection_order,
+                            _graph_jacobian, _harmonic_extension, _newton,
+                            _transfers, _trial, graph_pde_residual,
                             solve_graph, solve_rotational_profile,
                             solve_translation_profile)
 from phimin.surface_geometry import sample_geometry, phi_minimal_residual
@@ -296,13 +304,170 @@ def _count_factorisations(monkeypatch):
     return sizes
 
 
+def _count_hierarchies(monkeypatch):
+    """Unknowns of the Jacobian of each _Hierarchy built, in call order,
+    and a weak reference to each hierarchy."""
+    sizes, refs = [], []
+
+    class Counted(_Hierarchy):
+        def __init__(self, J, transfers):
+            super().__init__(J, transfers)
+            sizes.append(J.shape[0])
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(solvers, "_Hierarchy", Counted)
+    return sizes, refs
+
+
 def test_bowl_factors_once_on_its_own_grid(spec_linear, bowl, monkeypatch):
-    sizes = _count_factorisations(monkeypatch)
+    # h = 1/64 on [-1, 1]^2 has 128 cells a side: one V-cycle hierarchy,
+    # whose coarsest grid of 64 cells is the only LU on that grid
+    sizes, _ = _count_hierarchies(monkeypatch)
     res = solve_graph(spec_linear, (-1, 1, -1, 1), 1 / 64, _bowl_boundary(bowl),
                       NewtonConfig())
     assert res.converged and res.iterations <= 2
-    assert sizes.count(63 * 63) == 1
-    assert "Newton steps (1 LU)" in res.diagnostics
+    assert sizes.count(127 * 127) == 1
+    fine, nested = res.diagnostics.split("; nested start: ")
+    assert "Newton steps (1 LU, " in fine and fine.endswith(" GMRES iterations)")
+    # the grids of at most 64 cells keep the LU back-solve and its note
+    assert "GMRES" not in nested and "h = 0.03125: 2 Newton steps" in nested
+
+
+def _bowl_jacobian(spec, bowl, h):
+    """(J numbered as _transfers says, its transfers, a right-hand side)
+    at the harmonic start of the bowl on [-1, 1]^2."""
+    n = int(round(2.0 / h)) + 1
+    xs = -1.0 + h * np.arange(n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    u = _harmonic_extension(_bowl_boundary(bowl)(X, Y))
+    transfers, order = _transfers(n - 1, n - 1)
+    rhs = -graph_pde_residual(spec, u, h).ravel()[order]
+    return _graph_jacobian(spec, u, h, order), transfers, rhs
+
+
+@pytest.mark.parametrize("h", [1 / 64, 1 / 128])
+def test_hierarchy_solve_matches_the_lu_solve(spec_linear, bowl, h):
+    J, transfers, rhs = _bowl_jacobian(spec_linear, bowl, h)
+    assert len(transfers) == round(math.log2(1 / (32 * h)))
+    sol, iters = _Hierarchy(J, transfers).solve(rhs)
+    ref = spla.spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A")
+    assert 0 < iters <= 30
+    assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_hierarchy_is_freed_when_newton_returns(spec_linear, bowl, monkeypatch):
+    # a hierarchy that closed a reference cycle would outlive _newton until
+    # a full collection, holding every grid operator
+    _, refs = _count_hierarchies(monkeypatch)
+    h = 1 / 64
+    n = int(round(2.0 / h)) + 1
+    xs = -1.0 + h * np.arange(n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    u0 = _harmonic_extension(_bowl_boundary(bowl)(X, Y))
+    gc.disable()
+    try:
+        _, res_norm, _, _ = _newton(spec_linear, u0, h, NewtonConfig())
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert res_norm <= 1e-10 and refs and not any(alive)
+
+
+def _lu_newton(spec, u, h, cfg):
+    """The graph Newton with an LU of every Jacobian, as before the V-cycle:
+    (last iterate, residual norm, steps, LU count)."""
+    nx, ny = u.shape
+    order = _dissection_order(nx - 2, ny - 2)
+
+    def back_solve(lu, res):
+        delta = np.empty(order.size)
+        delta[order] = lu.solve(-res.ravel()[order])
+        return delta.reshape(nx - 2, ny - 2)
+
+    res = graph_pde_residual(spec, u, h)
+    res_norm = float(np.abs(res).max())
+    iters = lus = 0
+    lu = None
+    while res_norm > cfg.tol_residual and iters < cfg.max_iters:
+        if lu is not None:
+            u_try, res_try, try_norm = _trial(spec, u, h, back_solve(lu, res))
+            if try_norm <= 0.1 * res_norm:
+                u, res, res_norm = u_try, res_try, try_norm
+                iters += 1
+                continue
+        lu = spla.splu(_graph_jacobian(spec, u, h, order), permc_spec="NATURAL")
+        lus += 1
+        delta = back_solve(lu, res)
+        step_len = 1.0
+        while step_len >= 2.0**-10:
+            u_try, res_try, try_norm = _trial(spec, u, h, step_len * delta)
+            if try_norm < res_norm:
+                break
+            step_len *= 0.5
+        else:
+            break
+        u, res, res_norm = u_try, res_try, try_norm
+        iters += 1
+    return u, res_norm, iters, lus
+
+
+@pytest.mark.parametrize("case", ["bowl-64", "bowl-48x32", "reaper-16"])
+def test_small_grids_keep_the_lu_path_bits(spec_linear, bowl, case):
+    # grids of at most 64 cells a side have no level above the coarsest,
+    # so each step is the LU back-solve of the dissection-ordered Jacobian
+    domain, h, boundary = {
+        "bowl-64": ((-1, 1, -1, 1), 1 / 32, _bowl_boundary(bowl)),
+        "bowl-48x32": ((-0.75, 0.75, -0.5, 0.5), 1 / 32, _bowl_boundary(bowl)),
+        "reaper-16": ((-1, 1, -1, 1), 1 / 8, lambda x, y: -np.log(np.cos(x))),
+    }[case]
+    xs = np.arange(domain[0], domain[1] + h / 2, h)
+    ys = np.arange(domain[2], domain[3] + h / 2, h)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    u0 = _harmonic_extension(boundary(X, Y))
+    assert _transfers(len(xs) - 1, len(ys) - 1)[0] == []
+    u, res_norm, iters, note = _newton(spec_linear, u0, h, NewtonConfig())
+    ref, ref_norm, ref_iters, ref_lus = _lu_newton(spec_linear, u0, h, NewtonConfig())
+    assert np.array_equal(u, ref)
+    assert (res_norm, iters, note) == (ref_norm, ref_iters, f"{ref_lus} LU")
+
+
+def _failing_gmres(A, b, **kwargs):
+    """A stand-in for spla.gmres that reports no convergence (info 30)."""
+    return np.zeros_like(b), 30
+
+
+def test_gmres_failure_raises_and_takes_no_step(spec_linear, bowl, monkeypatch):
+    events = []
+    residual = solvers.graph_pde_residual
+
+    def counted(*args):
+        events.append("residual")
+        return residual(*args)
+
+    def gmres(A, b, **kwargs):
+        events.append("gmres")
+        return _failing_gmres(A, b)
+
+    monkeypatch.setattr(solvers, "graph_pde_residual", counted)
+    monkeypatch.setattr(spla, "gmres", gmres)
+    with pytest.raises(LinearSolveError, match="GMRES missed relative residual"):
+        solve_graph(spec_linear, (-1, 1, -1, 1), 1 / 64, _bowl_boundary(bowl),
+                    NewtonConfig())
+    # the 128-cell grid's first solve failed, and no trial iterate followed
+    assert events.count("gmres") == 1 and events[-1] == "gmres"
+
+
+def test_gmres_failure_exits_2_in_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spla, "gmres", _failing_gmres)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "potential": {"family": "Linear", "slope": 1}, "command": "SolveGraph",
+        "command_params": {"domain": [-1, 1, -1, 1], "h": 1 / 64,
+                           "boundary": {"kind": "bowl_profile"}}}))
+    assert main(["SolveGraph", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: LinearSolveError: GMRES missed") and err.count("\n") == 1
 
 
 def test_rejected_chord_step_refactors_and_converges(spec_linear, monkeypatch):
