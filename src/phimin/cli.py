@@ -36,7 +36,7 @@ from .solvers import (AxisRegular, NewtonConfig, PointStart, ShootingConfig,
                       solve_rotational_profile, solve_translation_profile)
 from .surface_geometry import (IDENTITY_NAMES, ROTATIONAL, GeometryField,
                                GraphPatch, ProfileCurve,
-                               fundamental_identity_residuals,
+                               fundamental_identity_residuals, grid_shape,
                                phi_minimal_residual, sample_geometry)
 from . import estimates, stability
 
@@ -133,9 +133,13 @@ _VALUES = {
                     (lambda v: _number(v) and v > 0, "a positive number")),
     "n_samples": (lambda v: _number(v, int), "an integer"),
     "max_iters": (lambda v: _number(v, int) and v >= 1, "a positive integer"),
-    **dict.fromkeys(("heights", "scales"),
-                    (lambda v: isinstance(v, list) and all(map(_number, v)),
-                     "a list of numbers")),
+    "heights": (lambda v: isinstance(v, list) and all(map(_number, v)),
+                "a list of numbers"),
+    # the test that estimates.blowup_rescale makes
+    "scales": (lambda v: isinstance(v, list) and all(_number(s) and s > 0 for s in v)
+               and sorted(v) == v, "a list of positive numbers in nondecreasing order"),
+    "model": (lambda v: v in estimates.BLOWUP_MODELS,
+              f"one of {estimates.BLOWUP_MODELS}"),
     "radii": (lambda v: isinstance(v, list) and len(v) > 0
               and all(_number(r) and r > 0 for r in v),
               "a non-empty list of positive numbers"),
@@ -180,6 +184,16 @@ def _check_kind(obj, path: str, kinds: dict, errors) -> None:
         step, s_max = shot.get("step"), shot.get("s_max")
         if _number(step) and _number(s_max) and 0 < step and s_max <= step:
             errors.append(f"{path}.step: must be below s_max")
+        start = obj.get("start")
+        if (obj["kind"] == "translation" and isinstance(start, dict)
+                and start.get("kind") == "axis"):
+            errors.append(f"{path}.start.kind: an axis start needs a rotational surface")
+        domain, h = obj.get("domain"), obj.get("h")
+        if _VALUES["domain"][0](domain) and _VALUES["h"][0](h):
+            try:
+                grid_shape(domain, h)
+            except (ValueError, OverflowError):
+                errors.append(f"{path}.h: must divide both sides of the domain")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -210,10 +224,17 @@ def parse_config(text: str) -> RunConfig:
         else:
             _check_keys(params, "command_params", *keys, errors)
     surface = params.get("surface")
+    kind = surface.get("kind") if isinstance(surface, dict) else None
     if (command == "Export" and isinstance(params.get("formats"), list)
-            and "OBJ" in params["formats"] and isinstance(surface, dict)
-            and surface.get("kind") in ("rotational", "translation")):
+            and "OBJ" in params["formats"] and kind in ("rotational", "translation")):
         errors.append("command_params.formats: OBJ needs a graph surface")
+    if command == "Blowup":
+        if kind == "graph":
+            errors.append("command_params.surface.kind: a blow-up needs a profile surface")
+        heights, scales = params.get("heights"), params.get("scales")
+        if (isinstance(heights, list) and isinstance(scales, list)
+                and len(heights) != len(scales)):
+            errors.append("command_params.scales: must have one entry per height")
     seed = obj.get("seed", 0)
     if not isinstance(seed, int):
         errors.append("seed: must be an integer")
@@ -374,15 +395,17 @@ def _report(name: str, hypotheses: dict, values: dict, tolerances: dict,
 # surface sub-config -> solve
 
 
-def _solve_surface(spec: PotentialSpec, sub: dict) -> SolveResult:
-    """Solve a surface sub-config; parse_config has checked its keys."""
+def _solve_surface(spec: PotentialSpec, sub: dict, path: str) -> SolveResult:
+    """Solve the surface sub-config at the JSON path; parse_config has
+    checked its keys."""
     if sub["kind"] == "graph":
         newton = NewtonConfig(
             tol_residual=float(sub.get("tol_residual", 1e-10)),
             max_iters=int(sub.get("max_iters", 30)),
         )
         return solve_graph(spec, tuple(sub["domain"]), float(sub["h"]),
-                           _parse_boundary(spec, sub["boundary"]), newton)
+                           _parse_boundary(spec, sub["boundary"], f"{path}.boundary"),
+                           newton)
     cfg = ShootingConfig(start=_parse_start(sub["start"]),
                          s_max=float(sub["s_max"]), step=float(sub["step"]))
     if sub["kind"] == "rotational":
@@ -392,7 +415,7 @@ def _solve_surface(spec: PotentialSpec, sub: dict) -> SolveResult:
 
 def _converged_surface(spec: PotentialSpec, sub: dict) -> SolveResult:
     """The solve an audit or an export works on; an unconverged one is refused."""
-    result = _solve_surface(spec, sub)
+    result = _solve_surface(spec, sub, "command_params.surface")
     if not result.converged:
         raise UnconvergedSolveError(
             f"surface solve did not converge: {result.diagnostics}")
@@ -418,7 +441,9 @@ def _parse_start(obj: dict):
                       theta0=float(obj["theta0"]))
 
 
-def _parse_boundary(spec: PotentialSpec, obj: dict):
+def _parse_boundary(spec: PotentialSpec, obj: dict, path: str):
+    """The boundary data of the sub-config obj at the JSON path, as a
+    callable (x, y) -> heights; a refusal at run time names that path."""
     kind = obj["kind"]
     if kind == "constant":
         value = float(obj["value"])
@@ -438,7 +463,7 @@ def _parse_boundary(spec: PotentialSpec, obj: dict):
             curve = rotational_curve(spec, cfg, x_stop=r.max())
             if curve.x[-1] < r.max():
                 raise ConfigError([
-                    f"boundary.s_max: the profile ends at radius {curve.x[-1]:.6g}, "
+                    f"{path}.s_max: the profile ends at radius {curve.x[-1]:.6g}, "
                     f"inside the edge node at radius {r.max():.6g}"])
             return np.interp(r, curve.x, curve.z)
 
@@ -456,7 +481,7 @@ def _parse_boundary(spec: PotentialSpec, obj: dict):
                              for a, b in zip(xs, ys)])
         except KeyError as exc:
             raise ConfigError(
-                [f"boundary.path: node {exc} missing from the CSV"]) from exc
+                [f"{path}.path: node {exc} missing from the CSV"]) from exc
 
     return lookup
 
@@ -517,7 +542,8 @@ def _run_potential_check(config, out: Path):
 
 def _run_solve(config, out: Path):
     kind = _COMMANDS[config.command][0]
-    result = _solve_surface(config.potential, {**config.command_params, "kind": kind})
+    result = _solve_surface(config.potential, {**config.command_params, "kind": kind},
+                            "command_params")
     paths = _export_solve(result, config.potential, out, ("CSV", "OBJ"))
     doc = _report(f"solve_{kind}", {"converged": result.converged}, {
         "residual": result.residual, "iterations": result.iterations,

@@ -575,6 +575,10 @@ def _profile_model_distance(pts, etas, Hs, model: str, c_slope: float,
     return hausdorff, c2
 
 
+# the limit models a blow-up sequence is compared with
+BLOWUP_MODELS = ("Plane", "GrimReaper", "Bowl")
+
+
 def blowup_rescale(source, basepoints, scales, spec: PotentialSpec,
                    model: str) -> BlowupResult:
     """Rescale lambda_n (Sigma - p_n) and compare to a limit model on the
@@ -587,7 +591,7 @@ def blowup_rescale(source, basepoints, scales, spec: PotentialSpec,
     phi'(mu(p_n)) / lambda_n is recorded per stage with its final value
     as the limit-constant estimate.
     """
-    if model not in ("Plane", "GrimReaper", "Bowl"):
+    if model not in BLOWUP_MODELS:
         raise ValueError(f"unknown blow-up model {model!r}")
     scales = [float(s) for s in scales]
     basepoints = [int(p) for p in basepoints]

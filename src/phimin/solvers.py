@@ -13,12 +13,15 @@ use the series x = s - (a^2/24) s^3, theta = (a/2) s + a(2b - a^2)/32 s^3
 Graphs come from a Newton iteration on the second-order central
 difference discretisation of  div(grad u / W) = phi'(u) / W,
 W = sqrt(1 + |grad u|^2), with an analytically assembled Jacobian
-including the -phi''(u)/W zeroth-order term.  Each Jacobian is factored
-once and its factor reused for chord steps (Shamanskii's method; Kelley,
-Solving Nonlinear Equations with Newton's Method, SIAM 2003): a step
-whose max-norm residual is at most _CHORD_RATIO = 0.1 of the last one is
-kept, otherwise the Jacobian is rebuilt and factored at the current
-iterate and its step damped.
+including the -phi''(u)/W zeroth-order term.  That Jacobian and the
+5-point Laplacian of the harmonic start come from one interior-stencil
+assembly (_stencil_matrix, a COO matrix).  Each Jacobian is converted
+once, to CSR when it heads a V-cycle or to CSC when it is LU-factored,
+and factored once; its factor is reused for chord steps (Shamanskii's
+method; Kelley, Solving Nonlinear Equations with Newton's Method, SIAM
+2003): a step whose max-norm residual is at most _CHORD_RATIO = 0.1 of
+the last one is kept, otherwise the Jacobian is rebuilt and factored at
+the current iterate and its step damped.
 
 A grid with at most _DIRECT_CELLS = 64 cells on each side is LU-factored,
 its unknowns numbered in a nested-dissection order of the grid (George,
@@ -109,8 +112,10 @@ def _integrate_profile(spec: PotentialSpec, kind: str, s0: float, y0, cfg,
                        x_stop: float = math.inf):
     """RK4 on (x, z, theta) from arclength s0 with domain monitoring: the
     height is checked against the domain floor before each stage evaluates
-    phi', and at the end of each step.  The integration ends early at the
-    first sample with x >= x_stop."""
+    phi', and at the end of each step.  A rotational stage on the axis
+    x = 0, or a step ending within 1e-9 of it with a non-axial tangent,
+    raises AxisCollisionError.  The integration ends early at the first
+    sample with x >= x_stop."""
     d1 = spec.rules.d1_scalar(spec)
     floor = spec.domain_left
     rotational = kind == ROTATIONAL
@@ -132,53 +137,59 @@ def _integrate_profile(spec: PotentialSpec, kind: str, s0: float, y0, cfg,
         raise DomainExitError(f"start height {z:.6g} is not above the domain "
                               f"boundary {floor:.6g}")
     xs[0], zs[0], ts[0] = x, z, t
-    for k in range(n_steps):
-        # stage i: (a_i, b_i, c_i) = (x', z', theta') at its (x, z, theta)
-        a1 = cos(t)
-        b1 = sin(t)
-        c1 = d1(z) * a1
-        if rotational:
-            c1 -= b1 / x
-        x2, z2, t2 = x + hh * a1, z + hh * b1, t + hh * c1
-        if z2 <= floor:
-            raise stage_exit(z2, k, 2)
-        a2 = cos(t2)
-        b2 = sin(t2)
-        c2 = d1(z2) * a2
-        if rotational:
-            c2 -= b2 / x2
-        x3, z3, t3 = x + hh * a2, z + hh * b2, t + hh * c2
-        if z3 <= floor:
-            raise stage_exit(z3, k, 3)
-        a3 = cos(t3)
-        b3 = sin(t3)
-        c3 = d1(z3) * a3
-        if rotational:
-            c3 -= b3 / x3
-        x4, z4, t4 = x + h * a3, z + h * b3, t + h * c3
-        if z4 <= floor:
-            raise stage_exit(z4, k, 4)
-        a4 = cos(t4)
-        b4 = sin(t4)
-        c4 = d1(z4) * a4
-        if rotational:
-            c4 -= b4 / x4
-        x += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        z += h6 * (b1 + 2 * b2 + 2 * b3 + b4)
-        t += h6 * (c1 + 2 * c2 + 2 * c3 + c4)
-        if z <= floor:
-            raise DomainExitError(
-                f"height {z:.6g} reached the domain boundary at step {k + 1}")
-        if rotational and x < 1e-9:
-            if abs(sin(t)) > 1e-6:
-                raise AxisCollisionError(
-                    f"profile hit the axis with theta = {t:.6g}")
-            break
-        xs[k + 1], zs[k + 1], ts[k + 1] = x, z, t
-        if x >= x_stop:
-            return xs[:k + 2], zs[:k + 2], ts[:k + 2]
-    else:
-        return xs, zs, ts
+    try:
+        for k in range(n_steps):
+            # stage i: (a_i, b_i, c_i) = (x', z', theta') at its (x, z, theta)
+            a1 = cos(t)
+            b1 = sin(t)
+            c1 = d1(z) * a1
+            if rotational:
+                c1 -= b1 / x
+            x2, z2, t2 = x + hh * a1, z + hh * b1, t + hh * c1
+            if z2 <= floor:
+                raise stage_exit(z2, k, 2)
+            a2 = cos(t2)
+            b2 = sin(t2)
+            c2 = d1(z2) * a2
+            if rotational:
+                c2 -= b2 / x2
+            x3, z3, t3 = x + hh * a2, z + hh * b2, t + hh * c2
+            if z3 <= floor:
+                raise stage_exit(z3, k, 3)
+            a3 = cos(t3)
+            b3 = sin(t3)
+            c3 = d1(z3) * a3
+            if rotational:
+                c3 -= b3 / x3
+            x4, z4, t4 = x + h * a3, z + h * b3, t + h * c3
+            if z4 <= floor:
+                raise stage_exit(z4, k, 4)
+            a4 = cos(t4)
+            b4 = sin(t4)
+            c4 = d1(z4) * a4
+            if rotational:
+                c4 -= b4 / x4
+            x += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+            z += h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+            t += h6 * (c1 + 2 * c2 + 2 * c3 + c4)
+            if z <= floor:
+                raise DomainExitError(
+                    f"height {z:.6g} reached the domain boundary at step {k + 1}")
+            if rotational and x < 1e-9:
+                if abs(sin(t)) > 1e-6:
+                    raise AxisCollisionError(
+                        f"profile hit the axis with theta = {t:.6g}")
+                break
+            xs[k + 1], zs[k + 1], ts[k + 1] = x, z, t
+            if x >= x_stop:
+                return xs[:k + 2], zs[:k + 2], ts[:k + 2]
+        else:
+            return xs, zs, ts
+    except ZeroDivisionError as exc:
+        # every stage's z is above the domain floor before phi' is read, so
+        # the only division by zero left is sin(theta) / x at x = 0
+        raise AxisCollisionError(
+            f"a stage of step {k + 1} landed on the axis x = 0") from exc
     return xs[:k + 1], zs[:k + 1], ts[:k + 1]
 
 
@@ -249,32 +260,43 @@ def solve_translation_profile(spec: PotentialSpec, cfg: ShootingConfig) -> Solve
 
 
 def _pde_parts(u: np.ndarray, h: float):
-    """Interior first/second differences of the grid function u."""
+    """Interior first/second differences (p, q, r, s, t) of the grid
+    function u, with W^2, W and the numerator g of div(grad u / W) = g / W^3."""
     p = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2 * h)
     q = (u[1:-1, 2:] - u[1:-1, :-2]) / (2 * h)
     r = (u[2:, 1:-1] - 2 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / h**2
     s = (u[1:-1, 2:] - 2 * u[1:-1, 1:-1] + u[1:-1, :-2]) / h**2
     t = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4 * h**2)
-    return p, q, r, s, t
+    w2 = 1.0 + p**2 + q**2
+    w = np.sqrt(w2)
+    g = (1.0 + q**2) * r - 2.0 * p * q * t + (1.0 + p**2) * s
+    return p, q, r, s, t, w2, w, g
 
 
 def graph_pde_residual(spec: PotentialSpec, u: np.ndarray, h: float) -> np.ndarray:
     """div(grad u / W) - phi'(u)/W at interior nodes."""
-    p, q, r, s, t = _pde_parts(u, h)
-    w2 = 1.0 + p**2 + q**2
-    w = np.sqrt(w2)
-    g = (1.0 + q**2) * r - 2.0 * p * q * t + (1.0 + p**2) * s
+    *_, w2, w, g = _pde_parts(u, h)
     d1 = eval_potential(spec, u[1:-1, 1:-1]).d1
     return g / (w2 * w) - d1 / w
 
 
-def _interior_maps(nx: int, ny: int):
-    """(ii, jj, col_of) of an nx x ny grid: the interior node indices and
-    the unknown number of every flat node index, -1 on the edge."""
-    ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
-    col_of = -np.ones(nx * ny, dtype=np.int64)
-    col_of[(ii * ny + jj).ravel()] = np.arange(ii.size)
-    return ii, jj, col_of
+def _stencil_matrix(stencil, nx: int, ny: int, number: np.ndarray) -> sp.coo_matrix:
+    """The interior stencil [(di, dj, coef)] of an nx x ny grid as a matrix
+    over the interior unknowns, the interior node of row-major index k being
+    unknown number[k]: coef (per interior node, or one number) weighs the
+    neighbour (i + di, j + dj), and a neighbour on the edge is left out."""
+    unknown = np.full((nx, ny), -1, dtype=np.int64)
+    unknown[1:-1, 1:-1] = number.reshape(nx - 2, ny - 2)
+    rows, cols, vals = [], [], []
+    for di, dj, coef in stencil:
+        nbr = unknown[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj].ravel()
+        keep = nbr >= 0
+        rows.append(number[keep])
+        cols.append(nbr[keep])
+        vals.append(np.broadcast_to(coef, (nx - 2, ny - 2)).ravel()[keep])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(number.size, number.size))
 
 
 # blocks with at most this many nodes on each side are not dissected further
@@ -306,16 +328,13 @@ def _dissection_order(m: int, n: int) -> np.ndarray:
 
 
 def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float,
-                    order: np.ndarray) -> sp.csc_matrix:
+                    order: np.ndarray) -> sp.coo_matrix:
     """Jacobian of graph_pde_residual in u's interior, with the interior
     node order[k] (a row-major index) as unknown k."""
     nx, ny = u.shape
-    p, q, r, s, t = _pde_parts(u, h)
-    w2 = 1.0 + p**2 + q**2
-    w = np.sqrt(w2)
+    p, q, r, s, t, w2, w, g = _pde_parts(u, h)
     w3 = w2 * w
     w5 = w2 * w3
-    g = (1.0 + q**2) * r - 2.0 * p * q * t + (1.0 + p**2) * s
     ev = eval_potential(spec, u[1:-1, 1:-1])
     f_r = (1.0 + q**2) / w3
     f_s = (1.0 + p**2) / w3
@@ -323,12 +342,9 @@ def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float,
     f_p = (2.0 * p * s - 2.0 * q * t) / w3 - 3.0 * p * g / w5 + ev.d1 * p / w3
     f_q = (2.0 * q * r - 2.0 * p * t) / w3 - 3.0 * q * g / w5 + ev.d1 * q / w3
     f_u = -ev.d2 / w
-
-    ii, jj, col_of = _interior_maps(nx, ny)
     number = np.empty(order.size, dtype=np.int64)
     number[order] = np.arange(order.size)
-    col_of[(ii * ny + jj).ravel()] = number
-    stencil = [
+    return _stencil_matrix([
         (1, 0, f_r / h**2 + f_p / (2 * h)),
         (-1, 0, f_r / h**2 - f_p / (2 * h)),
         (0, 1, f_s / h**2 + f_q / (2 * h)),
@@ -338,40 +354,20 @@ def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float,
         (1, -1, -f_t / (4 * h**2)),
         (-1, 1, -f_t / (4 * h**2)),
         (0, 0, -2.0 * f_r / h**2 - 2.0 * f_s / h**2 + f_u),
-    ]
-    rows, cols, vals = [], [], []
-    for di, dj, coef in stencil:
-        nbr = col_of[((ii + di) * ny + (jj + dj)).ravel()]
-        keep = nbr >= 0
-        rows.append(number[keep])
-        cols.append(nbr[keep])
-        vals.append(coef.ravel()[keep])
-    J = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ii.size, ii.size))
-    return J.tocsc()
+    ], nx, ny, number)
 
 
 def _harmonic_extension(u_bc: np.ndarray) -> np.ndarray:
     """Interior = discrete harmonic extension of the boundary values."""
     nx, ny = u_bc.shape
-    ii, jj, col_of = _interior_maps(nx, ny)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(ii.size)
-    u_flat = u_bc.ravel()
-    for di, dj, coef in ((0, 0, 4.0), (1, 0, -1.0), (-1, 0, -1.0),
-                         (0, 1, -1.0), (0, -1, -1.0)):
-        nbr = ((ii + di) * ny + (jj + dj)).ravel()
-        col = col_of[nbr]
-        inside = col >= 0
-        rows.append(np.flatnonzero(inside))
-        cols.append(col[inside])
-        vals.append(np.full(rows[-1].size, coef))
-        rhs[~inside] -= coef * u_flat[nbr[~inside]]
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(ii.size, ii.size)).tocsc()
-    sol = spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
+    A = _stencil_matrix([(0, 0, 4.0), (1, 0, -1.0), (-1, 0, -1.0),
+                         (0, 1, -1.0), (0, -1, -1.0)],
+                        nx, ny, np.arange((nx - 2) * (ny - 2)))
+    # the edge neighbours' values, moved to the right-hand side
+    b = u_bc.copy()
+    b[1:-1, 1:-1] = 0.0
+    rhs = b[2:, 1:-1] + b[:-2, 1:-1] + b[1:-1, 2:] + b[1:-1, :-2]
+    sol = spla.spsolve(A.tocsc(), rhs.ravel(), permc_spec="MMD_AT_PLUS_A")
     u = u_bc.copy()
     u[1:-1, 1:-1] = sol.reshape(nx - 2, ny - 2)
     return u
@@ -469,11 +465,12 @@ def _transfers(mx: int, my: int):
 
 
 class _Hierarchy:
-    """The V-cycle of one Jacobian J (CSC, numbered as _transfers says):
+    """The V-cycle of one Jacobian J (COO, numbered as _transfers says):
     for each grid above the coarsest its operator, weighted inverse
     diagonal and transfers, and the LU of the coarsest operator.  Each
     coarser operator is the Galerkin product (P^T / 4) A P.  With no grid
-    above the coarsest, a cycle is the LU back-solve."""
+    above the coarsest, a cycle is the LU back-solve.  J is converted
+    once: to CSR when it heads a V-cycle, to CSC when it is factored."""
 
     def __init__(self, J, transfers):
         self.levels = []

@@ -100,24 +100,15 @@ def _assemble_profile(field, region, pot, e_phi, ruling_width):
         extra = (np.pi / width) ** 2
     w_node = e_phi * radial
     n = region.size
-    lo = region[0]
-    # the intervals [a, a+1] that touch the region; ia, ib index the region
-    a = np.arange(max(lo - 1, 0), min(lo + n, field.n_samples - 1))
-    w_int = 0.5 * (w_node[a] + w_node[a + 1])
-    ia, ib = a - lo, a + 1 - lo
-    has_a, has_b = ia >= 0, ib < n
-    both = has_a & has_b
+    # w_int[k] weighs the interval between the region's nodes k - 1 and k,
+    # for k = 0..n; an interval past either end of the curve weighs 0
+    w_int = np.pad(0.5 * (w_node[:-1] + w_node[1:]), 1)[region[0]:region[0] + n + 1]
     stiff = w_int / h
     half_mass = 0.5 * w_int * h
     # each node's mass is its left interval's share plus its right one's
-    left, right = np.zeros(n), np.zeros(n)
-    left[ib[has_b]] = half_mass[has_b]
-    right[ia[has_a]] = half_mass[has_a]
-    mass = left + right
-    rows = np.concatenate([ia[has_a], ib[has_b], ia[both], ib[both]])
-    cols = np.concatenate([ia[has_a], ib[has_b], ib[both], ia[both]])
-    vals = np.concatenate([stiff[has_a], stiff[has_b], -stiff[both], -stiff[both]])
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    mass = half_mass[:-1] + half_mass[1:]
+    K = sp.diags([stiff[:-1] + stiff[1:], -stiff[1:-1], -stiff[1:-1]], [0, -1, 1],
+                 shape=(n, n), format="csr")
     v_diag = pot[region] * mass
     return StabilityAssembly(stiffness=K, potential_term=v_diag, mass=mass,
                              region=region, extra_mode=extra)

@@ -323,6 +323,36 @@ def test_audit_stability_assembles_once(tmp_path, monkeypatch):
     assert doc["values"]["rayleigh_trial_min"] == min(trials)
 
 
+def _main_stability(tmp_path, label, *flags):
+    """main on an AuditStability config of seed 3, with the extra flags,
+    into tmp_path/label: (exit code, manifest, stability report)."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config("AuditStability", {"surface": ROT_SURF})))
+    out = tmp_path / label
+    code = main(["AuditStability", "--config", str(path), "--out", str(out), *flags])
+    return (code, json.loads((out / "manifest.json").read_text()),
+            json.loads((out / "stability.json").read_text())[0])
+
+
+def test_seed_flag_overrides_the_config_seed(tmp_path):
+    _, manifest, doc = _main_stability(tmp_path, "config")
+    _, seeded, seeded_doc = _main_stability(tmp_path, "flag", "--seed", "7")
+    assert (manifest["config"]["seed"], seeded["config"]["seed"]) == (3, 7)
+    # the Rayleigh trials are the only seeded values
+    assert seeded_doc["values"]["lambda1"] == doc["values"]["lambda1"]
+    assert (seeded_doc["values"]["rayleigh_trial_min"]
+            != doc["values"]["rayleigh_trial_min"])
+
+
+def test_verbose_prints_one_line_per_artifact(tmp_path, capsys):
+    code, manifest, _ = _main_stability(tmp_path, "out", "--verbose")
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(manifest["artifacts"]) == 2
+    assert lines[:-1] == [f"wrote {art['path']}  sha256={art['sha256'][:16]}..."
+                          for art in manifest["artifacts"]]
+    assert lines[-1].startswith("AuditStability: exit 0 (")
+
+
 def test_audit_monotonicity_command(tmp_path):
     cfg = parse_config(json.dumps(_base_config("AuditMonotonicity", {
         "surface": ROT_SURF, "radii": [0.1, 0.2, 0.3], "epsilon": 0.9})))
@@ -361,6 +391,28 @@ def test_csv_boundary_data(tmp_path):
     data = np.genfromtxt(tmp_path / "out" / "surface.csv", delimiter=",",
                          names=True)
     assert np.allclose(data["u"], 0.25)  # constant data: flat plane
+
+
+@pytest.mark.parametrize("command, params, path", [
+    ("SolveGraph", {}, "command_params.boundary.path"),
+    ("Export", {"formats": ["CSV"]}, "command_params.surface.boundary.path")])
+def test_csv_boundary_missing_a_node_exits_2_with_its_path(tmp_path, capsys, command,
+                                                           params, path):
+    # the CSV lists the edge nodes of the h = 1/4 grid; the h = 1/8 grid's
+    # second node (0, 0.125) is not among them
+    coarse = [k / 4 for k in range(5)]
+    lines = ["x,y,value"] + [f"{x!r},{y!r},0.25" for x in coarse for y in coarse
+                             if x in (0.0, 1.0) or y in (0.0, 1.0)]
+    (tmp_path / "boundary.csv").write_text("\n".join(lines) + "\n")
+    surface = {"kind": "graph", "domain": [0, 1, 0, 1], "h": 0.125,
+               "boundary": {"kind": "csv", "path": str(tmp_path / "boundary.csv")}}
+    params = {"surface": surface, **params} if params else surface
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_base_config(command, params,
+                                              {"family": "Constant", "c0": 0.0})))
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: {path}: node (0.0, 0.125) missing from the CSV\n")
 
 
 def test_blowup_command(tmp_path):
@@ -530,8 +582,9 @@ def test_convexity_csv_bytes_match_per_row_format(tmp_path):
         potential={"family": "Constant", "c0": 0.0})))
     cfg.output_dir = str(tmp_path)
     run(cfg)
-    field = sample_geometry(_solve_surface(cfg.potential, surface).surface,
-                            cfg.potential)
+    field = sample_geometry(
+        _solve_surface(cfg.potential, surface, "command_params.surface").surface,
+        cfg.potential)
     k_hi = np.maximum(field.k1, field.k2)
     rows = [(i, field.K[i], k_hi[i] / field.eta[i] if field.eta[i] > 1e-10
              else float("nan")) for i in range(field.n_samples)]
@@ -816,7 +869,8 @@ def test_bowl_profile_boundary_reaches_every_edge_node(tmp_path, capsys, boundar
         "domain": [-2, 2, -2, 2], "h": 0.125, "boundary": boundary})))
     assert main(["SolveGraph", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == code
-    assert ("ConfigError: boundary.s_max:" in capsys.readouterr().err) == (code == 2)
+    assert ("ConfigError: command_params.boundary.s_max:"
+            in capsys.readouterr().err) == (code == 2)
 
 
 def _graph_surface(**params):
@@ -824,6 +878,8 @@ def _graph_surface(**params):
             "boundary": {"kind": "grim_reaper"}, **params}
 
 
+BLOWUP_PARAMS = {"surface": ROT_SURF, "heights": [0.1, 0.2], "scales": [2.0, 4.0],
+                 "model": "Plane"}
 DOMAIN_RULE = ("must be four numbers [x_lo, x_hi, y_lo, y_hi] with x_lo < x_hi "
                "and y_lo < y_hi")
 # case -> (command, command_params, the one violation[, potential])
@@ -903,6 +959,30 @@ VALUE_CASES = {
     "value-null": ("SolveGraph",
                    {**GRAPH_PARAMS, "boundary": {"kind": "constant", "value": None}},
                    "command_params.boundary.value: must be a number"),
+    "h-not-tiling": ("SolveGraph", {**GRAPH_PARAMS, "h": 0.3},
+                     "command_params.h: must divide both sides of the domain"),
+    # 2 / h overflows to infinity
+    "h-subnormal": ("SolveGraph", {**GRAPH_PARAMS, "h": 1e-310},
+                    "command_params.h: must divide both sides of the domain"),
+    "h-not-tiling-surface": ("AuditConvexity", {"surface": _graph_surface(h=0.3)},
+                             "command_params.surface.h: must divide both sides "
+                             "of the domain"),
+    "translation-axis-start": ("SolveTranslation", ROT_PARAMS,
+                               "command_params.start.kind: an axis start needs a "
+                               "rotational surface"),
+    "blowup-model-unknown": ("Blowup", {**BLOWUP_PARAMS, "model": "Sphere"},
+                             "command_params.model: must be one of "
+                             "('Plane', 'GrimReaper', 'Bowl')"),
+    "blowup-lengths-differ": ("Blowup", {**BLOWUP_PARAMS, "scales": [2.0]},
+                              "command_params.scales: must have one entry per height"),
+    **{case: ("Blowup", {**BLOWUP_PARAMS, "scales": scales},
+              "command_params.scales: must be a list of positive numbers in "
+              "nondecreasing order")
+       for case, scales in [("blowup-scales-decreasing", [4.0, 2.0]),
+                            ("blowup-scales-zero", [0.0, 2.0])]},
+    "blowup-graph-surface": ("Blowup", {**BLOWUP_PARAMS, "surface": _graph_surface()},
+                             "command_params.surface.kind: a blow-up needs a "
+                             "profile surface"),
 }
 # bad weight values, each run by PotentialCheck
 CHECK_PARAMS = {"z_lo": 0.1, "z_hi": 1.0, "n_samples": 5}
@@ -967,9 +1047,9 @@ def test_bowl_boundary_shot_to_the_farthest_node_matches_the_full_profile(case):
     cfg = ShootingConfig(start=AxisRegular(0.0), s_max=boundary.get("s_max", 3.0),
                          step=5e-4)
     full = solve_rotational_profile(spec, cfg).surface
-    bowl = cli_module._parse_boundary(spec, boundary)
+    bowl = cli_module._parse_boundary(spec, boundary, "command_params.boundary")
     if full.x[-1] < r.max():
-        with pytest.raises(ConfigError, match="boundary.s_max"):
+        with pytest.raises(ConfigError, match=r"^command_params\.boundary\.s_max: "):
             bowl(x, y)
         return
     short = rotational_curve(spec, cfg, x_stop=r.max())
@@ -982,5 +1062,6 @@ def test_profile_solves_keep_the_field_that_the_audits_read(tmp_path):
     result, field = cli_module._surface_field(cfg)
     assert result.field is field
     assert field.source is result.surface
-    graph = cli_module._solve_surface(cfg.potential, {"kind": "graph", **GRAPH_PARAMS})
+    graph = cli_module._solve_surface(cfg.potential, {"kind": "graph", **GRAPH_PARAMS},
+                                      "command_params")
     assert graph.field is None

@@ -129,6 +129,32 @@ def test_axis_point_start_rejected(spec_linear):
         solve_rotational_profile(spec_linear, cfg)
 
 
+# theta0 = pi heads straight at the axis with no weight: from x0 = 0.01 a
+# stage lands on x = 0 exactly, from x0 = 0.05 a step ends within 1e-9 of it
+AXIS_SHOTS = {0.01: "a stage of step 10 landed on the axis x = 0",
+              0.05: "profile hit the axis with theta = 3.14431"}
+
+
+@pytest.mark.parametrize("x0", sorted(AXIS_SHOTS))
+def test_shot_into_the_axis_is_an_axis_collision(spec_zero, x0):
+    cfg = ShootingConfig(start=PointStart(x0, 0.0, np.pi), s_max=1.0, step=1e-3)
+    with pytest.raises(AxisCollisionError) as err:
+        solve_rotational_profile(spec_zero, cfg)
+    assert str(err.value) == AXIS_SHOTS[x0]
+
+
+def test_stage_on_the_axis_exits_2_in_one_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "potential": {"family": "Constant", "c0": 0.0}, "command": "SolveRotational",
+        "command_params": {"start": {"kind": "point", "x0": 0.01, "z0": 0.0,
+                                     "theta0": math.pi},
+                           "s_max": 1.0, "step": 1e-3}}))
+    assert main(["SolveRotational", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: AxisCollisionError: {AXIS_SHOTS[0.01]}\n"
+
+
 def test_every_converged_solve_passes_minimality(bowl, reaper, catenoid,
                                                  spec_linear, spec_zero):
     for res, spec in ((bowl, spec_linear), (reaper, spec_linear),
@@ -281,9 +307,9 @@ def test_dissection_ordered_solve_matches_minimum_degree(spec_linear, bowl):
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     u = _harmonic_extension(_bowl_boundary(bowl)(X, Y))
     rhs = -graph_pde_residual(spec_linear, u, h).ravel()
-    natural = _graph_jacobian(spec_linear, u, h, np.arange(rhs.size))
+    natural = _graph_jacobian(spec_linear, u, h, np.arange(rhs.size)).tocsc()
     order = _dissection_order(n - 2, n - 2)
-    permuted = _graph_jacobian(spec_linear, u, h, order)
+    permuted = _graph_jacobian(spec_linear, u, h, order).tocsc()
     assert (permuted != natural[order][:, order]).nnz == 0
     ref = spla.spsolve(natural, rhs, permc_spec="MMD_AT_PLUS_A")
     sol = np.empty(rhs.size)
@@ -350,7 +376,7 @@ def test_hierarchy_solve_matches_the_lu_solve(spec_linear, bowl, h):
     J, transfers, rhs = _bowl_jacobian(spec_linear, bowl, h)
     assert len(transfers) == round(math.log2(1 / (32 * h)))
     sol, iters = _Hierarchy(J, transfers).solve(rhs)
-    ref = spla.spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A")
+    ref = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
     assert 0 < iters <= 30
     assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -395,7 +421,7 @@ def _lu_newton(spec, u, h, cfg):
                 u, res, res_norm = u_try, res_try, try_norm
                 iters += 1
                 continue
-        lu = spla.splu(_graph_jacobian(spec, u, h, order), permc_spec="NATURAL")
+        lu = spla.splu(_graph_jacobian(spec, u, h, order).tocsc(), permc_spec="NATURAL")
         lus += 1
         delta = back_solve(lu, res)
         step_len = 1.0

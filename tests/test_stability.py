@@ -9,7 +9,7 @@ from phimin.solvers import (AxisRegular, NewtonConfig, PointStart,
                             solve_translation_profile)
 from phimin.stability import (SupportError, build_assembly, first_eigenvalue,
                               jacobi_residual, quadratic_form)
-from phimin.surface_geometry import GraphPatch, sample_geometry
+from phimin.surface_geometry import GraphPatch, grid_shape, sample_geometry
 
 
 def _bump(field, region):
@@ -40,6 +40,27 @@ def test_quadratic_form_support_violation(bowl_field, spec_linear):
     u = np.ones(bowl_field.n_samples)
     with pytest.raises(SupportError):
         quadratic_form(bowl_field, spec_linear, u, region)
+
+
+def test_graph_quadratic_form_converges_at_second_order(spec_zero):
+    # flat graph, no weight: Q(u, u) is the Dirichlet integral, 2 pi^2 for
+    # u = sin(pi x) sin(pi y) on [-1, 1]^2
+    domain = (-1.0, 1.0, -1.0, 1.0)
+    errors = []
+    for h in (1 / 8, 1 / 16, 1 / 32):
+        patch = GraphPatch(domain=domain, h=h, u=np.full(grid_shape(domain, h), 0.25))
+        field = sample_geometry(patch, spec_zero)
+        X, Y = patch.grid()
+        mask = field.interior_mask(1)
+        u = np.where(mask, (np.sin(np.pi * X) * np.sin(np.pi * Y)).ravel(), 0.0)
+        region = np.flatnonzero(mask)
+        q = quadratic_form(field, spec_zero, u, region)
+        errors.append(abs(q - 2.0 * np.pi**2))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(np.abs(orders - 2.0) < 0.05) and errors[-1] < 0.07
+    # the midpoint quadrature and the element assembly agree at h = 1/32
+    assembled = build_assembly(field, spec_zero, region).bilinear(u[region], u[region])
+    assert abs(q - assembled) <= 0.01 * abs(assembled)
 
 
 def test_bowl_bump_form_nonnegative_under_refinement(spec_linear):
