@@ -15,13 +15,14 @@ difference discretisation of  div(grad u / W) = phi'(u) / W,
 W = sqrt(1 + |grad u|^2), with an analytically assembled Jacobian
 including the -phi''(u)/W zeroth-order term.  That Jacobian and the
 5-point Laplacian of the harmonic start come from one interior-stencil
-assembly (_stencil_matrix, a COO matrix).  Each Jacobian is converted
-once, to CSR when it heads a V-cycle or to CSC when it is LU-factored,
-and factored once; its factor is reused for chord steps (Shamanskii's
-method; Kelley, Solving Nonlinear Equations with Newton's Method, SIAM
-2003): a step whose max-norm residual is at most _CHORD_RATIO = 0.1 of
-the last one is kept, otherwise the Jacobian is rebuilt and factored at
-the current iterate and its step damped.
+assembly (_stencil_matrix), which writes the compressed-row (CSR) arrays
+straight from the grid, with no COO stage; only a matrix that is
+LU-factored is converted, to CSC.  Each Jacobian is factored once and
+its factor is reused for chord steps (Shamanskii's method; Kelley,
+Solving Nonlinear Equations with Newton's Method, SIAM 2003): a step
+whose max-norm residual is at most _CHORD_RATIO = 0.1 of the last one is
+kept, otherwise the Jacobian is rebuilt and factored at the current
+iterate and its step damped.
 
 A grid with at most _DIRECT_CELLS = 64 cells on each side is LU-factored,
 its unknowns numbered in a nested-dissection order of the grid (George,
@@ -35,10 +36,11 @@ step on such a grid is GMRES (Saad, Iterative Methods for Sparse Linear
 Systems, 2003) with one V-cycle as preconditioner, to residual 1e-10
 relative to the right-hand side; a GMRES that misses it raises
 LinearSolveError and no step is taken.  At h = 1/128 on [-1, 1]^2 a
-standalone solve peaks at about 127 MiB of resident memory, against
-about 170 MiB with an LU of the whole grid.  Newton starts from nested
-iteration (Briggs, Henson and McCormick, ch. 3): the grid of spacing 2h
-is solved first and its solution interpolated.
+standalone solve peaks at about 109 MiB of resident memory, against
+about 127 MiB with a COO assembly and 170 MiB with an LU of the whole
+grid.  Newton starts from nested iteration (Briggs, Henson and
+McCormick, ch. 3): the grid of spacing 2h is solved first and its
+solution interpolated.
 """
 
 from __future__ import annotations
@@ -280,23 +282,35 @@ def graph_pde_residual(spec: PotentialSpec, u: np.ndarray, h: float) -> np.ndarr
     return g / (w2 * w) - d1 / w
 
 
-def _stencil_matrix(stencil, nx: int, ny: int, number: np.ndarray) -> sp.coo_matrix:
-    """The interior stencil [(di, dj, coef)] of an nx x ny grid as a matrix
-    over the interior unknowns, the interior node of row-major index k being
-    unknown number[k]: coef (per interior node, or one number) weighs the
-    neighbour (i + di, j + dj), and a neighbour on the edge is left out."""
-    unknown = np.full((nx, ny), -1, dtype=np.int64)
-    unknown[1:-1, 1:-1] = number.reshape(nx - 2, ny - 2)
-    rows, cols, vals = [], [], []
-    for di, dj, coef in stencil:
-        nbr = unknown[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj].ravel()
-        keep = nbr >= 0
-        rows.append(number[keep])
-        cols.append(nbr[keep])
-        vals.append(np.broadcast_to(coef, (nx - 2, ny - 2)).ravel()[keep])
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(number.size, number.size))
+def _stencil_matrix(offsets, coefs: np.ndarray, order=None) -> sp.csr_matrix:
+    """The interior stencil of an nx x ny grid as a CSR matrix over the
+    interior unknowns: coefs[i, j, m], of shape (nx - 2, ny - 2, k), weighs
+    the neighbour (i + di, j + dj) of interior node (i, j) for the m-th of
+    the k offsets (di, dj), sorted as pairs, which puts a row-major row's
+    columns in order.  A neighbour on the edge is left out; every other
+    entry is stored, zeros included.  Unknown k is the interior node of
+    row-major index order[k], or k itself when order is None."""
+    mx, my, k = coefs.shape
+    n = mx * my
+    # the unknown of each node, -1 on the edge
+    unknown = np.full((mx + 2, my + 2), -1, dtype=np.int32)
+    number = np.arange(n, dtype=np.int32)
+    if order is not None:
+        number[order] = number.copy()
+    unknown[1:-1, 1:-1] = number.reshape(mx, my)
+    cols = np.stack([unknown[1 + di:mx + 1 + di, 1 + dj:my + 1 + dj]
+                     for di, dj in offsets], axis=-1).reshape(n, k)
+    coefs = coefs.reshape(n, k)
+    if order is not None:
+        # row r of the matrix is the interior node order[r]
+        cols, coefs = cols[order], coefs[order]
+    keep = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1, dtype=np.int32), out=indptr[1:])
+    A = sp.csr_matrix((coefs[keep], cols[keep], indptr), shape=(n, n))
+    if order is not None:
+        A.sort_indices()
+    return A
 
 
 # blocks with at most this many nodes on each side are not dissected further
@@ -327,11 +341,16 @@ def _dissection_order(m: int, n: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+# the 9-point and 5-point stencil offsets (di, dj), sorted
+_NINE_POINT = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+_FIVE_POINT = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+
+
 def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float,
-                    order: np.ndarray) -> sp.coo_matrix:
+                    order: np.ndarray | None = None) -> sp.csr_matrix:
     """Jacobian of graph_pde_residual in u's interior, with the interior
-    node order[k] (a row-major index) as unknown k."""
-    nx, ny = u.shape
+    node order[k] (a row-major index) as unknown k, or k itself when order
+    is None."""
     p, q, r, s, t, w2, w, g = _pde_parts(u, h)
     w3 = w2 * w
     w5 = w2 * w3
@@ -342,27 +361,26 @@ def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float,
     f_p = (2.0 * p * s - 2.0 * q * t) / w3 - 3.0 * p * g / w5 + ev.d1 * p / w3
     f_q = (2.0 * q * r - 2.0 * p * t) / w3 - 3.0 * q * g / w5 + ev.d1 * q / w3
     f_u = -ev.d2 / w
-    number = np.empty(order.size, dtype=np.int64)
-    number[order] = np.arange(order.size)
-    return _stencil_matrix([
-        (1, 0, f_r / h**2 + f_p / (2 * h)),
-        (-1, 0, f_r / h**2 - f_p / (2 * h)),
-        (0, 1, f_s / h**2 + f_q / (2 * h)),
-        (0, -1, f_s / h**2 - f_q / (2 * h)),
-        (1, 1, f_t / (4 * h**2)),
-        (-1, -1, f_t / (4 * h**2)),
-        (1, -1, -f_t / (4 * h**2)),
-        (-1, 1, -f_t / (4 * h**2)),
-        (0, 0, -2.0 * f_r / h**2 - 2.0 * f_s / h**2 + f_u),
-    ], nx, ny, number)
+    x_r, x_p = f_r / h**2, f_p / (2 * h)
+    y_s, y_q = f_s / h**2, f_q / (2 * h)
+    corner = f_t / (4 * h**2)
+    # column m weighs the neighbour _NINE_POINT[m]
+    coefs = np.empty(f_u.shape + (9,))
+    coefs[..., 0] = coefs[..., 8] = corner
+    coefs[..., 1] = x_r - x_p
+    coefs[..., 2] = coefs[..., 6] = -corner
+    coefs[..., 3] = y_s - y_q
+    coefs[..., 4] = -2.0 * f_r / h**2 - 2.0 * f_s / h**2 + f_u
+    coefs[..., 5] = y_s + y_q
+    coefs[..., 7] = x_r + x_p
+    return _stencil_matrix(_NINE_POINT, coefs, order)
 
 
 def _harmonic_extension(u_bc: np.ndarray) -> np.ndarray:
     """Interior = discrete harmonic extension of the boundary values."""
     nx, ny = u_bc.shape
-    A = _stencil_matrix([(0, 0, 4.0), (1, 0, -1.0), (-1, 0, -1.0),
-                         (0, 1, -1.0), (0, -1, -1.0)],
-                        nx, ny, np.arange((nx - 2) * (ny - 2)))
+    A = _stencil_matrix(_FIVE_POINT, np.broadcast_to([-1.0, -1.0, 4.0, -1.0, -1.0],
+                                                     (nx - 2, ny - 2, 5)))
     # the edge neighbours' values, moved to the right-hand side
     b = u_bc.copy()
     b[1:-1, 1:-1] = 0.0
@@ -465,16 +483,15 @@ def _transfers(mx: int, my: int):
 
 
 class _Hierarchy:
-    """The V-cycle of one Jacobian J (COO, numbered as _transfers says):
+    """The V-cycle of one Jacobian J (CSR, numbered as _transfers says):
     for each grid above the coarsest its operator, weighted inverse
     diagonal and transfers, and the LU of the coarsest operator.  Each
     coarser operator is the Galerkin product (P^T / 4) A P.  With no grid
-    above the coarsest, a cycle is the LU back-solve.  J is converted
-    once: to CSR when it heads a V-cycle, to CSC when it is factored."""
+    above the coarsest, a cycle is the LU back-solve."""
 
     def __init__(self, J, transfers):
         self.levels = []
-        A = J.tocsr() if transfers else J
+        A = J
         for P, R in transfers:
             self.levels.append((A, _JACOBI_WEIGHT / A.diagonal(), P, R))
             A = R @ (A @ P)
@@ -573,7 +590,9 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
                 iters += 1
                 continue
         hierarchy = None  # release the old factor before the new one is made
-        hierarchy = _Hierarchy(_graph_jacobian(spec, u, h, order), transfers)
+        # a grid that heads a V-cycle is numbered row-major
+        hierarchy = _Hierarchy(
+            _graph_jacobian(spec, u, h, None if transfers else order), transfers)
         lus += 1
         delta = step(hierarchy, res)
         step_len = 1.0

@@ -40,6 +40,10 @@ class EigenConvergenceError(RuntimeError):
     """Inverse iteration failed to reach the residual tolerance."""
 
 
+class RulingWidthError(ValueError):
+    """A translation region too short to set the ruling width."""
+
+
 @dataclass
 class StabilityAssembly:
     """Discrete matrices of the stability form on a Dirichlet region.
@@ -96,6 +100,10 @@ def _assemble_profile(field, region, pot, e_phi, ruling_width):
         extra = 0.0
     else:
         radial = np.ones(len(curve))
+        if ruling_width is None and region.size < 2:
+            raise RulingWidthError(
+                "a one-node translation region has no length to set the ruling "
+                "width h * (nodes - 1); it needs at least 2 nodes")
         width = ruling_width if ruling_width is not None else h * (region.size - 1)
         extra = (np.pi / width) ** 2
     w_node = e_phi * radial
@@ -278,6 +286,7 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
         # extremal phase has located it; keeps a margin below lambda1
         if iters % 8 == 0:
             sigma = lam - max(10.0 * res_norm, 1e-8 * (1.0 + abs(lam)))
+            lu = None  # release the old factor before the new one is made
             lu = factor(sigma)
     else:
         raise EigenConvergenceError(

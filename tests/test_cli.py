@@ -458,6 +458,20 @@ def test_audits_and_export_refuse_unconverged_graph(tmp_path):
                      "--out", str(tmp_path / command)]) == code
 
 
+def test_one_node_translation_stability_exits_2_in_one_line(tmp_path, capsys):
+    # five samples leave one interior node at margin 2, too short to set
+    # the ruling width
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config("AuditStability", {
+        "surface": {"kind": "translation", **REAPER_PARAMS, "s_max": 0.04,
+                    "step": 0.01}})))
+    assert main(["AuditStability", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RulingWidthError: a one-node translation region")
+    assert err.count("\n") == 1
+
+
 def test_graph_height_hessian_identity_on_grim_reaper(tmp_path):
     cfg = parse_config(json.dumps(_base_config("AuditFundamental", {
         "surface": {"kind": "graph", "domain": [-1, 1, -1, 1], "h": 0.03125,

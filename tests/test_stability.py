@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 import scipy.special
 
 import phimin as pm
@@ -7,8 +11,8 @@ from phimin.solvers import (AxisRegular, NewtonConfig, PointStart,
                             ShootingConfig, solve_graph,
                             solve_rotational_profile,
                             solve_translation_profile)
-from phimin.stability import (SupportError, build_assembly, first_eigenvalue,
-                              jacobi_residual, quadratic_form)
+from phimin.stability import (RulingWidthError, SupportError, build_assembly,
+                              first_eigenvalue, jacobi_residual, quadratic_form)
 from phimin.surface_geometry import GraphPatch, grid_shape, sample_geometry
 
 
@@ -207,6 +211,43 @@ def test_translation_reduction_uses_ruling_width(reaper_field, spec_linear):
                               ruling_width=1.0).lambda1
     assert narrow > wide
     assert narrow - wide == pytest.approx(np.pi**2 - np.pi**2 / 100.0, rel=1e-9)
+
+
+def test_first_eigenvalue_holds_one_factor_at_a_time(bowl_field, spec_linear,
+                                                     monkeypatch):
+    # the bowl's interior takes 10 inverse iterations, so the shift is
+    # refreshed once and a second factor is made
+    splu = spla.splu
+    refs, held = [], []
+
+    class Factor:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def counted(A, *args, **kwargs):
+        held.append(sum(ref() is not None for ref in refs))
+        factor = Factor(splu(A, *args, **kwargs))
+        refs.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(spla, "splu", counted)
+    region = np.where(bowl_field.interior_mask(2))[0]
+    gc.disable()
+    try:
+        res = first_eigenvalue(bowl_field, spec_linear, region, tol=1e-10)
+    finally:
+        gc.enable()
+    assert res.iterations > 8 and len(refs) >= 2
+    # no earlier factor was alive while a new one was made
+    assert held == [0] * len(refs)
+
+
+def test_one_node_translation_region_is_refused(reaper_field, spec_linear):
+    with pytest.raises(RulingWidthError, match="one-node translation region"):
+        build_assembly(reaper_field, spec_linear, [600])
+    # a given ruling width needs no region length
+    asm = build_assembly(reaper_field, spec_linear, [600], ruling_width=1.0)
+    assert asm.extra_mode == pytest.approx(np.pi**2)
 
 
 # -- vectorised profile assembly against the interval loop --------------------
