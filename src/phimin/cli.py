@@ -29,8 +29,8 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .potential import (PotentialSpec, check_conditions, spec_from_json,
-                        to_json_dict)
+from .potential import (PotentialSpec, asymptotics, check_conditions,
+                        spec_from_json, to_json_dict)
 from .solvers import (AxisRegular, NewtonConfig, PointStart, ShootingConfig,
                       SolveResult, rotational_curve, solve_graph,
                       solve_rotational_profile, solve_translation_profile)
@@ -91,11 +91,10 @@ def _validate_potential(obj, errors) -> PotentialSpec | None:
     if "coefficients" in p and not all(map(_number, given["coefficients"])):
         bad.append("potential.coefficients: must be a list of numbers")
     errors += bad
-    if "Lambda" in p and not bad:
-        if p["Lambda"] < 0.0:
-            errors.append("potential.Lambda: admissible tails need Lambda >= 0")
-        if p["Lambda"] == 0.0 and not p["beta"] > 0.0:
-            errors.append("potential.beta: beta > 0 required when Lambda = 0")
+    if "Lambda" in p and not bad and asymptotics(spec).violates_constraint:
+        # a nonzero Lambda violates the constraint only by its sign
+        errors.append("potential.Lambda: admissible tails need Lambda >= 0" if p["Lambda"]
+                      else "potential.beta: beta > 0 required when Lambda = 0")
     return spec
 
 
@@ -133,6 +132,7 @@ _VALUES = {
                     (lambda v: _number(v) and v > 0, "a positive number")),
     "n_samples": (lambda v: _number(v, int), "an integer"),
     "max_iters": (lambda v: _number(v, int) and v >= 1, "a positive integer"),
+    "seed": (lambda v: _number(v, int) and v >= 0, "a non-negative integer"),
     "heights": (lambda v: isinstance(v, list) and all(map(_number, v)),
                 "a list of numbers"),
     # the test that estimates.blowup_rescale makes
@@ -235,10 +235,6 @@ def parse_config(text: str) -> RunConfig:
         if (isinstance(heights, list) and isinstance(scales, list)
                 and len(heights) != len(scales)):
             errors.append("command_params.scales: must have one entry per height")
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append("seed: must be an integer")
-        seed = 0
     if errors:
         raise ConfigError(errors)
     return RunConfig(
@@ -246,7 +242,7 @@ def parse_config(text: str) -> RunConfig:
         command=command,
         command_params=params,
         output_dir=str(obj.get("output_dir", ".")),
-        seed=seed,
+        seed=obj.get("seed", 0),
     )
 
 
@@ -371,18 +367,7 @@ def write_graph_obj(path: Path, patch: GraphPatch) -> None:
 def write_report_json(path: Path, reports) -> None:
     """Reports in the stable schema {name, hypotheses, values, tolerances,
     passed}, sorted keys, deterministic float formatting."""
-    _atomic_write(path, json.dumps(reports, sort_keys=True, indent=2,
-                                   default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serialisable: {type(obj)}")
+    _atomic_write(path, json.dumps(reports, sort_keys=True, indent=2) + "\n")
 
 
 def _report(name: str, hypotheses: dict, values: dict, tolerances: dict,
@@ -399,10 +384,8 @@ def _solve_surface(spec: PotentialSpec, sub: dict, path: str) -> SolveResult:
     """Solve the surface sub-config at the JSON path; parse_config has
     checked its keys."""
     if sub["kind"] == "graph":
-        newton = NewtonConfig(
-            tol_residual=float(sub.get("tol_residual", 1e-10)),
-            max_iters=int(sub.get("max_iters", 30)),
-        )
+        newton = NewtonConfig(**{key: sub[key] for key in ("tol_residual", "max_iters")
+                                 if key in sub})
         return solve_graph(spec, tuple(sub["domain"]), float(sub["h"]),
                            _parse_boundary(spec, sub["boundary"], f"{path}.boundary"),
                            newton)
@@ -646,11 +629,8 @@ def _run_audit_convexity(config, out: Path):
         {"tol": tol}, passed)
     path = _write_report(out, "convexity.json", doc)
     csv_path = out / "convexity_samples.csv"
-    k_hi = np.maximum(field.k1, field.k2)
-    ratio = np.divide(k_hi, field.eta, out=np.full(field.n_samples, np.nan),
-                      where=field.eta > 1e-10)
     _write_csv(csv_path, "sample,K,k2_over_eta",
-               np.arange(field.n_samples), field.K, ratio)
+               np.arange(field.n_samples), field.K, rep.k2_over_eta)
     return [path, csv_path], [(hyp_ok, passed)]
 
 
@@ -750,6 +730,9 @@ def main(argv=None) -> int:
     if args.out is not None:
         config.output_dir = args.out
     if args.seed is not None:
+        if args.seed < 0:
+            print("config error: --seed: must be a non-negative integer", file=sys.stderr)
+            return 2
         config.seed = args.seed
     try:
         manifest = run(config)

@@ -25,15 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .ilmanen import ambient_curvatures, conformal_curvatures
 from .potential import (PotentialDomainError, PotentialSpec, eval_potential,
                         normalized_for_window)
 from .solvers import (AxisRegular, PointStart, ShootingConfig, SolveResult,
-                      solve_rotational_profile, solve_translation_profile)
-from .surface_geometry import (GeometryField, GraphPatch, ProfileCurve,
+                      solve_rotational_profile, solve_translation_profile,
+                      _stencil_matrix)
+from .surface_geometry import (AXIS_TOL, GeometryField, GraphPatch, ProfileCurve,
                                ROTATIONAL, TRANSLATION, drift_laplacian,
                                sample_geometry, _make_report)
 
@@ -88,6 +88,8 @@ class ConvexityReport:
     lambda_K_inf: float
     hypotheses: dict
     verdict: str
+    # k2 / eta per sample, NaN where eta <= 1e-10
+    k2_over_eta: np.ndarray
 
 
 @dataclass
@@ -138,17 +140,14 @@ def _graph_lattice(field: GeometryField):
     fine[1::2, ::2] = 0.5 * (u[:-1, :] + u[1:, :])
     fine[::2, 1::2] = 0.5 * (u[:, :-1] + u[:, 1:])
     fine[1::2, 1::2] = 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])
-    h = patch.h / 2
-    a, b, c, d = patch.domain
-    xs = a + h * np.arange(2 * nx - 1)
-    ys = c + h * np.arange(2 * ny - 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pos = np.stack([X, Y, fine], axis=-1)
-    return pos, h
+    X, Y = GraphPatch(patch.domain, patch.h / 2, fine).grid()
+    return np.stack([X, Y, fine], axis=-1), patch.h / 2
 
 
-_NEIGHBOR_TEMPLATE = ((1, 0), (0, 1), (1, 1), (1, -1),
-                      (2, 1), (1, 2), (2, -1), (1, -2))
+# each lattice edge once, as the offset (di, dj) from one end, sorted;
+# Dijkstra takes the edges in both directions
+_NEIGHBOR_TEMPLATE = ((0, 1), (1, -2), (1, -1), (1, 0),
+                      (1, 1), (1, 2), (2, -1), (2, 1))
 
 
 def _lattice_distances(pos: np.ndarray, sources, conformal_weight=None):
@@ -158,29 +157,20 @@ def _lattice_distances(pos: np.ndarray, sources, conformal_weight=None):
     the average conformal factor of the endpoints when supplied.
     """
     nx, ny, _ = pos.shape
-    n = nx * ny
-    idx = np.arange(n).reshape(nx, ny)
-    rows, cols, vals = [], [], []
-    flat = pos.reshape(n, 3)
-    w = None if conformal_weight is None else conformal_weight.reshape(n)
-    for di, dj in _NEIGHBOR_TEMPLATE:
-        if dj >= 0:
-            s_blk = idx[:nx - di, :ny - dj]
-            d_blk = idx[di:, dj:]
-        else:
-            s_blk = idx[:nx - di, -dj:]
-            d_blk = idx[di:, :ny + dj]
-        s_flat = s_blk.ravel()
-        d_flat = d_blk.ravel()
-        lengths = np.linalg.norm(flat[d_flat] - flat[s_flat], axis=1)
-        if w is not None:
-            lengths = lengths * 0.5 * (w[s_flat] + w[d_flat])
-        rows.append(s_flat)
-        cols.append(d_flat)
-        vals.append(lengths)
-    graph = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+
+    def neighbours(a):
+        """a at each node's neighbours, one template offset per entry of
+        the last axis; a neighbour off the lattice reads 0."""
+        padded = np.pad(a, ((2, 2), (2, 2)) + ((0, 0),) * (a.ndim - 2))
+        return [padded[2 + di:nx + 2 + di, 2 + dj:ny + 2 + dj]
+                for di, dj in _NEIGHBOR_TEMPLATE]
+
+    lengths = np.stack([np.linalg.norm(q - pos, axis=-1) for q in neighbours(pos)],
+                       axis=-1)
+    if conformal_weight is not None:
+        w = conformal_weight
+        lengths = lengths * 0.5 * np.stack([w + v for v in neighbours(w)], axis=-1)
+    graph = _stencil_matrix(_NEIGHBOR_TEMPLATE, lengths)
     dist = _csgraph_dijkstra(graph, directed=False, indices=np.asarray(sources),
                              min_only=len(np.atleast_1d(sources)) > 1)
     if dist.ndim > 1:
@@ -234,7 +224,7 @@ def _profile_disk_area(field: GeometryField, p: int, rho: float) -> float:
     curve: ProfileCurve = field.source
     s = curve.s
     if curve.kind == ROTATIONAL:
-        if not (p == 0 and curve.x[0] < 1e-10):
+        if not (p == 0 and curve.x[0] < AXIS_TOL):
             raise ValueError(
                 "rotational disk centers must be the axis sample (index 0)")
         if rho >= s[-1]:
@@ -317,7 +307,7 @@ def _clipped_areas(field: GeometryField, q: np.ndarray, radii: np.ndarray):
         dz2 = (zm - q[2]) ** 2
         d2 = (xm - q[0]) ** 2 + dz2
         # an axis start is an interior pole, not a patch boundary
-        start_is_boundary = curve.x[0] > 1e-10
+        start_is_boundary = curve.x[0] > AXIS_TOL
         for k, r in enumerate(radii):
             if curve.kind == ROTATIONAL:
                 if qr < 1e-12:
@@ -403,7 +393,9 @@ def convexity_report(field: GeometryField, spec: PotentialSpec,
     min_K = float(field.K.min())
     min_k2 = float(k_hi.min())
     pos_eta = field.eta > 1e-10
-    theta_sup = float(np.max(k_hi[pos_eta] / field.eta[pos_eta])) if np.any(pos_eta) else float("-inf")
+    ratio = np.divide(k_hi, field.eta, out=np.full(field.n_samples, np.nan),
+                      where=pos_eta)
+    theta_sup = float(np.max(ratio[pos_eta])) if np.any(pos_eta) else float("-inf")
     lambda_K_inf = float(cond.lam * min_K)
     if not all(hypotheses.values()):
         verdict = "HypothesesFail"
@@ -413,7 +405,7 @@ def convexity_report(field: GeometryField, spec: PotentialSpec,
         verdict = "NotConvex"
     return ConvexityReport(min_K=min_K, min_k2=min_k2, theta_sup=theta_sup,
                            lambda_K_inf=lambda_K_inf, hypotheses=hypotheses,
-                           verdict=verdict)
+                           verdict=verdict, k2_over_eta=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +466,7 @@ def rescale_profile(curve: ProfileCurve, lam: float) -> ProfileCurve:
     if lam <= 0.0:
         raise ValueError("scale must be positive")
     if curve.kind == ROTATIONAL:
-        if not (curve.x[0] < 1e-10):
+        if not (curve.x[0] < AXIS_TOL):
             raise ValueError("rotational rescaling needs an axis basepoint")
         x_new = lam * curve.x
     else:
@@ -501,13 +493,13 @@ def _window_samples(curve: ProfileCurve, field: GeometryField, p: int,
     sel = np.abs(curve.s - curve.s[p]) <= s_half
     if curve.s[p] + s_half > curve.s[-1] or curve.s[p] - s_half < curve.s[0]:
         if not (curve.kind == ROTATIONAL and curve.s[p] - s_half < curve.s[0]
-                and curve.x[0] < 1e-10):
+                and curve.x[0] < AXIS_TOL):
             raise WindowUnderflowError("window exceeds the sampled profile")
     idx = np.where(sel)[0]
     base = field.positions[p]
     if curve.kind == ROTATIONAL:
         x_p = curve.x[p]
-        if x_p > 1e-10:
+        if x_p > AXIS_TOL:
             v_half = min(np.pi, 1.5 * window / (lam * max(x_p - s_half, 1e-6)))
         else:
             v_half = np.pi
@@ -530,8 +522,7 @@ def _window_samples(curve: ProfileCurve, field: GeometryField, p: int,
         raise WindowUnderflowError("rescaled samples do not fill the window")
     n_keep = np.concatenate(n_keep)
     return (pts, np.repeat(field.eta[idx], n_keep),
-            np.repeat(field.H[idx] / lam, n_keep),
-            np.repeat(field.K[idx] / lam**2, n_keep))
+            np.repeat(field.H[idx] / lam, n_keep))
 
 
 def _plane_distance(pts, etas, Hs, normals_eta_sign):
@@ -613,7 +604,7 @@ def blowup_rescale(source, basepoints, scales, spec: PotentialSpec,
         if field is None or field.source is not curve:
             field = src.field if solved else sample_geometry(curve, spec)
         ratio = float(eval_potential(spec, field.mu[p]).d1 / lam)
-        pts, etas, Hs, Ks = _window_samples(curve, field, p, lam, _WINDOW)
+        pts, etas, Hs = _window_samples(curve, field, p, lam, _WINDOW)
         if model == "Plane":
             sign = np.sign(field.eta[p]) if field.eta[p] != 0 else 1.0
             hd, c2 = _plane_distance(pts, etas, Hs, sign)

@@ -202,14 +202,8 @@ class Family:
         left end 0+ when there are inverse powers.
         """
         lam, beta, coeffs = self.tail(spec)
-        if lam > 0.0:
-            tail_ok = True
-        elif lam == 0.0 and beta > 0.0:
-            tail_ok = True
-        elif lam == 0.0 and beta == 0.0:
-            tail_ok = (not coeffs) or coeffs[0] >= -2.0
-        else:
-            tail_ok = False
+        tail_ok = not asymptotics(spec).violates_constraint or (
+            lam == 0.0 and beta == 0.0 and (not coeffs or coeffs[0] >= -2.0))
         # phi ~ c1 log z near 0+, derivatives ~ z^-m terms
         if coeffs and spec.alpha <= 0.0:
             m = len(coeffs)
@@ -246,8 +240,7 @@ class Family:
 
     def complete_hint(self, spec: PotentialSpec) -> bool:
         """Analytic hint that phi > 0 outside a compact set."""
-        lam, beta, _ = self.tail(spec)
-        return lam > 0.0 or (lam == 0.0 and beta > 0.0)
+        return not asymptotics(spec).violates_constraint
 
 
 class Quadratic(Family):
@@ -464,7 +457,7 @@ def asymptotics(spec: PotentialSpec) -> Asymptotics:
         raise PotentialFamilyError(
             f"{spec.family} has no tail expansion of the admissible form")
     lam, beta, _ = tail
-    violates = (lam < 0.0) or (lam == 0.0 and not beta > 0.0)
+    violates = not (lam > 0.0 or (lam == 0.0 and beta > 0.0))
     return Asymptotics(lam, beta, violates)
 
 

@@ -13,9 +13,10 @@ use the series x = s - (a^2/24) s^3, theta = (a/2) s + a(2b - a^2)/32 s^3
 Graphs come from a Newton iteration on the second-order central
 difference discretisation of  div(grad u / W) = phi'(u) / W,
 W = sqrt(1 + |grad u|^2), with an analytically assembled Jacobian
-including the -phi''(u)/W zeroth-order term.  That Jacobian and the
-5-point Laplacian of the harmonic start come from one interior-stencil
-assembly (_stencil_matrix), which writes the compressed-row (CSR) arrays
+including the -phi''(u)/W zeroth-order term.  That Jacobian, the
+5-point Laplacian of the harmonic start and the Dijkstra lattice of the
+geodesic audits come from one interior-stencil assembly
+(_stencil_matrix), which writes the compressed-row (CSR) arrays
 straight from the grid, with no COO stage; only a matrix that is
 LU-factored is converted, to CSC.  Each Jacobian is factored once and
 its factor is reused for chord steps (Shamanskii's method; Kelley,
@@ -284,21 +285,23 @@ def graph_pde_residual(spec: PotentialSpec, u: np.ndarray, h: float) -> np.ndarr
 
 def _stencil_matrix(offsets, coefs: np.ndarray, order=None) -> sp.csr_matrix:
     """The interior stencil of an nx x ny grid as a CSR matrix over the
-    interior unknowns: coefs[i, j, m], of shape (nx - 2, ny - 2, k), weighs
-    the neighbour (i + di, j + dj) of interior node (i, j) for the m-th of
-    the k offsets (di, dj), sorted as pairs, which puts a row-major row's
-    columns in order.  A neighbour on the edge is left out; every other
-    entry is stored, zeros included.  Unknown k is the interior node of
-    row-major index order[k], or k itself when order is None."""
+    interior unknowns, the grid less a border as wide as the longest offset
+    (b = max |di|, |dj|): coefs[i, j, m], of shape (nx - 2b, ny - 2b, k),
+    weighs the neighbour (i + di, j + dj) of interior node (i, j) for the
+    m-th of the k offsets (di, dj), sorted as pairs, which puts a row-major
+    row's columns in order.  A neighbour on the border is left out; every
+    other entry is stored, zeros included.  Unknown k is the interior node
+    of row-major index order[k], or k itself when order is None."""
     mx, my, k = coefs.shape
     n = mx * my
-    # the unknown of each node, -1 on the edge
-    unknown = np.full((mx + 2, my + 2), -1, dtype=np.int32)
+    b = max(max(abs(di), abs(dj)) for di, dj in offsets)
+    # the unknown of each node, -1 on the border
+    unknown = np.full((mx + 2 * b, my + 2 * b), -1, dtype=np.int32)
     number = np.arange(n, dtype=np.int32)
     if order is not None:
         number[order] = number.copy()
-    unknown[1:-1, 1:-1] = number.reshape(mx, my)
-    cols = np.stack([unknown[1 + di:mx + 1 + di, 1 + dj:my + 1 + dj]
+    unknown[b:mx + b, b:my + b] = number.reshape(mx, my)
+    cols = np.stack([unknown[b + di:mx + b + di, b + dj:my + b + dj]
                      for di, dj in offsets], axis=-1).reshape(n, k)
     coefs = coefs.reshape(n, k)
     if order is not None:

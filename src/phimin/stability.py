@@ -28,8 +28,9 @@ import scipy.sparse.linalg as spla
 
 # eval_potential is unused here, but bench/tracing.py wraps it in every layer module
 from .potential import PotentialSpec, eval_potential
-from .surface_geometry import (GeometryField, ProfileCurve, ResidualReport,
-                               ROTATIONAL, drift_laplacian, _make_report)
+from .surface_geometry import (AXIS_TOL, GeometryField, ProfileCurve,
+                               ResidualReport, ROTATIONAL, drift_laplacian,
+                               _make_report)
 
 
 class SupportError(ValueError):
@@ -334,7 +335,7 @@ def jacobi_residual(field: GeometryField, spec: PotentialSpec, direction,
         # the azimuthal second derivative contributes -nu / x^2
         curve = field.source
         lap = field.laplacian(nu)
-        off = curve.x > 1e-10
+        off = curve.x > AXIS_TOL
         lap[off] -= nu[off] / curve.x[off] ** 2
         res = lap + field.surface_inner(phi_mu, nu) + pot * nu
     else:

@@ -44,6 +44,9 @@ from .potential import (PotentialEval, PotentialSpec, PotentialDomainError,
 
 ROTATIONAL = "Rotational"
 TRANSLATION = "TranslationInvariant"
+# a profile sample with x < AXIS_TOL is on the rotation axis, one with
+# x > AXIS_TOL off it
+AXIS_TOL = 1e-10
 
 IDENTITY_NAMES = {
     1: "gradient_decomposition",
@@ -133,7 +136,7 @@ class ProfileCurve:
         if self.kind == ROTATIONAL:
             if np.any(self.x < -1e-12):
                 raise AxisSingularityError("rotational profile has x < 0")
-            on_axis = self.x < 1e-10
+            on_axis = self.x < AXIS_TOL
             bad = on_axis & (np.abs(np.sin(self.theta)) > 1e-6)
             if np.any(bad):
                 raise AxisSingularityError("x = 0 at a sample with theta not 0 mod pi")
@@ -330,8 +333,8 @@ def _second_diff(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
 
 def _axis_ratio(curve: "ProfileCurve"):
     """cos(theta) / x of a rotational profile and its off-axis mask
-    x > 1e-10; the ratio is 0 on the axis and on translation profiles."""
-    off = curve.x > 1e-10
+    x > AXIS_TOL; the ratio is 0 on the axis and on translation profiles."""
+    off = curve.x > AXIS_TOL
     c = np.zeros(len(curve))
     if curve.kind == ROTATIONAL:
         c[off] = np.cos(curve.theta[off]) / curve.x[off]
@@ -365,7 +368,7 @@ def _profile_geometry(curve: ProfileCurve, spec: PotentialSpec) -> GeometryField
     k_mer = -np.gradient(curve.theta, curve.step, edge_order=2)
     if curve.kind == ROTATIONAL:
         k_par = np.empty(n)
-        on_axis = curve.x < 1e-10
+        on_axis = curve.x < AXIS_TOL
         k_par[~on_axis] = -sin_t[~on_axis] / curve.x[~on_axis]
         k_par[on_axis] = k_mer[on_axis]  # equal curvatures at a regular axis point
     else:

@@ -1037,6 +1037,36 @@ def test_bad_values_exit_2_with_their_path(tmp_path, capsys, case):
     assert capsys.readouterr().err == f"config error: {violation}\n"
 
 
+CONVEXITY = _base_config("AuditConvexity", {"surface": ROT_SURF})
+# document (or JSON text), extra main flags, one of the violations reported
+REFUSAL_CASES = {
+    "surface-number": ({**CONVEXITY, "command_params": {"surface": 5}}, (),
+                       "command_params.surface: must be an object"),
+    "config-array": ([CONVEXITY], (), "$: config must be a JSON object"),
+    "params-list": ({**CONVEXITY, "command_params": [ROT_SURF]}, (),
+                    "command_params: must be an object"),
+    **{case: ({**CONVEXITY, "seed": seed}, (), "seed: must be a non-negative integer")
+       for case, seed in [("seed-string", "3"), ("seed-bool", True),
+                          ("seed-negative", -1), ("seed-float", 3.0)]},
+    "seed-flag-negative": (CONVEXITY, ("--seed", "-5"),
+                           "--seed: must be a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSAL_CASES))
+def test_refusals_exit_2_with_one_config_error_line(tmp_path, capsys, case):
+    doc, flags, violation = REFUSAL_CASES[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["AuditConvexity", "--config", str(path), "--out", str(out),
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert violation in err[len("config error: "):-1].split("; ")
+    assert not out.exists()
+
+
 LINEAR, QUADRATIC = PotentialSpec.linear(1.0), PotentialSpec.quadratic(1.0, 1.0)
 BOWL_BOUNDARY_CASES = {
     "Linear-1": (LINEAR, (-1.0, 1.0, -1.0, 1.0), 1 / 32, {"kind": "bowl_profile"}),

@@ -357,7 +357,7 @@ def _window_samples_loop(curve, field, p, lam, window):
         vs = np.linspace(-v_half, v_half, 65)
     else:
         ys = np.linspace(-s_half, s_half, 65)
-    pts, etas, Hs, Ks = [], [], [], []
+    pts, etas, Hs = [], [], []
     for i in idx:
         if curve.kind == "Rotational":
             chart = np.stack([curve.x[i] * np.cos(vs), curve.x[i] * np.sin(vs),
@@ -370,8 +370,7 @@ def _window_samples_loop(curve, field, p, lam, window):
         pts.append(q[keep])
         etas.append(np.full(keep.sum(), field.eta[i]))
         Hs.append(np.full(keep.sum(), field.H[i] / lam))
-        Ks.append(np.full(keep.sum(), field.K[i] / lam**2))
-    return tuple(np.concatenate(a) for a in (pts, etas, Hs, Ks))
+    return tuple(np.concatenate(a) for a in (pts, etas, Hs))
 
 
 @pytest.mark.parametrize("case", ["axis", "off_axis", "translation"])
@@ -393,6 +392,7 @@ def test_window_samples_match_per_sample_loop(case, tall_bowl, spec_linear):
         assert 1.5 / (lam * (curve.x[p] - s_half)) < np.pi  # a partial ring
     got = _window_samples(curve, field, p, lam, 1.0)
     want = _window_samples_loop(curve, field, p, lam, 1.0)
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
@@ -470,3 +470,67 @@ def test_ilmanen_report_matches_the_loop(bowl_field, reaper_field, quad_bowl,
         rep = ilmanen_estimate_report(field, spec, boundary)
         want = _ilmanen_report_loop(field, spec, boundary)
         assert [v.hex() for v in astuple(rep)] == [v.hex() for v in want]
+
+
+# -- lattice distances against a COO assembly of the lattice ------------------
+
+def _coo_lattice_distances(pos, sources, conformal_weight=None):
+    """Dijkstra on the knight-augmented lattice assembled as a COO matrix of
+    the forward edges, one template offset at a time, then converted."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    nx, ny, _ = pos.shape
+    n = nx * ny
+    idx = np.arange(n).reshape(nx, ny)
+    flat = pos.reshape(n, 3)
+    rows, cols, vals = [], [], []
+    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2)):
+        lo, hi = max(0, -dj), ny - max(0, dj)
+        s_flat = idx[:nx - di, lo:hi].ravel()
+        d_flat = idx[di:, lo + dj:hi + dj].ravel()
+        lengths = np.linalg.norm(flat[d_flat] - flat[s_flat], axis=1)
+        if conformal_weight is not None:
+            w = conformal_weight.reshape(n)
+            lengths = lengths * 0.5 * (w[s_flat] + w[d_flat])
+        rows.append(s_flat)
+        cols.append(d_flat)
+        vals.append(lengths)
+    graph = coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                               np.concatenate(cols))),
+                       shape=(n, n)).tocsr()
+    dist = dijkstra(graph, directed=False, indices=np.asarray(sources),
+                    min_only=len(np.atleast_1d(sources)) > 1)
+    return (dist[0] if dist.ndim > 1 else dist).reshape(nx, ny)
+
+
+def test_lattice_distances_match_the_coo_assembly(bowl, spec_linear, spec_quadratic,
+                                                  monkeypatch):
+    import phimin.estimates as est
+
+    # the bowl's once-refined lattice at h = 1/64 on [-1, 1]^2, from its centre
+    domain, h = (-1.0, 1.0, -1.0, 1.0), 1 / 64
+    X, Y = GraphPatch(domain, h, np.zeros((129, 129))).grid()
+    u = np.interp(np.hypot(X, Y), bowl.surface.x, bowl.surface.z)
+    pos, _ = est._graph_lattice(sample_geometry(GraphPatch(domain, h, u), spec_linear))
+    assert pos.shape == (257, 257, 3)
+    centre = 128 * 257 + 128
+    got = est._lattice_distances(pos, [centre])
+    assert got.tobytes() == _coo_lattice_distances(pos, [centre]).tobytes()
+
+    # the conformal, multi-source call of the Ilmanen report
+    calls = []
+    real = est._lattice_distances
+
+    def captured(*args, **kw):
+        calls.append((args, kw, real(*args, **kw)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(est, "_lattice_distances", captured)
+    rng = np.random.default_rng(5)
+    patch = GraphPatch((0, 1, 0, 1), 1 / 32, 0.5 + 0.05 * rng.standard_normal((33, 33)))
+    field = sample_geometry(patch, spec_quadratic)
+    ilmanen_estimate_report(field, spec_quadratic, np.where(~field.interior_mask(1))[0])
+    (args, kw, got), = calls
+    assert kw["conformal_weight"] is not None and len(args[1]) > 1
+    assert got.tobytes() == _coo_lattice_distances(*args, **kw).tobytes()
