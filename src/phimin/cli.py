@@ -340,7 +340,8 @@ def _grid_nodes(patch: GraphPatch):
     """Row-major (i, j, x, y) columns of the patch nodes."""
     i = np.repeat(np.arange(patch.nx), patch.ny)
     j = np.tile(np.arange(patch.ny), patch.nx)
-    return i, j, patch.domain[0] + i * patch.h, patch.domain[2] + j * patch.h
+    X, Y = patch.grid()
+    return i, j, X.ravel(), Y.ravel()
 
 
 def write_graph_csv(path: Path, field: GeometryField) -> None:

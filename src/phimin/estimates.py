@@ -35,7 +35,7 @@ from .solvers import (AxisRegular, PointStart, ShootingConfig, SolveResult,
                       _stencil_matrix)
 from .surface_geometry import (AXIS_TOL, GeometryField, GraphPatch, ProfileCurve,
                                ROTATIONAL, TRANSLATION, drift_laplacian,
-                               sample_geometry, _make_report)
+                               sample_geometry, _cell_average, _make_report)
 
 LOG2 = float(np.log(2.0))
 # profile samples whose blow-up window charts are built as one array; a
@@ -139,7 +139,7 @@ def _graph_lattice(field: GeometryField):
     fine[::2, ::2] = u
     fine[1::2, ::2] = 0.5 * (u[:-1, :] + u[1:, :])
     fine[::2, 1::2] = 0.5 * (u[:, :-1] + u[:, 1:])
-    fine[1::2, 1::2] = 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])
+    fine[1::2, 1::2] = _cell_average(u, nx, ny)
     X, Y = GraphPatch(patch.domain, patch.h / 2, fine).grid()
     return np.stack([X, Y, fine], axis=-1), patch.h / 2
 

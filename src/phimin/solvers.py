@@ -14,8 +14,9 @@ Graphs come from a Newton iteration on the second-order central
 difference discretisation of  div(grad u / W) = phi'(u) / W,
 W = sqrt(1 + |grad u|^2), with an analytically assembled Jacobian
 including the -phi''(u)/W zeroth-order term.  That Jacobian, the
-5-point Laplacian of the harmonic start and the Dijkstra lattice of the
-geodesic audits come from one interior-stencil assembly
+5-point Laplacian of the harmonic start, the Dijkstra lattice of the
+geodesic audits and the graph stiffness of the stability form (on its
+region's block of the grid) come from one interior-stencil assembly
 (_stencil_matrix), which writes the compressed-row (CSR) arrays
 straight from the grid, with no COO stage; only a matrix that is
 LU-factored is converted, to CSC.  Each Jacobian is factored once and

@@ -11,11 +11,13 @@ so stability of a surface means lambda1 >= 0 on every compact region.
 
 Discretisation: on graph patches a bilinear finite-element stiffness
 with cell-centred coefficients (exact element integration, no reduced
-quadrature); on rotational profiles the one-dimensional radial problem
-with 2 pi x e^phi weight; on translation-invariant profiles the exact
-separated reduction, adding (pi / ruling_width)^2 for the lowest ruling
-mode.  The generalized eigenproblem is solved by inverse iteration with
-a fixed shift below the spectrum.
+quadrature) on a region that is a full rectangular block of the grid,
+written as a 9-point stencil by solvers._stencil_matrix; on rotational
+profiles the one-dimensional radial problem with 2 pi x e^phi weight; on
+translation-invariant profiles the exact separated reduction, adding
+(pi / ruling_width)^2 for the lowest ruling mode.  The generalized
+eigenproblem is solved by inverse iteration with a shift below the
+spectrum, moved up toward lambda1 every 8 iterations.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ import scipy.sparse.linalg as spla
 
 # eval_potential is unused here, but bench/tracing.py wraps it in every layer module
 from .potential import PotentialSpec, eval_potential
+from .solvers import _NINE_POINT, _stencil_matrix
 from .surface_geometry import (AXIS_TOL, GeometryField, ProfileCurve,
                                ResidualReport, ROTATIONAL, drift_laplacian,
-                               _make_report)
+                               _cell_average, _make_report)
 
 
 class SupportError(ValueError):
@@ -76,14 +79,20 @@ def _operator_potential(field: GeometryField, spec: PotentialSpec) -> np.ndarray
     return field.norm_s2() - field.potential(spec).d2 * field.eta**2
 
 
-def build_assembly(field: GeometryField, spec: PotentialSpec, region,
-                   ruling_width: float | None = None) -> StabilityAssembly:
-    """Assemble stiffness/potential/mass on the given sample-index region."""
+def _region(field: GeometryField, region) -> np.ndarray:
+    """Region's distinct sample indices, sorted; ValueError if none or out of range."""
     region = np.asarray(sorted(set(int(i) for i in region)), dtype=np.int64)
     if region.size == 0:
         raise ValueError("region is empty")
-    if region.max() >= field.n_samples or region.min() < 0:
+    if region[0] < 0 or region[-1] >= field.n_samples:
         raise ValueError("region indices out of range")
+    return region
+
+
+def build_assembly(field: GeometryField, spec: PotentialSpec, region,
+                   ruling_width: float | None = None) -> StabilityAssembly:
+    """Assemble stiffness/potential/mass on the given sample-index region."""
+    region = _region(field, region)
     pot = _operator_potential(field, spec)
     e_phi = np.exp(field.potential(spec).phi)
     if field.is_profile:
@@ -123,12 +132,6 @@ def _assemble_profile(field, region, pot, e_phi, ruling_width):
                              region=region, extra_mode=extra)
 
 
-def _cell_average(F, nx, ny):
-    """Mean of the four corner values of each cell of an nx x ny grid."""
-    G = F.reshape(nx, ny)
-    return 0.25 * (G[:-1, :-1] + G[1:, :-1] + G[:-1, 1:] + G[1:, 1:])
-
-
 def _cell_coefficients(field, e_phi):
     """Cell-centred coefficient e^phi W and inverse metric gixx, giyy, gixy
     of a graph field."""
@@ -141,47 +144,43 @@ def _cell_coefficients(field, e_phi):
 def _assemble_graph(field, region, pot, e_phi):
     patch = field.source
     nx, ny, h = patch.nx, patch.ny, patch.h
+    i, j = np.divmod(region, ny)
+    i0, i1, j0, j1 = i.min(), i.max() + 1, j.min(), j.max() + 1
+    if region.size != (i1 - i0) * (j1 - j0):
+        raise ValueError("graph regions must be full rectangular blocks of the grid")
     coef, gixx, giyy, gixy = _cell_coefficients(field, e_phi)
 
-    # exact bilinear element stiffness via 2x2 Gauss points
+    # exact bilinear element stiffness via 2x2 Gauss points; a cell's corner
+    # (a, b) is local node a + 2 b; a ring of empty cells borders the grid
+    A = np.stack([coef * gixx, coef * gixy, coef * gixy, coef * giyy],
+                 axis=-1).reshape(-1, 2, 2)
+    Ke = np.zeros((nx + 1, ny + 1, 4, 4))
     gp = 1.0 / np.sqrt(3.0)
-    gauss = [(-gp, -gp), (gp, -gp), (-gp, gp), (gp, gp)]
-    bmats = []
-    for xi, etaa in gauss:
-        dN = np.array([
-            [-(1 - etaa), (1 - etaa), -(1 + etaa), (1 + etaa)],
-            [-(1 - xi), -(1 + xi), (1 - xi), (1 + xi)],
-        ]) / 4.0 * (2.0 / h)  # local order [00, 10, 01, 11]
-        bmats.append(dN)
-
-    ncell = (nx - 1) * (ny - 1)
-    A = np.empty((ncell, 2, 2))
-    A[:, 0, 0] = (coef * gixx).ravel()
-    A[:, 1, 1] = (coef * giyy).ravel()
-    A[:, 0, 1] = A[:, 1, 0] = (coef * gixy).ravel()
-    Ke = np.zeros((ncell, 4, 4))
-    for B in bmats:
+    for xi, et in [(-gp, -gp), (gp, -gp), (-gp, gp), (gp, gp)]:
+        B = np.array([[-(1 - et), (1 - et), -(1 + et), (1 + et)],
+                      [-(1 - xi), -(1 + xi), (1 - xi), (1 + xi)]]) / 4.0 * (2.0 / h)
         AB = np.einsum("cab,bj->caj", A, B)
-        Ke += np.einsum("ai,caj->cij", B, AB) * (h**2 / 4.0)
+        Ke[1:-1, 1:-1] += (np.einsum("ai,caj->cij", B, AB)
+                           * (h**2 / 4.0)).reshape(nx - 1, ny - 1, 4, 4)
 
-    ci, cj = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
-    n00 = (ci * ny + cj).ravel()
-    nodes = np.stack([n00, n00 + ny, n00 + 1, n00 + ny + 1], axis=1)
-    rows = np.repeat(nodes, 4, axis=1).ravel()
-    cols = np.tile(nodes, (1, 4)).ravel()
-    K = sp.coo_matrix((Ke.ravel(), (rows, cols)),
-                      shape=(nx * ny, nx * ny)).tocsr()
+    # a node's cells (-1, -1), (-1, 0), (0, -1), (0, 0) away are summed in
+    # this ascending cell order, which fixes the rounding of each entry
+    coefs = np.zeros((i1 - i0, j1 - j0, 9))
+    for ci, cj in ((-1, -1), (-1, 0), (0, -1), (0, 0)):
+        cell = Ke[i0 + ci + 1:i1 + ci + 1, j0 + cj + 1:j1 + cj + 1]
+        for m, (di, dj) in enumerate(_NINE_POINT):
+            if 0 <= di - ci <= 1 and 0 <= dj - cj <= 1:
+                coefs[..., m] += cell[..., -ci - 2 * cj, di - ci + 2 * (dj - cj)]
 
-    mass_full = np.zeros(nx * ny)
-    share = coef.ravel() * h**2 / 4.0
-    for k in range(4):
-        np.add.at(mass_full, nodes[:, k], share)
-
-    K_rr = K[region][:, region]
-    mass = mass_full[region]
-    v_diag = pot[region] * mass
-    return StabilityAssembly(stiffness=K_rr.tocsr(), potential_term=v_diag,
-                             mass=mass, region=region)
+    # each cell's mass share goes to its corners 00, 10, 01, 11 in turn
+    share = coef * h**2 / 4.0
+    mass = np.zeros((nx, ny))
+    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        mass[di:nx - 1 + di, dj:ny - 1 + dj] += share
+    mass = mass[i0:i1, j0:j1].ravel()
+    return StabilityAssembly(stiffness=_stencil_matrix(_NINE_POINT, coefs),
+                             potential_term=pot[region] * mass, mass=mass,
+                             region=region)
 
 
 @dataclass
@@ -207,7 +206,7 @@ def quadratic_form(field: GeometryField, spec: PotentialSpec, u: np.ndarray,
     v = np.asarray(v, dtype=float)
     if u.shape != (field.n_samples,) or v.shape != (field.n_samples,):
         raise ValueError("test functions must be sampled on every point")
-    region = np.asarray(sorted(set(int(i) for i in region)), dtype=np.int64)
+    region = _region(field, region)
     outside = np.ones(field.n_samples, dtype=bool)
     outside[region] = False
     if np.any(u[outside] != 0.0) or np.any(v[outside] != 0.0):

@@ -331,6 +331,12 @@ def _second_diff(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return d
 
 
+def _cell_average(F: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """Mean of the four corner values of each cell of an nx x ny grid."""
+    G = F.reshape(nx, ny)
+    return 0.25 * (G[:-1, :-1] + G[1:, :-1] + G[:-1, 1:] + G[1:, 1:])
+
+
 def _axis_ratio(curve: "ProfileCurve"):
     """cos(theta) / x of a rotational profile and its off-axis mask
     x > AXIS_TOL; the ratio is 0 on the axis and on translation profiles."""

@@ -293,3 +293,91 @@ def test_profile_assembly_matches_interval_loop(case, bowl_field, reaper_field,
     for got, want in ((asm.stiffness.data, K.data), (asm.stiffness.indices, K.indices),
                       (asm.stiffness.indptr, K.indptr), (asm.mass, mass)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# -- graph assembly against the COO element assembly --------------------------
+
+def _graph_assembly_coo(field, spec, region):
+    """(K, mass) on region from a COO scatter of the element matrices over
+    the whole grid, with the region's rows and columns taken afterwards."""
+    import scipy.sparse as sp
+    from phimin.stability import _cell_coefficients
+    patch = field.source
+    nx, ny, h = patch.nx, patch.ny, patch.h
+    e_phi = np.exp(pm.eval_potential(spec, field.mu).phi)
+    coef, gixx, giyy, gixy = _cell_coefficients(field, e_phi)
+    gp = 1.0 / np.sqrt(3.0)
+    ncell = (nx - 1) * (ny - 1)
+    A = np.empty((ncell, 2, 2))
+    A[:, 0, 0] = (coef * gixx).ravel()
+    A[:, 1, 1] = (coef * giyy).ravel()
+    A[:, 0, 1] = A[:, 1, 0] = (coef * gixy).ravel()
+    Ke = np.zeros((ncell, 4, 4))
+    for xi, et in [(-gp, -gp), (gp, -gp), (-gp, gp), (gp, gp)]:
+        B = np.array([[-(1 - et), (1 - et), -(1 + et), (1 + et)],
+                      [-(1 - xi), -(1 + xi), (1 - xi), (1 + xi)]]) / 4.0 * (2.0 / h)
+        AB = np.einsum("cab,bj->caj", A, B)
+        Ke += np.einsum("ai,caj->cij", B, AB) * (h**2 / 4.0)
+    ci, cj = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
+    n00 = (ci * ny + cj).ravel()
+    nodes = np.stack([n00, n00 + ny, n00 + 1, n00 + ny + 1], axis=1)
+    rows = np.repeat(nodes, 4, axis=1).ravel()
+    cols = np.tile(nodes, (1, 4)).ravel()
+    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(nx * ny, nx * ny)).tocsr()
+    mass = np.zeros(nx * ny)
+    for k in range(4):
+        np.add.at(mass, nodes[:, k], coef.ravel() * h**2 / 4.0)
+    return K[region][:, region].tocsr(), mass[region]
+
+
+@pytest.fixture(scope="module")
+def bowl_graphs(bowl, spec_linear):
+    """Bowl graphs at h = 1/16 on a square and on a non-square domain."""
+    from scipy.interpolate import CubicSpline
+    spline = CubicSpline(bowl.surface.x, bowl.surface.z)
+    fields = {}
+    for name, domain in (("square", (-1.0, 1.0, -1.0, 1.0)),
+                         ("non-square", (0.0, 1.0, 0.0, 0.75))):
+        res = solve_graph(spec_linear, domain, 1 / 16,
+                          lambda x, y: spline(np.hypot(x, y)), NewtonConfig())
+        fields[name] = sample_geometry(res.surface, spec_linear)
+    return fields
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2])
+@pytest.mark.parametrize("domain", ["square", "non-square"])
+def test_graph_assembly_matches_coo_assembly(bowl_graphs, spec_linear, domain,
+                                             margin):
+    field = bowl_graphs[domain]
+    region = np.flatnonzero(field.interior_mask(margin))
+    asm = build_assembly(field, spec_linear, region)
+    K, mass = _graph_assembly_coo(field, spec_linear, region)
+    for got, want in ((asm.stiffness.data, K.data), (asm.stiffness.indices, K.indices),
+                      (asm.stiffness.indptr, K.indptr), (asm.mass, mass)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_graph_region_must_be_a_block(bowl_graphs, spec_linear):
+    field = bowl_graphs["non-square"]
+    nx, ny = field.source.nx, field.source.ny
+    block = np.zeros((nx, ny), dtype=bool)
+    block[2:-2, 2:-2] = True
+    L_shape = block.copy()
+    L_shape[nx // 2:-2, ny // 2:-2] = False
+    build_assembly(field, spec_linear, np.flatnonzero(block))
+    with pytest.raises(ValueError, match="rectangular blocks"):
+        build_assembly(field, spec_linear, np.flatnonzero(L_shape))
+
+
+@pytest.mark.parametrize("form", [True, False], ids=["quadratic_form", "build_assembly"])
+@pytest.mark.parametrize("refusal, match", [("empty", "empty"),
+                                            ("negative", "out of range"),
+                                            ("past-end", "out of range")])
+def test_bad_regions_are_refused(bowl_field, spec_linear, form, refusal, match):
+    n = bowl_field.n_samples
+    region = {"empty": [], "negative": [-1], "past-end": [n + 5]}[refusal]
+    with pytest.raises(ValueError, match=match):
+        if form:
+            quadratic_form(bowl_field, spec_linear, np.zeros(n), region)
+        else:
+            build_assembly(bowl_field, spec_linear, region)
