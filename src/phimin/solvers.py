@@ -42,7 +42,9 @@ standalone solve peaks at about 109 MiB of resident memory, against
 about 127 MiB with a COO assembly and 170 MiB with an LU of the whole
 grid.  Newton starts from nested iteration (Briggs, Henson and
 McCormick, ch. 3): the grid of spacing 2h is solved first and its
-solution interpolated.
+solution interpolated.  The same V-cycle, or LU, of the stability
+operator shifted below its spectrum preconditions the LOBPCG eigen-solve
+of stability.first_eigenvalue on its region's block of the grid.
 """
 
 from __future__ import annotations
@@ -487,11 +489,13 @@ def _transfers(mx: int, my: int):
 
 
 class _Hierarchy:
-    """The V-cycle of one Jacobian J (CSR, numbered as _transfers says):
-    for each grid above the coarsest its operator, weighted inverse
-    diagonal and transfers, and the LU of the coarsest operator.  Each
-    coarser operator is the Galerkin product (P^T / 4) A P.  With no grid
-    above the coarsest, a cycle is the LU back-solve."""
+    """The V-cycle of one operator J (CSR, numbered as _transfers says): a
+    Newton Jacobian, or the shifted stability operator that preconditions
+    stability.first_eigenvalue.  It holds, for each grid above the
+    coarsest, its operator, weighted inverse diagonal and transfers, and
+    the LU of the coarsest operator.  Each coarser operator is the
+    Galerkin product (P^T / 4) A P.  With no grid above the coarsest, a
+    cycle is the LU back-solve."""
 
     def __init__(self, J, transfers):
         self.levels = []

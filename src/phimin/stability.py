@@ -16,8 +16,8 @@ written as a 9-point stencil by solvers._stencil_matrix; on rotational
 profiles the one-dimensional radial problem with 2 pi x e^phi weight; on
 translation-invariant profiles the exact separated reduction, adding
 (pi / ruling_width)^2 for the lowest ruling mode.  The generalized
-eigenproblem is solved by inverse iteration with a shift below the
-spectrum, moved up toward lambda1 every 8 iterations.
+eigenproblem is solved by LOBPCG, preconditioned by the Newton solver's
+V-cycle (solvers._Hierarchy) of the operator shifted below its spectrum.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 # eval_potential is unused here, but bench/tracing.py wraps it in every layer module
 from .potential import PotentialSpec, eval_potential
-from .solvers import _NINE_POINT, _stencil_matrix
+from .solvers import _NINE_POINT, _Hierarchy, _stencil_matrix, _transfers
 from .surface_geometry import (AXIS_TOL, GeometryField, ProfileCurve,
                                ResidualReport, ROTATIONAL, drift_laplacian,
                                _cell_average, _make_report)
@@ -41,7 +41,7 @@ class SupportError(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Inverse iteration failed to reach the residual tolerance."""
+    """The eigen-solve missed its residual tolerance within 500 iterations."""
 
 
 class RulingWidthError(ValueError):
@@ -244,53 +244,52 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
                      ruling_width: float | None = None) -> SpectrumResult:
     """Smallest eigenvalue of -L on the region, Dirichlet outside.
 
-    Solves (stiffness - potential) u = lambda mass u by inverse iteration
-    shifted below the spectrum, at most 500 iterations; the eigen-residual
-    is measured in the mass norm and the eigenfunction is mass-normalised
-    with positive mean.
+    Solves A u = lambda M u, A = stiffness - potential + extra_mode M, by
+    one-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) from u = 1,
+    preconditioned by one solvers._Hierarchy V-cycle of A - sigma M,
+    sigma = -max |potential / M| - 1 - extra_mode: each iteration is one
+    Rayleigh-Ritz step on the mass-normalised span of the iterate, its
+    preconditioned residual and the last step.  It stops at mass-norm
+    residual max(tol max(1, |lambda|), 8 x its rounding floor), or raises
+    EigenConvergenceError after 500 iterations (``iterations`` counts
+    them).  The eigenfunction is mass-normalised with positive mean.
     """
     asm = build_assembly(field, spec, region, ruling_width=ruling_width)
     K, V, M = asm.stiffness, asm.potential_term, asm.mass
-    pot_sup = float(np.max(np.abs(V / M))) if V.size else 0.0
-    sigma = -pot_sup - 1.0 - asm.extra_mode
-    n = M.size
-
-    def factor(shift):
-        A_shift = (K - sp.diags(V) + sp.diags((asm.extra_mode - shift) * M)).tocsc()
-        # symmetric matrix: a symmetric-pattern fill-reducing ordering fits
-        return spla.splu(A_shift, permc_spec="MMD_AT_PLUS_A")
-
-    lu = factor(sigma)
-    abs_K = K.copy()
-    abs_K.data = np.abs(abs_K.data)
-    x = np.ones(n)
-    x /= np.sqrt(x @ (M * x))
-    lam = asm.rayleigh(x)
-    res_norm = np.inf
-    iters = 0
-    while iters < 500:
-        y = lu.solve(M * x)
-        y /= np.sqrt(y @ (M * y))
-        lam = asm.rayleigh(y)
-        r = (asm.stiffness @ y) - V * y + asm.extra_mode * M * y - lam * (M * y)
+    sigma = -float(np.max(np.abs(V / M))) - 1.0 - asm.extra_mode
+    A = K + sp.diags(asm.extra_mode * M - V)
+    shifted = A - sp.diags(sigma * M)
+    transfers, order = [], np.arange(M.size)
+    if not field.is_profile:
+        # a block of rows x (M.size / rows) nodes has one more cell a side
+        rows = np.unique(asm.region // field.source.ny).size
+        transfers, order = _transfers(rows + 1, M.size // rows + 1)
+    # with no grid above the coarsest, the LU is made in `order`
+    hierarchy = _Hierarchy(shifted if transfers else shifted[order][:, order], transfers)
+    abs_K = abs(K)
+    x = np.full(M.size, 1.0 / np.sqrt(M.sum()))
+    for iters in range(501):
+        lam = asm.rayleigh(x)
+        r = A @ x - lam * (M * x)
         res_norm = float(np.sqrt(r @ (r / M)))
         # rounding floor of the residual evaluation itself
-        round_scale = np.finfo(float).eps * (abs_K @ np.abs(y)
-                                             + np.abs(V * y) + np.abs(lam) * M * np.abs(y))
+        round_scale = np.finfo(float).eps * (abs_K @ np.abs(x)
+                                             + np.abs(V * x) + np.abs(lam) * M * np.abs(x))
         floor = float(np.sqrt(round_scale @ (round_scale / M)))
-        x = y
-        iters += 1
         if res_norm <= max(tol * max(1.0, abs(lam)), 8.0 * floor):
             break
-        # refresh the shift toward the current estimate once the safe
-        # extremal phase has located it; keeps a margin below lambda1
-        if iters % 8 == 0:
-            sigma = lam - max(10.0 * res_norm, 1e-8 * (1.0 + abs(lam)))
-            lu = None  # release the old factor before the new one is made
-            lu = factor(sigma)
-    else:
-        raise EigenConvergenceError(
-            f"eigen-residual {res_norm:.3e} after {iters} iterations")
+        if iters == 500:
+            raise EigenConvergenceError(
+                f"eigen-residual {res_norm:.3e} after {iters} iterations")
+        w = np.empty_like(x)
+        w[order] = hierarchy.vcycle(r[order])
+        basis = np.stack([x, w, p] if iters else [x, w], axis=1)
+        basis /= np.sqrt(M @ basis**2)
+        # c is mass-normalised; eigh reads the lower triangles only
+        _, c = scipy.linalg.eigh(basis.T @ (A @ basis), basis.T @ (M[:, None] * basis),
+                                 subset_by_index=[0, 0])
+        p = basis[:, 1:] @ c[1:, 0]
+        x = basis[:, 0] * c[0, 0] + p
     if x.sum() < 0:
         x = -x
     full = np.zeros(field.n_samples)

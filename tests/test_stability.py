@@ -1,18 +1,18 @@
-import gc
-import weakref
-
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 import scipy.special
 
 import phimin as pm
+from phimin import solvers
 from phimin.solvers import (AxisRegular, NewtonConfig, PointStart,
                             ShootingConfig, solve_graph,
                             solve_rotational_profile,
                             solve_translation_profile)
-from phimin.stability import (RulingWidthError, SupportError, build_assembly,
-                              first_eigenvalue, jacobi_residual, quadratic_form)
+from phimin.stability import (EigenConvergenceError, RulingWidthError, SupportError,
+                              build_assembly, first_eigenvalue, jacobi_residual,
+                              quadratic_form)
 from phimin.surface_geometry import GraphPatch, grid_shape, sample_geometry
 
 
@@ -213,33 +213,74 @@ def test_translation_reduction_uses_ruling_width(reaper_field, spec_linear):
     assert narrow - wide == pytest.approx(np.pi**2 - np.pi**2 / 100.0, rel=1e-9)
 
 
-def test_first_eigenvalue_holds_one_factor_at_a_time(bowl_field, spec_linear,
-                                                     monkeypatch):
-    # the bowl's interior takes 10 inverse iterations, so the shift is
-    # refreshed once and a second factor is made
-    splu = spla.splu
-    refs, held = [], []
+@pytest.fixture
+def hierarchies(monkeypatch):
+    """Each solvers._Hierarchy built, and the splu calls made, while the
+    fixture is in use."""
+    made = {"hierarchies": [], "splu": 0}
+    init, splu = solvers._Hierarchy.__init__, spla.splu
 
-    class Factor:
-        def __init__(self, lu):
-            self.solve = lu.solve
+    def counted_init(self, *args):
+        made["hierarchies"].append(self)
+        init(self, *args)
 
-    def counted(A, *args, **kwargs):
-        held.append(sum(ref() is not None for ref in refs))
-        factor = Factor(splu(A, *args, **kwargs))
-        refs.append(weakref.ref(factor))
-        return factor
+    def counted_splu(*args, **kwargs):
+        made["splu"] += 1
+        return splu(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counted)
-    region = np.where(bowl_field.interior_mask(2))[0]
-    gc.disable()
-    try:
-        res = first_eigenvalue(bowl_field, spec_linear, region, tol=1e-10)
-    finally:
-        gc.enable()
-    assert res.iterations > 8 and len(refs) >= 2
-    # no earlier factor was alive while a new one was made
-    assert held == [0] * len(refs)
+    monkeypatch.setattr(solvers._Hierarchy, "__init__", counted_init)
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    return made
+
+
+@pytest.mark.parametrize("surface", ["profile", "graph"])
+def test_first_eigenvalue_builds_one_hierarchy(surface, bowl_field, bowl_graphs,
+                                               spec_linear, hierarchies):
+    field = bowl_field if surface == "profile" else bowl_graphs["non-square"]
+    region = np.flatnonzero(field.interior_mask(2))
+    res = first_eigenvalue(field, spec_linear, region, tol=1e-10)
+    # 9 and 11 iterations; an LU made in the wrong numbering took 78
+    assert 1 < res.iterations <= 15
+    assert len(hierarchies["hierarchies"]) == 1 and hierarchies["splu"] == 1
+
+
+def test_first_eigenvalue_runs_v_cycle_levels(spec_zero, hierarchies):
+    # 128 cells a side: the block is preconditioned by a V-cycle over the
+    # 64-cell LU, and lambda1 of the unit square is 2 pi^2
+    res = solve_graph(spec_zero, (0, 1, 0, 1), 1 / 128,
+                      lambda x, y: np.zeros_like(x), NewtonConfig())
+    field = sample_geometry(res.surface, spec_zero)
+    del hierarchies["hierarchies"][:]  # any the Newton solve made
+    out = first_eigenvalue(field, spec_zero, np.flatnonzero(field.interior_mask(1)),
+                           tol=1e-10)
+    [hierarchy] = hierarchies["hierarchies"]
+    assert len(hierarchy.levels) == 1 and hierarchy.levels[0][0].shape == (127**2,) * 2
+    assert out.lambda1 == pytest.approx(2.0 * np.pi**2, rel=1e-3)
+
+
+@pytest.mark.parametrize("case", ["graph", "rotational", "translation"])
+def test_first_eigenvalue_matches_dense_pencil(case, bowl_field, reaper_field,
+                                               bowl_graphs, spec_linear):
+    graph = bowl_graphs["non-square"]
+    field, region, width = {
+        "graph": (graph, np.flatnonzero(graph.interior_mask(1)), None),
+        "rotational": (bowl_field, np.arange(0, 400), None),
+        "translation": (reaper_field, np.arange(200, 600), 0.7)}[case]
+    res = first_eigenvalue(field, spec_linear, region, ruling_width=width)
+    asm = res.assembly
+    A = asm.stiffness.toarray() + np.diag(asm.extra_mode * asm.mass - asm.potential_term)
+    [want] = scipy.linalg.eigh(A, np.diag(asm.mass), eigvals_only=True,
+                               subset_by_index=[0, 0])
+    assert res.lambda1 == pytest.approx(want, rel=1e-10)
+
+
+def test_unpreconditioned_eigen_solve_raises_convergence_error(bowl_field, spec_linear,
+                                                               monkeypatch):
+    # with the V-cycle replaced by the identity, 500 iterations are too few
+    monkeypatch.setattr(solvers._Hierarchy, "vcycle", lambda self, b: b)
+    region = np.flatnonzero(bowl_field.interior_mask(2))
+    with pytest.raises(EigenConvergenceError, match="after 500 iterations"):
+        first_eigenvalue(bowl_field, spec_linear, region, tol=1e-10)
 
 
 def test_one_node_translation_region_is_refused(reaper_field, spec_linear):
