@@ -35,8 +35,9 @@ prolongation P, restriction P^T / 4, Galerkin coarse operators, two
 damped-Jacobi sweeps (weight 0.7) on each side of a coarse correction,
 and that LU on the first coarser grid with at most 64 cells a side.  Each
 step on such a grid is GMRES (Saad, Iterative Methods for Sparse Linear
-Systems, 2003) with one V-cycle as preconditioner, to residual 1e-10
-relative to the right-hand side; a GMRES that misses it raises
+Systems, 2003) with one V-cycle as preconditioner, to a residual relative
+to the right-hand side that an Eisenstat-Walker forcing term sets per
+step, at most 1e-4 (see _newton); a GMRES that misses it raises
 LinearSolveError and no step is taken.  At h = 1/128 on [-1, 1]^2 a
 standalone solve peaks at about 109 MiB of resident memory, against
 about 127 MiB with a COO assembly and 170 MiB with an LU of the whole
@@ -446,9 +447,10 @@ _DIRECT_CELLS = 64
 # damped-Jacobi weight and sweeps on each side of a coarse correction
 _JACOBI_WEIGHT = 0.7
 _SWEEPS = 2
-# GMRES stops at this residual relative to the right-hand side, restarts
-# every _GMRES_RESTART iterations and gives up after _GMRES_CYCLES restarts
-_GMRES_RTOL = 1e-10
+# cap eta_max of the forcing term of _newton: GMRES stops at a residual of
+# at most this share of the right-hand side, restarts every _GMRES_RESTART
+# iterations and gives up after _GMRES_CYCLES restarts
+_ETA_MAX = 1e-4
 _GMRES_RESTART = 30
 _GMRES_CYCLES = 10
 
@@ -523,10 +525,11 @@ class _Hierarchy:
                 x += wdinv * (b - A @ x)
         return x
 
-    def solve(self, b: np.ndarray):
+    def solve(self, b: np.ndarray, rtol: float):
         """(x, GMRES iterations) for J x = b: the LU back-solve when there is
-        no grid above the coarsest, GMRES preconditioned by one V-cycle
-        otherwise.  Raises LinearSolveError when GMRES misses _GMRES_RTOL."""
+        no grid above the coarsest, else GMRES preconditioned by one V-cycle
+        to a 2-norm residual of at most rtol |b|.  Raises LinearSolveError
+        when GMRES misses rtol."""
         if not self.levels:
             return self.lu.solve(b), 0
         # the operator is made per solve: kept on the hierarchy, it would
@@ -535,12 +538,12 @@ class _Hierarchy:
         J = self.levels[0][0]
         cycle = spla.LinearOperator(J.shape, matvec=self.vcycle, dtype=float)
         iters = []
-        x, info = spla.gmres(J, b, M=cycle, rtol=_GMRES_RTOL, atol=0.0,
+        x, info = spla.gmres(J, b, M=cycle, rtol=rtol, atol=0.0,
                              restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES,
                              callback=iters.append, callback_type="pr_norm")
         if info != 0:
             raise LinearSolveError(
-                f"GMRES missed relative residual {_GMRES_RTOL:g} on "
+                f"GMRES missed relative residual eta_k = {rtol:.3g} on "
                 f"{J.shape[0]} unknowns (info {info}, {len(iters)} iterations)")
         return x, len(iters)
 
@@ -574,25 +577,50 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
     last one.  Otherwise the Jacobian is rebuilt and factored at the
     current iterate, and its step is shortened by _DAMPING until it stays
     in the weight domain and lowers the residual; the iteration stops when
-    that needs a step below 2^-10."""
+    that needs a step below 2^-10.
+
+    On a grid solved through a V-cycle, the Newton or chord step from the
+    k-th iterate, of residual F_k, is solved by GMRES to the relative
+    residual given by the forcing term of Eisenstat and Walker (SIAM J.
+    Sci. Comput. 17, 1996, choice 2, gamma = 0.9, alpha = 2), capped at
+    _ETA_MAX = 1e-4 and bounded below as in Kelley (Iterative Methods for
+    Linear and Nonlinear Equations, SIAM 1995, ch. 6):
+
+        eta_k = min(1e-4, max(eta_EW, 0.5 tol_residual / |F_k|_2)),
+        eta_EW = 0.9 (|F_k|_2 / |F_{k-1}|_2)^2, raised to 0.9 eta_{k-1}^2
+                 when that exceeds 0.1,
+
+    with eta_0 = 1e-4.  At the floor the linear residual is 0.5
+    tol_residual in the 2-norm that GMRES measures, so at most that in the
+    max norm of the stop test, and the last step solves no further than
+    that test needs.  A rejected chord step and the Newton step that
+    replaces it share eta_k.  A grid that is LU-factored ignores eta_k."""
     nx, ny = u.shape
     transfers, order = _transfers(nx - 1, ny - 1)
     gmres_iters = 0
 
-    def step(hierarchy, res):
+    def step(hierarchy, res, eta):
         nonlocal gmres_iters
         delta = np.empty(order.size)
-        delta[order], n = hierarchy.solve(-res.ravel()[order])
+        delta[order], n = hierarchy.solve(-res.ravel()[order], eta)
         gmres_iters += n
         return delta.reshape(nx - 2, ny - 2)
 
     res = graph_pde_residual(spec, u, h)
     res_norm = float(np.abs(res).max())
+    # with |F_{-1}| = |F_0| and eta_{-1} = _ETA_MAX, eta_0 comes out as _ETA_MAX
+    eta, last_norm2 = _ETA_MAX, float(np.linalg.norm(res))
     iters = lus = 0
     hierarchy = None
     while res_norm > cfg.tol_residual and iters < cfg.max_iters:
+        norm2 = float(np.linalg.norm(res))
+        eta_ew = 0.9 * (norm2 / last_norm2) ** 2
+        if 0.9 * eta**2 > 0.1:
+            eta_ew = max(eta_ew, 0.9 * eta**2)
+        eta = min(_ETA_MAX, max(eta_ew, 0.5 * cfg.tol_residual / norm2))
+        last_norm2 = norm2
         if hierarchy is not None:
-            u_try, res_try, try_norm = _trial(spec, u, h, step(hierarchy, res))
+            u_try, res_try, try_norm = _trial(spec, u, h, step(hierarchy, res, eta))
             if try_norm <= _CHORD_RATIO * res_norm:
                 u, res, res_norm = u_try, res_try, try_norm
                 iters += 1
@@ -602,7 +630,7 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
         hierarchy = _Hierarchy(
             _graph_jacobian(spec, u, h, None if transfers else order), transfers)
         lus += 1
-        delta = step(hierarchy, res)
+        delta = step(hierarchy, res, eta)
         step_len = 1.0
         while step_len >= 2.0**-10:
             u_try, res_try, try_norm = _trial(spec, u, h, step_len * delta)

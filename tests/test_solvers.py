@@ -463,7 +463,7 @@ def _bowl_jacobian(spec, bowl, h):
 def test_hierarchy_solve_matches_the_lu_solve(spec_linear, bowl, h):
     J, transfers, rhs = _bowl_jacobian(spec_linear, bowl, h)
     assert len(transfers) == round(math.log2(1 / (32 * h)))
-    sol, iters = _Hierarchy(J, transfers).solve(rhs)
+    sol, iters = _Hierarchy(J, transfers).solve(rhs, 1e-10)
     ref = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
     assert 0 < iters <= 30
     assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -545,6 +545,66 @@ def test_small_grids_keep_the_lu_path_bits(spec_linear, bowl, case):
     assert (res_norm, iters, note) == (ref_norm, ref_iters, f"{ref_lus} LU")
 
 
+def _grid_start(spec, boundary, h, cfg):
+    """The nested start of solve_graph on [-1, 1]^2 at spacing h."""
+    n = int(round(2.0 / h)) + 1
+    xs = -1.0 + h * np.arange(n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    return solvers._nested_start(spec, boundary(X, Y), h, cfg, [])
+
+
+@pytest.mark.parametrize("case, tol", [("bowl", 1e-10), ("quadratic-bowl", 1e-10),
+                                       ("reaper", 1e-10), ("bowl", 1e-6),
+                                       ("bowl", 1e-12)])
+def test_v_cycle_newton_takes_the_lu_newton_steps(spec_linear, spec_quadratic,
+                                                  bowl, case, tol):
+    # the forcing term's cap is small enough that an inexact step does the
+    # work of an exact one: a cap of 1e-2 adds a step on four of these
+    # cases, and a cap of 1e-3 on the bowl at tol 1e-6 and 1e-12
+    spec, boundary = {
+        "bowl": (spec_linear, _bowl_boundary(bowl)),
+        "quadratic-bowl": (spec_quadratic, _bowl_boundary(pm.solve_rotational_profile(
+            spec_quadratic, ShootingConfig(start=AxisRegular(0.0), s_max=2.0,
+                                           step=1e-3)))),
+        "reaper": (spec_linear, lambda x, y: -np.log(np.cos(x))),
+    }[case]
+    h, cfg = 1 / 64, NewtonConfig(tol_residual=tol)
+    u0 = _grid_start(spec, boundary, h, cfg)
+    assert _transfers(128, 128)[0]
+    u, res_norm, iters, note = _newton(spec, u0, h, cfg)
+    ref, ref_norm, ref_iters, ref_lus = _lu_newton(spec, u0, h, cfg)
+    assert res_norm <= tol and ref_norm <= tol
+    assert iters == ref_iters and note.startswith(f"{ref_lus} LU, ")
+    assert np.abs(u - ref).max() <= 1e-11
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_gmres_rtol_is_the_forcing_term(spec_linear, bowl, monkeypatch, tol):
+    calls = []
+    gmres = spla.gmres
+
+    def recorded(A, b, **kwargs):
+        calls.append((A.shape[0], kwargs["rtol"], np.linalg.norm(b)))
+        return gmres(A, b, **kwargs)
+
+    monkeypatch.setattr(spla, "gmres", recorded)
+    res = solve_graph(spec_linear, (-1, 1, -1, 1), 1 / 64, _bowl_boundary(bowl),
+                      NewtonConfig(tol_residual=tol))
+    assert res.converged and res.iterations == len(calls) == 2
+    assert "after 2 Newton steps (1 LU, " in res.diagnostics
+    # the coarser grids of the nested start are LU-factored: no GMRES
+    assert {size for size, _, _ in calls} == {127 * 127}
+    eta_max = solvers._ETA_MAX
+    for _, rtol, b_norm in calls:
+        assert min(eta_max, 0.5 * tol / b_norm) <= rtol <= eta_max
+    (_, eta0, norm0), (_, eta1, norm1) = calls
+    assert eta0 == eta_max
+    # at tol 1e-10 the floor lies above the cap, at 1e-12 below it
+    want = min(eta_max, max(0.9 * (norm1 / norm0) ** 2, 0.5 * tol / norm1))
+    assert eta1 == pytest.approx(want, rel=1e-12)
+    assert (eta1 < eta_max) == (tol < 1e-10)
+
+
 def _failing_gmres(A, b, **kwargs):
     """A stand-in for spla.gmres that reports no convergence (info 30)."""
     return np.zeros_like(b), 30
@@ -564,7 +624,9 @@ def test_gmres_failure_raises_and_takes_no_step(spec_linear, bowl, monkeypatch):
 
     monkeypatch.setattr(solvers, "graph_pde_residual", counted)
     monkeypatch.setattr(spla, "gmres", gmres)
-    with pytest.raises(LinearSolveError, match="GMRES missed relative residual"):
+    # the first step's forcing term is the cap, and the message names it
+    with pytest.raises(LinearSolveError,
+                       match=r"GMRES missed relative residual eta_k = 0\.0001 "):
         solve_graph(spec_linear, (-1, 1, -1, 1), 1 / 64, _bowl_boundary(bowl),
                     NewtonConfig())
     # the 128-cell grid's first solve failed, and no trial iterate followed

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 import scipy.special
 
 import phimin as pm
-from phimin import solvers
+from phimin import solvers, stability
 from phimin.solvers import (AxisRegular, NewtonConfig, PointStart,
                             ShootingConfig, solve_graph,
                             solve_rotational_profile,
@@ -408,6 +408,18 @@ def test_graph_region_must_be_a_block(bowl_graphs, spec_linear):
     build_assembly(field, spec_linear, np.flatnonzero(block))
     with pytest.raises(ValueError, match="rectangular blocks"):
         build_assembly(field, spec_linear, np.flatnonzero(L_shape))
+
+
+def test_region_is_sorted_distinct_and_checked(bowl_field):
+    n = bowl_field.n_samples
+    region = stability._region(bowl_field, [7, 3, 7, n - 1, 3, 0])
+    assert region.dtype == np.int64 and region.tolist() == [0, 3, 7, n - 1]
+    drawn = np.random.default_rng(0).integers(0, n, size=3 * n)
+    assert stability._region(bowl_field, drawn).tolist() == sorted(set(drawn.tolist()))
+    for bad, match in (([], "empty"), (np.array([], dtype=int), "empty"),
+                       ([4, -1, 4], "out of range"), ([0, n], "out of range")):
+        with pytest.raises(ValueError, match=match):
+            stability._region(bowl_field, bad)
 
 
 @pytest.mark.parametrize("form", [True, False], ids=["quadratic_form", "build_assembly"])
