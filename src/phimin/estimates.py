@@ -38,9 +38,10 @@ from .surface_geometry import (AXIS_TOL, GeometryField, GraphPatch, ProfileCurve
                                sample_geometry, _cell_average, _make_report)
 
 LOG2 = float(np.log(2.0))
-# profile samples whose blow-up window charts are built as one array; a
-# whole window at once is no faster and holds far more memory
-_WINDOW_BLOCK = 512
+# relative widening of the radius for which _window_samples works out its
+# candidate chart runs: the closed forms round differently from the exact
+# norm test, so a point the test keeps must lie well inside the runs
+_WINDOW_SLACK = 1e-6
 # radius of the ball on which blow-ups are compared to their model
 _WINDOW = 1.0
 
@@ -485,9 +486,21 @@ def _window_samples(curve: ProfileCurve, field: GeometryField, p: int,
                     lam: float, window: float):
     """Rescaled surface samples of lambda (Sigma - p) inside the window ball.
 
-    Each profile sample in reach contributes a 65-point ring (rotational)
-    or ruling segment (translation); the charts of _WINDOW_BLOCK samples
-    are built and clipped at once.
+    Each profile sample within arclength 1.5 window / lambda carries a
+    65-point chart: a ring at angles vs (rotational) or a ruling segment
+    at heights ys (translation).  The base point b has y = 0, so the chart
+    points within radius r of b form one run of indices about the middle
+    point: |v_k| <= 2 arcsin sqrt((r^2 - d0^2) / (4 x x_p)) on a ring, with
+    d0^2 = (x - x_p)^2 + dz^2 its squared distance at v = 0, and
+    |y_k| <= sqrt(r^2 - d0^2) on a ruling.  A ring with x x_p <= 0 (the
+    axis sample, or an axis base point) takes all its points or none, by
+    its least distance.  The runs are worked out for the radius
+    (1 + _WINDOW_SLACK) window / lambda and widened by one index at each
+    end, so a rounding in the closed form can only add candidates, never
+    drop a kept point.  Only those candidates are built, and the exact
+    test |lambda (P - b)| <= window keeps the same points, in the same
+    sample-major order, as testing every chart point would.  The fill
+    check reads the norms of that test.
     """
     s_half = 1.5 * window / lam
     sel = np.abs(curve.s - curve.s[p]) <= s_half
@@ -497,6 +510,9 @@ def _window_samples(curve: ProfileCurve, field: GeometryField, p: int,
             raise WindowUnderflowError("window exceeds the sampled profile")
     idx = np.where(sel)[0]
     base = field.positions[p]
+    x, z = curve.x[idx], curve.z[idx]
+    r2 = (window * (1.0 + _WINDOW_SLACK) / lam) ** 2
+    d02 = (x - base[0]) ** 2 + (z - base[2]) ** 2
     if curve.kind == ROTATIONAL:
         x_p = curve.x[p]
         if x_p > AXIS_TOL:
@@ -504,23 +520,42 @@ def _window_samples(curve: ProfileCurve, field: GeometryField, p: int,
         else:
             v_half = np.pi
         vs = np.linspace(-v_half, v_half, 65)
-        chart = lambda x, z: (x * np.cos(vs), x * np.sin(vs), z)
+        # |P_k - b|^2 = d0^2 + 4 x x_p sin^2(v_k / 2), and sin^2 lies in [0, 1]
+        den = 4.0 * x * x_p
+        room = r2 - d02
+        whole = (den <= 0.0) | (room >= den)
+        t = np.clip(room / np.where(whole, 1.0, den), 0.0, 1.0)
+        reach = np.where(whole, np.inf, 2.0 * np.arcsin(np.sqrt(t)))
+        far = d02 + np.minimum(den, 0.0) > r2
+        step = 2.0 * v_half / 64
     else:
-        y_half = 1.5 * window / lam
-        ys = np.linspace(-y_half, y_half, 65)
-        chart = lambda x, z: (x, ys, z)
-    pts, n_keep = [], []
-    for start in range(0, idx.size, _WINDOW_BLOCK):
-        i = idx[start:start + _WINDOW_BLOCK, None]
-        block = np.stack(np.broadcast_arrays(*chart(curve.x[i], curve.z[i])), axis=-1)
-        q = lam * (block - base)
-        keep = np.linalg.norm(q, axis=-1) <= window
-        pts.append(q[keep])
-        n_keep.append(keep.sum(axis=1))
-    pts = np.concatenate(pts)
-    if pts.shape[0] < 16 or np.linalg.norm(pts, axis=1).max() < 0.8 * window:
+        ys = np.linspace(-s_half, s_half, 65)
+        reach = np.sqrt(np.maximum(r2 - d02, 0.0))
+        far = d02 > r2
+        step = 2.0 * s_half / 64
+    # the run 32 - m .. 32 + m of the 65 chart indices, none for a far sample
+    m = np.minimum(np.floor(reach / step) + 1.0, 32.0).astype(np.intp)
+    n_cand = np.where(far, 0, 2 * m + 1)
+    # candidate j belongs to sample owner[j] and sits at chart index k[j]
+    owner = np.repeat(np.arange(idx.size), n_cand)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(n_cand) - n_cand - (32 - m), n_cand)
+    xc, zc = x[owner], z[owner]
+    if curve.kind == ROTATIONAL:
+        qx = lam * (xc * np.cos(vs)[k] - base[0])
+        qy = lam * (xc * np.sin(vs)[k] - base[1])
+    else:
+        qx = lam * (xc - base[0])
+        qy = lam * (ys[k] - base[1])
+    qz = lam * (zc - base[2])
+    # on an axis of length 3 this is np.linalg.norm(q, axis=-1), bit for bit
+    norm = np.sqrt(qx * qx + qy * qy + qz * qz)
+    keep = norm <= window
+    pts = np.empty((np.count_nonzero(keep), 3))
+    for j, q in enumerate((qx, qy, qz)):
+        pts[:, j] = q[keep]
+    if pts.shape[0] < 16 or norm[keep].max() < 0.8 * window:
         raise WindowUnderflowError("rescaled samples do not fill the window")
-    n_keep = np.concatenate(n_keep)
+    n_keep = np.bincount(owner[keep], minlength=idx.size)
     return (pts, np.repeat(field.eta[idx], n_keep),
             np.repeat(field.H[idx] / lam, n_keep))
 

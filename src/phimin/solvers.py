@@ -50,6 +50,7 @@ of stability.first_eigenvalue on its region's block of the grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -324,11 +325,14 @@ def _stencil_matrix(offsets, coefs: np.ndarray, order=None) -> sp.csr_matrix:
 _DISSECTION_LEAF = 4
 
 
+@functools.lru_cache(maxsize=32)
 def _dissection_order(m: int, n: int) -> np.ndarray:
     """Nested-dissection order of an m x n grid: the flat node indices
     i * n + j in elimination order.  A block is bisected along its longer
     side by one grid line, which follows both halves; blocks with at most
-    _DISSECTION_LEAF nodes on each side keep their row-major order."""
+    _DISSECTION_LEAF nodes on each side keep their row-major order.  The
+    orders of the last 32 shapes are cached; each is read-only, as every
+    caller of its shape shares it."""
     parts = []
 
     def visit(block):
@@ -345,7 +349,9 @@ def _dissection_order(m: int, n: int) -> np.ndarray:
             parts.append(block[:, cols // 2])
 
     visit(np.arange(m * n).reshape(m, n))
-    return np.concatenate(parts)
+    order = np.concatenate(parts)
+    order.flags.writeable = False
+    return order
 
 
 # the 9-point and 5-point stencil offsets (di, dj), sorted

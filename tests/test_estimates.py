@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import phimin as pm
 from phimin.estimates import (PatchExceededError, WindowUnderflowError,
@@ -274,6 +275,35 @@ def test_rescaling_covariance_exact(tall_bowl, spec_linear):
     assert np.abs(f2.K - field.K / lam**2).max() <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def long_reaper(spec_linear):
+    """The Linear grim reaper z = -log cos x from x = -1.3 past x = 1.4."""
+    return solve_translation_profile(spec_linear, ShootingConfig(
+        start=PointStart(-1.3, -np.log(np.cos(1.3)), -1.3), s_max=4.6, step=1e-3))
+
+
+def test_grim_reaper_blowup_matches_its_model(long_reaper, spec_linear):
+    p = int(np.argmin(np.abs(long_reaper.surface.x)))
+    scales = [1.0, 2.0, 4.0]
+    rep = blowup_rescale(long_reaper, [p] * 3, scales, spec_linear, "GrimReaper")
+    assert all(stage.hausdorff_distance <= 1e-3 for stage in rep.stages)
+    # the plane and the bowl are far from a grim reaper at unit scale
+    for model in ("Plane", "Bowl"):
+        other = blowup_rescale(long_reaper, [p], [1.0], spec_linear, model)
+        assert other.hausdorff_distance >= 0.1
+
+
+def test_rescaling_covariance_on_a_translation_curve(long_reaper, spec_linear):
+    lam = 3.0
+    curve, field = long_reaper.surface, long_reaper.field
+    rescaled = rescale_profile(curve, lam)
+    assert rescaled.s[0] == 0.0
+    assert np.array_equal(rescaled.x, lam * (curve.x - curve.x[0]))
+    f2 = sample_geometry(rescaled, pm.PotentialSpec.linear(1.0 / lam))
+    assert np.abs(f2.k1 - field.k1 / lam).max() <= 1e-12
+    assert np.abs(f2.k2 - field.k2 / lam).max() <= 1e-12
+
+
 def test_window_underflow(tall_bowl, spec_linear):
     field = sample_geometry(tall_bowl.surface, spec_linear)
     last = field.n_samples - 1
@@ -343,10 +373,10 @@ def test_area_gate_lets_other_errors_through(bowl_field, spec_linear, monkeypatc
         geodesic_disk_area_check(bowl_field, 0, 0.3, spec_linear, -1.0)
 
 
-# -- blocked window sampler against the per-sample loop -----------------------
+# -- candidate-run window sampler against the per-sample loop ------------------
 
 def _window_samples_loop(curve, field, p, lam, window):
-    """The per-sample construction the blocked sampler must reproduce."""
+    """The per-sample construction the candidate-run sampler must reproduce."""
     s_half = 1.5 * window / lam
     idx = np.where(np.abs(curve.s - curve.s[p]) <= s_half)[0]
     base = field.positions[p]
@@ -373,28 +403,77 @@ def _window_samples_loop(curve, field, p, lam, window):
     return tuple(np.concatenate(a) for a in (pts, etas, Hs))
 
 
-@pytest.mark.parametrize("case", ["axis", "off_axis", "translation"])
-def test_window_samples_match_per_sample_loop(case, tall_bowl, spec_linear):
-    from phimin.estimates import _WINDOW_BLOCK, _window_samples
-    if case == "translation":
-        res = solve_translation_profile(spec_linear, ShootingConfig(
-            start=PointStart(0.0, 0.0, 0.0), s_max=1.4, step=2e-4))
-    else:
-        res = tall_bowl
-    curve = res.surface
-    field = sample_geometry(curve, spec_linear)
-    p, lam = {"axis": (0, 0.5),
-              "off_axis": (int(np.argmin(np.abs(field.mu - 4.0))), 1.0),
-              "translation": (len(curve) // 2, 2.5)}[case]
-    s_half = 1.5 / lam
-    assert np.sum(np.abs(curve.s - curve.s[p]) <= s_half) > 2 * _WINDOW_BLOCK
-    if case == "off_axis":
-        assert 1.5 / (lam * (curve.x[p] - s_half)) < np.pi  # a partial ring
-    got = _window_samples(curve, field, p, lam, 1.0)
+@pytest.fixture(scope="module")
+def fine_reaper(spec_linear):
+    return solve_translation_profile(spec_linear, ShootingConfig(
+        start=PointStart(0.0, 0.0, 0.0), s_max=1.4, step=2e-4))
+
+
+def _assert_window_matches_loop(curve, field, p, lam):
+    """The sampler gives the loop's bytes, or raises where the loop's
+    samples do not fill the window."""
+    from phimin.estimates import _window_samples
     want = _window_samples_loop(curve, field, p, lam, 1.0)
+    if want[0].shape[0] < 16 or np.linalg.norm(want[0], axis=1).max() < 0.8:
+        with pytest.raises(WindowUnderflowError):
+            _window_samples(curve, field, p, lam, 1.0)
+        return
+    got = _window_samples(curve, field, p, lam, 1.0)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("case", ["axis", "off_axis", "whole_rings",
+                                  "axis_sample", "catenoid", "translation"])
+def test_window_samples_match_per_sample_loop(case, request):
+    source, s_p, lam = {"axis": ("tall_bowl", 0.0, 0.5),
+                        "off_axis": ("tall_bowl", 10.0, 1.0),
+                        "whole_rings": ("tall_bowl", 1.0, 0.5),
+                        "axis_sample": ("tall_bowl", 0.3, 2.0),
+                        "catenoid": ("catenoid", 0.6, 4.0),
+                        "translation": ("fine_reaper", 0.7, 2.5)}[case]
+    res = request.getfixturevalue(source)
+    curve, field = res.surface, res.field
+    p = int(np.argmin(np.abs(curve.s - s_p)))
+    s_half = 1.5 / lam
+    x_p = curve.x[p]
+    # whether a rotational window's chart is the whole ring
+    whole = x_p < 1e-10 or 1.5 / (lam * max(x_p - s_half, 1e-6)) >= np.pi
+    if case == "axis":
+        # an axis base point, whose rings lie wholly inside or outside
+        assert x_p < 1e-10 and lam < 1.0
+    elif case == "off_axis":
+        # the ball cuts each ring within reach on both sides
+        assert not whole
+    elif case == "whole_rings":
+        assert whole and x_p > 1e-10 and lam < 1.0
+    elif case == "axis_sample":
+        # the axis sample x = 0 lies in the window of an off-axis base point
+        assert curve.x[0] == 0.0 and x_p > 1e-10
+        assert lam * np.linalg.norm(field.positions[0] - field.positions[p]) < 1.0
+    elif case == "catenoid":
+        assert curve.x.min() >= 1.0 and not whole
+    _assert_window_matches_loop(curve, field, p, lam)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_window_samples_match_loop_on_random_windows(data, tall_bowl, quad_bowl,
+                                                     catenoid, fine_reaper):
+    # each profile with the least scale at which a window can fit on it
+    profiles = {"linear_bowl": (tall_bowl, 0.5), "quadratic_bowl": (quad_bowl, 1.1),
+                "catenoid": (catenoid, 2.6), "translation": (fine_reaper, 2.2)}
+    res, lam_lo = profiles[data.draw(st.sampled_from(sorted(profiles)))]
+    curve = res.surface
+    lam = data.draw(st.floats(lam_lo, 16.0))
+    s_half = 1.5 / lam
+    # a window about a rotational profile's axis may reach past its start
+    through_axis = curve.kind == "Rotational" and curve.x[0] == 0.0
+    s_lo = curve.s[0] if through_axis else curve.s[0] + s_half
+    fit = np.flatnonzero((curve.s >= s_lo) & (curve.s <= curve.s[-1] - s_half))
+    p = int(fit[data.draw(st.integers(0, fit.size - 1))])
+    _assert_window_matches_loop(curve, res.field, p, lam)
 
 
 def test_blowup_samples_a_shared_source_once(tall_bowl, spec_linear, monkeypatch):

@@ -296,6 +296,14 @@ def test_dissection_order_is_a_permutation(m, n):
     assert np.array_equal(np.sort(order), np.arange(m * n))
 
 
+def test_dissection_order_is_cached_and_read_only():
+    order = _dissection_order(9, 5)
+    assert _dissection_order(9, 5) is order
+    assert np.array_equal(order, _dissection_order.__wrapped__(9, 5))
+    with pytest.raises(ValueError):
+        order[0] = 1
+
+
 def test_dissection_order_puts_the_separator_last():
     # a 9 x 5 grid is cut by its middle row, whose 5 nodes come last
     assert np.array_equal(_dissection_order(9, 5)[-5:], 4 * 5 + np.arange(5))
