@@ -26,14 +26,16 @@ whose max-norm residual is at most _CHORD_RATIO = 0.1 of the last one is
 kept, otherwise the Jacobian is rebuilt and factored at the current
 iterate and its step damped.
 
-A grid with at most _DIRECT_CELLS = 64 cells on each side is LU-factored,
-its unknowns numbered in a nested-dissection order of the grid (George,
-SIAM J. Numer. Anal. 10, 1973) that the LU keeps (NATURAL column
-ordering).  A finer grid, numbered row-major, is factored as a V-cycle
-(Briggs, Henson and McCormick, A Multigrid Tutorial, 2000): bilinear
-prolongation P, restriction P^T / 4, Galerkin coarse operators, two
-damped-Jacobi sweeps (weight 0.7) on each side of a coarse correction,
-and that LU on the first coarser grid with at most 64 cells a side.  Each
+Every grid operator is assembled and applied with its unknowns numbered
+row-major.  A grid with at most _DIRECT_CELLS = 64 cells on each side is
+LU-factored, and only there does _Hierarchy renumber the unknowns, in a
+nested-dissection order of the grid (George, SIAM J. Numer. Anal. 10,
+1973) that the LU keeps (NATURAL column ordering).  A finer grid is
+factored as a V-cycle (Briggs, Henson and McCormick, A Multigrid
+Tutorial, 2000): bilinear prolongation P, restriction P^T / 4, Galerkin
+coarse operators, two damped-Jacobi sweeps (weight 0.7) on each side of
+a coarse correction, and that LU on the first coarser grid with at most
+64 cells a side.  Each
 step on such a grid is GMRES (Saad, Iterative Methods for Sparse Linear
 Systems, 2003) with one V-cycle as preconditioner, to a residual relative
 to the right-hand side that an Eisenstat-Walker forcing term sets per
@@ -288,37 +290,27 @@ def graph_pde_residual(spec: PotentialSpec, u: np.ndarray, h: float) -> np.ndarr
     return g / (w2 * w) - d1 / w
 
 
-def _stencil_matrix(offsets, coefs: np.ndarray, order=None) -> sp.csr_matrix:
+def _stencil_matrix(offsets, coefs: np.ndarray) -> sp.csr_matrix:
     """The interior stencil of an nx x ny grid as a CSR matrix over the
     interior unknowns, the grid less a border as wide as the longest offset
     (b = max |di|, |dj|): coefs[i, j, m], of shape (nx - 2b, ny - 2b, k),
     weighs the neighbour (i + di, j + dj) of interior node (i, j) for the
-    m-th of the k offsets (di, dj), sorted as pairs, which puts a row-major
-    row's columns in order.  A neighbour on the border is left out; every
-    other entry is stored, zeros included.  Unknown k is the interior node
-    of row-major index order[k], or k itself when order is None."""
+    m-th of the k offsets (di, dj), sorted as pairs, which puts each row's
+    columns in order: unknowns are numbered row-major.  A neighbour on the border is left out; every
+    other entry is stored, zeros included."""
     mx, my, k = coefs.shape
     n = mx * my
     b = max(max(abs(di), abs(dj)) for di, dj in offsets)
     # the unknown of each node, -1 on the border
     unknown = np.full((mx + 2 * b, my + 2 * b), -1, dtype=np.int32)
-    number = np.arange(n, dtype=np.int32)
-    if order is not None:
-        number[order] = number.copy()
-    unknown[b:mx + b, b:my + b] = number.reshape(mx, my)
+    unknown[b:mx + b, b:my + b] = np.arange(n, dtype=np.int32).reshape(mx, my)
     cols = np.stack([unknown[b + di:mx + b + di, b + dj:my + b + dj]
                      for di, dj in offsets], axis=-1).reshape(n, k)
     coefs = coefs.reshape(n, k)
-    if order is not None:
-        # row r of the matrix is the interior node order[r]
-        cols, coefs = cols[order], coefs[order]
     keep = cols >= 0
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1, dtype=np.int32), out=indptr[1:])
-    A = sp.csr_matrix((coefs[keep], cols[keep], indptr), shape=(n, n))
-    if order is not None:
-        A.sort_indices()
-    return A
+    return sp.csr_matrix((coefs[keep], cols[keep], indptr), shape=(n, n))
 
 
 # blocks with at most this many nodes on each side are not dissected further
@@ -359,11 +351,9 @@ _NINE_POINT = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 _FIVE_POINT = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
 
 
-def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float,
-                    order: np.ndarray | None = None) -> sp.csr_matrix:
-    """Jacobian of graph_pde_residual in u's interior, with the interior
-    node order[k] (a row-major index) as unknown k, or k itself when order
-    is None."""
+def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float) -> sp.csr_matrix:
+    """Jacobian of graph_pde_residual in u's interior, its unknowns
+    numbered row-major."""
     p, q, r, s, t, w2, w, g = _pde_parts(u, h)
     w3 = w2 * w
     w5 = w2 * w3
@@ -386,7 +376,7 @@ def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float,
     coefs[..., 4] = -2.0 * f_r / h**2 - 2.0 * f_s / h**2 + f_u
     coefs[..., 5] = y_s + y_q
     coefs[..., 7] = x_r + x_p
-    return _stencil_matrix(_NINE_POINT, coefs, order)
+    return _stencil_matrix(_NINE_POINT, coefs)
 
 
 def _harmonic_extension(u_bc: np.ndarray) -> np.ndarray:
@@ -479,39 +469,47 @@ def _transfers(mx: int, my: int):
     (P, P^T / 4) pairs, finest first: P is bilinear prolongation on interior
     nodes from the grid of twice the spacing, and P^T / 4 the restriction.
     Halving stops at the first grid with at most _DIRECT_CELLS cells on
-    each side, or an odd number on one.  The coarsest grid's unknowns are
-    numbered in _dissection_order, the others row-major; order gives the
-    finest grid's numbering."""
+    each side, or an odd number on one.  order is the _dissection_order of
+    the coarsest grid's interior nodes, in which _Hierarchy factors its
+    operator."""
     prolongations = []
     while (max(mx, my) > _DIRECT_CELLS and mx % 2 == 0 and my % 2 == 0
            and min(mx, my) >= 4):
         prolongations.append(sp.kron(_bilinear_1d(mx), _bilinear_1d(my),
                                      format="csr"))
         mx, my = mx // 2, my // 2
-    order = _dissection_order(mx - 1, my - 1)
-    if not prolongations:
-        return [], order
-    prolongations[-1] = prolongations[-1][:, order]
     return ([(P, (P.T / 4.0).tocsr()) for P in prolongations],
-            np.arange(prolongations[0].shape[0]))
+            _dissection_order(mx - 1, my - 1))
 
 
 class _Hierarchy:
-    """The V-cycle of one operator J (CSR, numbered as _transfers says): a
-    Newton Jacobian, or the shifted stability operator that preconditions
+    """The V-cycle of one operator J (CSR, numbered row-major): a Newton
+    Jacobian, or the shifted stability operator that preconditions
     stability.first_eigenvalue.  It holds, for each grid above the
     coarsest, its operator, weighted inverse diagonal and transfers, and
     the LU of the coarsest operator.  Each coarser operator is the
     Galerkin product (P^T / 4) A P.  With no grid above the coarsest, a
-    cycle is the LU back-solve."""
+    cycle is the LU back-solve.
 
-    def __init__(self, J, transfers):
+    The hierarchy alone applies order, the nested-dissection numbering of
+    the coarsest grid from _transfers: the LU factors that grid's operator
+    with its unknowns in that order, and each back-solve gathers and
+    scatters, so every vector in and out is row-major."""
+
+    def __init__(self, J, transfers, order):
         self.levels = []
         A = J
         for P, R in transfers:
             self.levels.append((A, _JACOBI_WEIGHT / A.diagonal(), P, R))
             A = R @ (A @ P)
-        self.lu = spla.splu(A.tocsc(), permc_spec="NATURAL")
+        self.order = order
+        self.lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL")
+
+    def _back_solve(self, b: np.ndarray) -> np.ndarray:
+        """The LU back-solve on the coarsest grid, row-major in and out."""
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
 
     def vcycle(self, b: np.ndarray) -> np.ndarray:
         """One V-cycle for J x = b from x = 0, with _SWEEPS damped-Jacobi
@@ -523,7 +521,7 @@ class _Hierarchy:
                 x += wdinv * (b - A @ x)
             down.append((b, x))
             b = R @ (b - A @ x)
-        x = self.lu.solve(b)
+        x = self._back_solve(b)
         for (A, wdinv, P, R), (b, x_fine) in zip(reversed(self.levels),
                                                  reversed(down)):
             x = x_fine + P @ x
@@ -537,7 +535,7 @@ class _Hierarchy:
         to a 2-norm residual of at most rtol |b|.  Raises LinearSolveError
         when GMRES misses rtol."""
         if not self.levels:
-            return self.lu.solve(b), 0
+            return self._back_solve(b), 0
         # the operator is made per solve: kept on the hierarchy, it would
         # close a reference cycle that holds the grid operators until a
         # full garbage collection
@@ -593,13 +591,13 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
     Linear and Nonlinear Equations, SIAM 1995, ch. 6):
 
         eta_k = min(1e-4, max(eta_EW, 0.5 tol_residual / |F_k|_2)),
-        eta_EW = 0.9 (|F_k|_2 / |F_{k-1}|_2)^2, raised to 0.9 eta_{k-1}^2
-                 when that exceeds 0.1,
+        eta_EW = 0.9 (|F_k|_2 / |F_{k-1}|_2)^2,
 
-    with eta_0 = 1e-4.  At the floor the linear residual is 0.5
-    tol_residual in the 2-norm that GMRES measures, so at most that in the
-    max norm of the stop test, and the last step solves no further than
-    that test needs.  A rejected chord step and the Newton step that
+    with eta_0 = 1e-4; their safeguard, 0.9 eta_{k-1}^2 when that exceeds
+    0.1, cannot bind under the cap, as 0.9 (1e-4)^2 < 0.1.  At the floor
+    the linear residual is 0.5 tol_residual in the 2-norm that GMRES
+    measures, so at most that in the max norm of the stop test, and the
+    last step solves no further than that test needs.  A rejected chord step and the Newton step that
     replaces it share eta_k.  A grid that is LU-factored ignores eta_k."""
     nx, ny = u.shape
     transfers, order = _transfers(nx - 1, ny - 1)
@@ -607,23 +605,20 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
 
     def step(hierarchy, res, eta):
         nonlocal gmres_iters
-        delta = np.empty(order.size)
-        delta[order], n = hierarchy.solve(-res.ravel()[order], eta)
+        delta, n = hierarchy.solve(-res.ravel(), eta)
         gmres_iters += n
         return delta.reshape(nx - 2, ny - 2)
 
     res = graph_pde_residual(spec, u, h)
     res_norm = float(np.abs(res).max())
-    # with |F_{-1}| = |F_0| and eta_{-1} = _ETA_MAX, eta_0 comes out as _ETA_MAX
-    eta, last_norm2 = _ETA_MAX, float(np.linalg.norm(res))
+    # with |F_{-1}| = |F_0|, eta_0 comes out as _ETA_MAX
+    last_norm2 = float(np.linalg.norm(res))
     iters = lus = 0
     hierarchy = None
     while res_norm > cfg.tol_residual and iters < cfg.max_iters:
         norm2 = float(np.linalg.norm(res))
-        eta_ew = 0.9 * (norm2 / last_norm2) ** 2
-        if 0.9 * eta**2 > 0.1:
-            eta_ew = max(eta_ew, 0.9 * eta**2)
-        eta = min(_ETA_MAX, max(eta_ew, 0.5 * cfg.tol_residual / norm2))
+        eta = min(_ETA_MAX, max(0.9 * (norm2 / last_norm2) ** 2,
+                                0.5 * cfg.tol_residual / norm2))
         last_norm2 = norm2
         if hierarchy is not None:
             u_try, res_try, try_norm = _trial(spec, u, h, step(hierarchy, res, eta))
@@ -632,9 +627,7 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
                 iters += 1
                 continue
         hierarchy = None  # release the old factor before the new one is made
-        # a grid that heads a V-cycle is numbered row-major
-        hierarchy = _Hierarchy(
-            _graph_jacobian(spec, u, h, None if transfers else order), transfers)
+        hierarchy = _Hierarchy(_graph_jacobian(spec, u, h), transfers, order)
         lus += 1
         delta = step(hierarchy, res, eta)
         step_len = 1.0

@@ -269,8 +269,7 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
         # a block of rows x (M.size / rows) nodes has one more cell a side
         rows = np.unique(asm.region // field.source.ny).size
         transfers, order = _transfers(rows + 1, M.size // rows + 1)
-    # with no grid above the coarsest, the LU is made in `order`
-    hierarchy = _Hierarchy(shifted if transfers else shifted[order][:, order], transfers)
+    hierarchy = _Hierarchy(shifted, transfers, order)
     abs_K = abs(K)
     x = np.full(M.size, 1.0 / np.sqrt(M.sum()))
     for iters in range(501):
@@ -286,8 +285,7 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
         if iters == 500:
             raise EigenConvergenceError(
                 f"eigen-residual {res_norm:.3e} after {iters} iterations")
-        w = np.empty_like(x)
-        w[order] = hierarchy.vcycle(r[order])
+        w = hierarchy.vcycle(r)
         basis = np.stack([x, w, p] if iters else [x, w], axis=1)
         basis /= np.sqrt(M @ basis**2)
         # c is mass-normalised; eigh reads the lower triangles only

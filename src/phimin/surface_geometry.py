@@ -602,11 +602,10 @@ def _graph_identity(field: GeometryField, spec: PotentialSpec, item: int):
         for uij in (g.uxx.ravel(), g.uxy.ravel(), g.uyy.ravel()):
             out = np.maximum(out, np.abs(d1 * uij / W**2 - field.H * (-uij / W)))
         return out
-    if item == 5:
-        lap_mu = field.laplacian(field.mu)
-        gm2 = (field.grad_mu**2).sum(axis=1)
-        return lap_mu - d1 * (1.0 - gm2)
-    raise UnsupportedIdentityError(f"item {item} unsupported on graphs")
+    # item 5; fundamental_identity_residuals refuses items outside _GRAPH_ITEMS
+    lap_mu = field.laplacian(field.mu)
+    gm2 = (field.grad_mu**2).sum(axis=1)
+    return lap_mu - d1 * (1.0 - gm2)
 
 
 # ---------------------------------------------------------------------------

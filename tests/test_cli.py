@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -251,6 +252,26 @@ def test_export_command(tmp_path):
     assert header == "i,j,x,y,u,H,K,k1,k2,eta"
 
 
+def test_export_json_reports_the_solve_residual(tmp_path):
+    surface = {"kind": "graph", "domain": [0, 1, 0, 1], "h": 0.125,
+               "boundary": {"kind": "constant", "value": 0.0}}
+    cfg = parse_config(json.dumps(_base_config("Export", {
+        "surface": surface, "formats": ["JSON"]})))
+    cfg.output_dir = str(tmp_path / "export")
+    manifest = run(cfg)
+    solve = parse_config(json.dumps(_base_config("SolveGraph", surface)))
+    solve.output_dir = str(tmp_path / "solve")
+    run(solve)
+    path = tmp_path / "export" / "export.json"
+    [doc] = json.loads(path.read_text())
+    [solved] = json.loads((tmp_path / "solve" / "solve.json").read_text())
+    assert doc["name"] == "export" and doc["passed"]
+    assert doc["values"] == {"residual": solved["values"]["residual"]}
+    assert manifest.exit_code == 0 and manifest.artifacts == [{
+        "path": "export.json",
+        "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}]
+
+
 ROT_SURF = {"kind": "rotational", "start": {"kind": "axis", "z0": 0.0},
             "s_max": 1.5, "step": 2e-3}
 
@@ -473,15 +494,22 @@ def test_one_node_translation_stability_exits_2_in_one_line(tmp_path, capsys):
 
 
 def test_graph_height_hessian_identity_on_grim_reaper(tmp_path):
+    # every item a graph supports, in the order asked for
     cfg = parse_config(json.dumps(_base_config("AuditFundamental", {
         "surface": {"kind": "graph", "domain": [-1, 1, -1, 1], "h": 0.03125,
                     "boundary": {"kind": "grim_reaper"}},
-        "items": [3]})))
+        "items": [1, 2, 3, 5]})))
     cfg.output_dir = str(tmp_path)
     assert run(cfg).exit_code == 0
     docs = json.loads((tmp_path / "fundamental_identities.json").read_text())
     res = {d["name"]: d["values"]["max_abs_residual"] for d in docs}
-    assert res["height_hessian"] <= 1e-8
+    assert list(res) == ["weighted_minimality", "gradient_decomposition",
+                         "slope_curvature_balance", "height_hessian",
+                         "height_laplacian"]
+    # item 1 compares a difference quotient of eta with its exact 1-form
+    # (7.4e-4 here); items 2, 3 and 5 are algebraic in the sampled fields
+    assert res["gradient_decomposition"] <= 1.5e-3
+    assert max(res[name] for name in list(res)[2:]) <= 1e-8
 
 
 def test_graph_audits_default_to_the_middle_node(tmp_path):

@@ -8,7 +8,8 @@ from phimin.estimates import (PatchExceededError, WindowUnderflowError,
                               curvature_ratio_sup, density_monotonicity,
                               geodesic_disk_area_check, ilmanen_estimate_report,
                               omori_gamma_check, rescale_profile)
-from phimin.solvers import (AxisRegular, PointStart, ShootingConfig,
+from phimin.solvers import (AxisRegular, NewtonConfig, PointStart,
+                            ShootingConfig, solve_graph,
                             solve_rotational_profile,
                             solve_translation_profile)
 from phimin.surface_geometry import GraphPatch, sample_geometry
@@ -31,7 +32,6 @@ def test_flat_plane_area_control(spec_zero):
 
 
 def test_bowl_graph_area_check(spec_linear):
-    from phimin.solvers import NewtonConfig, solve_graph
     from scipy.interpolate import CubicSpline
     prof = solve_rotational_profile(
         spec_linear, ShootingConfig(start=AxisRegular(0.0), s_max=1.6, step=1e-3))
@@ -192,6 +192,19 @@ def test_catenoid_hypotheses_fail(catenoid_field, spec_zero):
     assert rep.verdict == "HypothesesFail"
     assert not rep.hypotheses["c1"]
     assert rep.min_K < 0.0
+
+
+def test_saddle_graph_meets_every_hypothesis_and_is_not_convex(spec_linear):
+    # mean convexity alone does not make a compact patch convex: a saddle
+    # of Dirichlet data passes every gate, and only properness, which the
+    # convexity result also assumes, rules it out
+    res = solve_graph(spec_linear, (-0.5, 0.5, -0.5, 0.5), 1 / 16,
+                      lambda x, y: 0.3 * (x**2 - y**2), NewtonConfig())
+    field = sample_geometry(res.surface, spec_linear)
+    rep = convexity_report(field, spec_linear, _tol_for(field))
+    assert res.converged and all(rep.hypotheses.values())
+    # min K = -5.01 against tol 0.397
+    assert rep.verdict == "NotConvex" and rep.min_K < -10.0 * _tol_for(field)
 
 
 def test_quadratic_bowl_convex(quad_bowl, spec_quadratic):

@@ -317,22 +317,19 @@ def test_dissection_ordered_solve_matches_minimum_degree(spec_linear, bowl):
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     u = _harmonic_extension(_bowl_boundary(bowl)(X, Y))
     rhs = -graph_pde_residual(spec_linear, u, h).ravel()
-    natural = _graph_jacobian(spec_linear, u, h, np.arange(rhs.size)).tocsc()
-    order = _dissection_order(n - 2, n - 2)
-    permuted = _graph_jacobian(spec_linear, u, h, order).tocsc()
-    assert (permuted != natural[order][:, order]).nnz == 0
-    ref = spla.spsolve(natural, rhs, permc_spec="MMD_AT_PLUS_A")
-    sol = np.empty(rhs.size)
-    sol[order] = spla.splu(permuted, permc_spec="NATURAL").solve(rhs[order])
+    J = _graph_jacobian(spec_linear, u, h)
+    ref = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
+    sol, iters = _Hierarchy(J, [], _dissection_order(n - 2, n - 2)).solve(rhs, 1e-4)
+    assert iters == 0
     assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _coo_stencil(stencil, nx, ny, order):
+def _coo_stencil(stencil, nx, ny):
     """The stencil [(di, dj, coef)] of an nx x ny grid assembled as COO
-    triples over the interior unknowns, unknown k being the interior node
-    order[k] (row-major index), and converted by scipy."""
-    number = np.empty(order.size, dtype=np.int64)
-    number[order] = np.arange(order.size)
+    triples over the interior unknowns, numbered row-major, and converted
+    by scipy."""
+    n = (nx - 2) * (ny - 2)
+    number = np.arange(n)
     unknown = np.full((nx, ny), -1, dtype=np.int64)
     unknown[1:-1, 1:-1] = number.reshape(nx - 2, ny - 2)
     rows, cols, vals = [], [], []
@@ -344,7 +341,7 @@ def _coo_stencil(stencil, nx, ny, order):
         vals.append(np.broadcast_to(coef, (nx - 2, ny - 2)).ravel()[keep])
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(order.size, order.size))
+        shape=(n, n))
 
 
 def _same_arrays(A, B):
@@ -354,15 +351,14 @@ def _same_arrays(A, B):
 
 
 @pytest.mark.parametrize("nx, ny", [(3, 3), (3, 7), (7, 3), (17, 17), (129, 129)])
-@pytest.mark.parametrize("case", ["jacobian-row-major", "jacobian-dissection",
-                                  "laplacian"])
+@pytest.mark.parametrize("case", ["jacobian-row-major", "laplacian"])
 def test_stencil_matrix_matches_the_coo_assembly(spec_linear, monkeypatch,
                                                  nx, ny, case):
     calls = []
     stencil_matrix = solvers._stencil_matrix
 
-    def captured(offsets, coefs, order=None):
-        A = stencil_matrix(offsets, coefs, order)
+    def captured(offsets, coefs):
+        A = stencil_matrix(offsets, coefs)
         calls.append((offsets, coefs, A))
         return A
 
@@ -373,23 +369,19 @@ def test_stencil_matrix_matches_the_coo_assembly(spec_linear, monkeypatch,
     X, Y = np.meshgrid(h * (np.arange(nx) - nx // 2), h * (np.arange(ny) - ny // 2),
                        indexing="ij")
     u = 1.0 + 0.5 * X**2 + 0.3 * Y**2
-    order = np.arange((nx - 2) * (ny - 2))
     if case == "laplacian":
         _harmonic_extension(u)
         (_, _, got), = calls
         stencil = [(0, 0, 4.0), (1, 0, -1.0), (-1, 0, -1.0), (0, 1, -1.0),
                    (0, -1, -1.0)]
     else:
-        if case == "jacobian-dissection":
-            order = _dissection_order(nx - 2, ny - 2)
-        _graph_jacobian(spec_linear, u, h,
-                        order if case == "jacobian-dissection" else None)
+        _graph_jacobian(spec_linear, u, h)
         (offsets, coefs, got), = calls
         assert np.any(coefs == 0.0)
         # the COO route took the offsets in another order
         stencil = [(di, dj, coefs[..., m])
                    for m, (di, dj) in reversed(list(enumerate(offsets)))]
-    want = _coo_stencil(stencil, nx, ny, order)
+    want = _coo_stencil(stencil, nx, ny)
     assert isinstance(got, sp.csr_matrix) and got.shape == want.shape
     assert _same_arrays(got, want.tocsr())
     # the LU and the harmonic solve take the CSC form
@@ -432,8 +424,8 @@ def _count_hierarchies(monkeypatch):
     sizes, refs = [], []
 
     class Counted(_Hierarchy):
-        def __init__(self, J, transfers):
-            super().__init__(J, transfers)
+        def __init__(self, J, transfers, order):
+            super().__init__(J, transfers, order)
             sizes.append(J.shape[0])
             refs.append(weakref.ref(self))
 
@@ -456,22 +448,21 @@ def test_bowl_factors_once_on_its_own_grid(spec_linear, bowl, monkeypatch):
 
 
 def _bowl_jacobian(spec, bowl, h):
-    """(J numbered as _transfers says, its transfers, a right-hand side)
-    at the harmonic start of the bowl on [-1, 1]^2."""
+    """(J, the _transfers of its grid, a right-hand side) at the harmonic
+    start of the bowl on [-1, 1]^2."""
     n = int(round(2.0 / h)) + 1
     xs = -1.0 + h * np.arange(n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     u = _harmonic_extension(_bowl_boundary(bowl)(X, Y))
-    transfers, order = _transfers(n - 1, n - 1)
-    rhs = -graph_pde_residual(spec, u, h).ravel()[order]
-    return _graph_jacobian(spec, u, h, order), transfers, rhs
+    rhs = -graph_pde_residual(spec, u, h).ravel()
+    return _graph_jacobian(spec, u, h), _transfers(n - 1, n - 1), rhs
 
 
 @pytest.mark.parametrize("h", [1 / 64, 1 / 128])
 def test_hierarchy_solve_matches_the_lu_solve(spec_linear, bowl, h):
-    J, transfers, rhs = _bowl_jacobian(spec_linear, bowl, h)
+    J, (transfers, order), rhs = _bowl_jacobian(spec_linear, bowl, h)
     assert len(transfers) == round(math.log2(1 / (32 * h)))
-    sol, iters = _Hierarchy(J, transfers).solve(rhs, 1e-10)
+    sol, iters = _Hierarchy(J, transfers, order).solve(rhs, 1e-10)
     ref = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
     assert 0 < iters <= 30
     assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -517,7 +508,8 @@ def _lu_newton(spec, u, h, cfg):
                 u, res, res_norm = u_try, res_try, try_norm
                 iters += 1
                 continue
-        lu = spla.splu(_graph_jacobian(spec, u, h, order).tocsc(), permc_spec="NATURAL")
+        J = _graph_jacobian(spec, u, h)
+        lu = spla.splu(J[order][:, order].tocsc(), permc_spec="NATURAL")
         lus += 1
         delta = back_solve(lu, res)
         step_len = 1.0
@@ -664,6 +656,16 @@ def test_rejected_chord_step_refactors_and_converges(spec_linear, monkeypatch):
     assert len(sizes) > 1 and set(sizes) == {15 * 15}
     assert res.iterations > len(sizes)  # some chord steps were kept
     assert f"({len(sizes)} LU)" in res.diagnostics
+
+
+def test_stalled_line_search_stops_newton_unconverged(spec_linear, bowl):
+    # a tolerance below the rounding of the residual: once no step of
+    # length 2^-10 or more lowers it, Newton stops before max_iters (here
+    # after 4 steps, 3 of them factored) and reports the last iterate
+    cfg = NewtonConfig(tol_residual=1e-15)
+    res = solve_graph(spec_linear, (-1, 1, -1, 1), 1 / 16, _bowl_boundary(bowl), cfg)
+    assert not res.converged and res.iterations < cfg.max_iters
+    assert 1e-15 < res.residual <= 1e-12
 
 
 def test_single_newton_step_leaves_solve_unconverged(spec_linear, bowl):
