@@ -22,7 +22,8 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -286,8 +287,8 @@ def _rows(*columns, sep=",", prefix=""):
     repr writes; every k-th comma of a run of k columns becomes a newline.
     The notation differs only for 1e-9 <= |x| < 1e-4 and |x| >= 1e16
     (orjson writes 0.00001 and 1e16 where repr writes 1e-05 and 1e+16)
-    and for inf and nan (orjson writes null); a row holding such a float
-    is written by repr.
+    and for inf and nan (orjson writes null); each such float alone is
+    written by repr into its row, in the place of orjson's word.
     """
     arrays = [np.asarray(c) for c in columns]
     runs = []  # (float64 or int64, the adjacent columns of that kind)
@@ -317,9 +318,13 @@ def _rows(*columns, sep=",", prefix=""):
             if dtype is np.float64:
                 mag = np.abs(block)
                 same = (mag < 1e16) & ((mag >= 1e-4) | (mag < 1e-9))
-                rows = np.flatnonzero(~same.all(axis=1))
-                for i, row in zip(rows.tolist(), block[rows].tolist()):
-                    lines[i] = sep.join(map(repr, row)).encode()
+                rows, cols = np.nonzero(~same)
+                odd = zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist())
+                for i, row_odd in groupby(odd, itemgetter(0)):
+                    words = lines[i].split(sep_b)
+                    for _, k, x in row_odd:
+                        words[k] = repr(x).encode()
+                    lines[i] = sep_b.join(words)
             parts.append(lines)
         lines = parts[0] if len(parts) == 1 else map(sep_b.join, zip(*parts))
         yield (head + (b"\n" + head).join(lines) + b"\n").decode("ascii")

@@ -560,12 +560,24 @@ def _window_samples(curve: ProfileCurve, field: GeometryField, p: int,
             np.repeat(field.H[idx] / lam, n_keep))
 
 
+def _plane_normal(centred, eta_sign):
+    """Unit normal of the least-squares plane through centred points, with
+    a z component of the sign eta_sign.
+
+    It is the eigenvector of the least eigenvalue of the 3x3 scatter matrix
+    (eigh, ascending order), so no N x 3 factor is formed.  The scatter
+    matrix squares the singular values, so with lambda its eigenvalues the
+    normal's error is about eps lambda_max / (lambda_mid - lambda_min),
+    which is about eps on a near-planar window.
+    """
+    n_hat = np.linalg.eigh(centred.T @ centred)[1][:, 0]
+    return -n_hat if n_hat[2] * eta_sign < 0 else n_hat
+
+
 def _plane_distance(pts, etas, Hs, normals_eta_sign):
+    """(hausdorff, c2) of the window against its least-squares plane."""
     centred = pts - pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(centred, full_matrices=False)
-    n_hat = vt[-1]
-    if n_hat[2] * normals_eta_sign < 0:
-        n_hat = -n_hat
+    n_hat = _plane_normal(centred, normals_eta_sign)
     hausdorff = float(np.abs(centred @ n_hat).max())
     eta_plane = n_hat[2]
     c2 = float(max(np.abs(etas - eta_plane).max(), np.abs(Hs).max()))

@@ -140,8 +140,8 @@ class ConditionReport:
 
 
 def _inverse_powers(coeffs, w):
-    """sum_i coeffs[i-1] w^i by Horner's rule, with the same + and * on a
-    float and on an array."""
+    """sum_i coeffs[i-1] w^i by Horner's rule, starting from 0.0 + c_n;
+    Family.d1_scalar writes the same operations out for a float."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = (acc + c) * w
@@ -230,11 +230,32 @@ class Family:
 
     def d1_scalar(self, spec: PotentialSpec):
         """The cheapest scalar closure of the phi' of ``derivatives``, with
-        the same operations, so that the two agree bit for bit."""
+        the same operations, so that the two agree bit for bit.
+
+        The RK4 loop calls it at every stage, so the Horner sum of an
+        inverse-power tail is written out here rather than by a call to
+        _inverse_powers: its innermost ``0.0 + c`` (which turns a c of -0.0
+        into +0.0) is taken when the closure is built, one coefficient
+        becomes ``lam * z + beta + c1 * (1.0 / z)``, and a longer tail
+        loops over the rest of its coefficients, highest power first.
+        """
         lam, beta, coeffs = self.tail(spec)
+        if len(coeffs) == 1:
+            c1 = 0.0 + coeffs[0]
+            return lambda z: lam * z + beta + c1 * (1.0 / z)
         if coeffs:
-            return lambda z: lam * z + beta + _inverse_powers(coeffs, 1.0 / z)
-        if lam == 0.0:
+            top, rest = 0.0 + coeffs[-1], tuple(reversed(coeffs[:-1]))
+
+            def d1(z):
+                w = 1.0 / z
+                acc = top * w
+                for c in rest:
+                    acc = (acc + c) * w
+                return lam * z + beta + acc
+            return d1
+        # +-0.0 z + beta is beta for every finite z, unless beta is -0.0:
+        # then the sum takes the sign of lam z
+        if lam == 0.0 and (beta != 0.0 or math.copysign(1.0, beta) > 0.0):
             return lambda z: beta
         return lambda z: lam * z + beta
 

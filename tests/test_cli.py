@@ -747,6 +747,44 @@ def test_rows_match_the_per_row_writer(table):
     assert got == "".join(_per_row_rows(*columns, sep=sep, prefix=prefix))
 
 
+# the values at and next to the notation switches (orjson's at 1e-9, repr's
+# at 1e-4 and 1e16) and at +-0.0, with inf, nan and subnormals, both signs
+_SWITCHES = np.array([0.0, 1e-9, 1e-4, 1e16])
+_NOTATION_EDGES = np.concatenate([
+    _SWITCHES, np.nextafter(_SWITCHES, 0.0), np.nextafter(_SWITCHES, np.inf),
+    [np.inf, np.nan, 5e-324, 1e-310, 2.2250738585072009e-308]])
+_NOTATION_EDGES = np.concatenate([_NOTATION_EDGES, -_NOTATION_EDGES])
+
+
+@st.composite
+def _notation_tables(draw):
+    """(columns, sep, prefix): float columns that mix ordinary values with
+    the notation edges in a drawn share of their entries, and int runs."""
+    block = cli_module._ROW_BLOCK
+    n_rows = draw(st.sampled_from([block + 1, 2 * block + 5]) | st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from("ffi"), min_size=1, max_size=6)):
+        if kind == "i":
+            columns.append(rng.integers(INT64.min, INT64.max, n_rows, endpoint=True))
+            continue
+        col = rng.normal(size=n_rows) * 10.0 ** rng.integers(-12, 18, n_rows)
+        edge = rng.random(n_rows) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+        col[edge] = rng.choice(_NOTATION_EDGES, np.count_nonzero(edge))
+        columns.append(col)
+    sep, prefix = draw(st.sampled_from([(",", ""), (" ", "v "), (",", "p ")]))
+    return columns, sep, prefix
+
+
+@settings(max_examples=40, deadline=None)
+@given(_notation_tables())
+def test_rows_splice_repr_only_where_the_notations_differ(table):
+    columns, sep, prefix = table
+    want = "".join(prefix + sep.join(map(repr, row)) + "\n"
+                   for row in zip(*(c.tolist() for c in columns)))
+    assert "".join(cli_module._rows(*columns, sep=sep, prefix=prefix)) == want
+
+
 @pytest.mark.parametrize("column", [np.array([True, False]),
                                     np.array([1.0, None], dtype=object)])
 def test_rows_refuse_columns_that_are_neither_float_nor_int(column):

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import phimin as pm
 from phimin.estimates import (PatchExceededError, WindowUnderflowError,
-                              blowup_rescale, convexity_report,
+                              _clipped_areas, _plane_distance, _plane_normal,
+                              _window_samples, blowup_rescale, convexity_report,
                               curvature_ratio_sup, density_monotonicity,
                               geodesic_disk_area_check, ilmanen_estimate_report,
                               omori_gamma_check, rescale_profile)
@@ -85,6 +86,19 @@ def test_plane_density_closed_form(spec_linear):
     rep = density_monotonicity(field, 0, radii, spec_linear, 0.9)
     assert rep.monotone
     assert np.all(np.abs(rep.o_values - radii / 4.0) <= rep.tolerance + 1e-12)
+
+
+def test_translation_ball_area_of_a_plane(spec_zero):
+    # the Constant translation line is a tilted plane, so the ball about a
+    # middle sample holds the disk pi r^2; the curve ends 1 from its middle
+    res = solve_translation_profile(spec_zero, ShootingConfig(
+        start=PointStart(-1.0, 0.0, 0.3), s_max=2.0, step=1e-3))
+    field, q = res.field, res.surface.s.size // 2
+    radii = np.array([0.1, 0.3, 0.5])
+    areas, tols = _clipped_areas(field, field.positions[q], radii)
+    assert np.all(np.abs(areas - np.pi * radii**2) <= tols)
+    with pytest.raises(PatchExceededError):
+        density_monotonicity(field, q, [1.5], spec_zero, 2.0)
 
 
 def test_catenoid_density_monotone(catenoid_two_sided, spec_zero, spec_linear):
@@ -253,6 +267,73 @@ def test_bowl_plane_blowup(tall_bowl, spec_linear):
     assert c2[-1] <= 0.05
     ratios = [st.slope_ratio for st in rep.stages]
     assert ratios == pytest.approx([1 / 4, 1 / 8, 1 / 16], rel=0.02)
+
+
+def _svd_plane_distance(pts, etas, Hs, normals_eta_sign):
+    """The earlier plane fit, kept as the reference: the normal is the last
+    right singular vector of a thin SVD of the whole centred window.
+    Returns (normal, hausdorff, c2)."""
+    centred = pts - pts.mean(axis=0)
+    _, _, vt = np.linalg.svd(centred, full_matrices=False)
+    n_hat = vt[-1]
+    if n_hat[2] * normals_eta_sign < 0:
+        n_hat = -n_hat
+    hausdorff = float(np.abs(centred @ n_hat).max())
+    c2 = float(max(np.abs(etas - n_hat[2]).max(), np.abs(Hs).max()))
+    return n_hat, hausdorff, c2
+
+
+def _assert_plane_fit_matches_svd(pts, etas, Hs, sign):
+    ref_n, ref_hd, ref_c2 = _svd_plane_distance(pts, etas, Hs, sign)
+    centred = pts - pts.mean(axis=0)
+    n_hat = _plane_normal(centred, sign)
+    hd, c2 = _plane_distance(pts, etas, Hs, sign)
+    assert n_hat[2] * sign >= 0.0
+    assert min(np.abs(n_hat - ref_n).max(), np.abs(n_hat + ref_n).max()) <= 1e-12
+    # |max |c.n| - max |c.m|| <= max |c| |n - m|, up to the rounding of the
+    # dot products; on a window flat to rounding that is all there is
+    radius = np.linalg.norm(centred, axis=1).max()
+    dn = min(np.linalg.norm(n_hat - ref_n), np.linalg.norm(n_hat + ref_n))
+    assert abs(hd - ref_hd) <= radius * (dn + 8 * np.finfo(float).eps)
+    if ref_hd >= 1e-3 * radius:
+        assert hd == pytest.approx(ref_hd, rel=1e-12, abs=0.0)
+    if np.abs(Hs).max() >= np.abs(etas - ref_n[2]).max():
+        assert c2 == ref_c2
+    else:
+        # the eta term is 1-Lipschitz in the normal's z component, up to
+        # the rounding of one subtraction
+        assert abs(c2 - ref_c2) <= abs(n_hat[2] - ref_n[2]) + 2 * np.spacing(ref_c2)
+    return c2 == ref_c2
+
+
+def test_plane_fit_matches_svd_on_tall_bowl_windows(tall_bowl, spec_linear):
+    curve, field = tall_bowl.surface, tall_bowl.field
+    for height, lam in ((4.0, 2.0), (8.0, 4.0), (16.0, 8.0), (16.0, 1.0)):
+        p = int(np.argmin(np.abs(field.mu - height)))
+        pts, etas, Hs = _window_samples(curve, field, p, lam, 1.0)
+        sign = np.sign(field.eta[p]) if field.eta[p] != 0 else 1.0
+        assert _assert_plane_fit_matches_svd(pts, etas, Hs, sign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 4000),
+       bend=st.sampled_from([0.0, 1e-8, 1e-4, 1e-2]),
+       sign=st.sampled_from([-1.0, 1.0]),
+       h_scale=st.sampled_from([1e-6, 1e-3, 0.1]))
+def test_plane_fit_matches_svd_on_near_planar_clouds(seed, n, bend, sign, h_scale):
+    rng = np.random.default_rng(seed)
+    normal = rng.normal(size=3)
+    normal /= np.linalg.norm(normal)
+    e1 = np.cross(normal, rng.normal(size=3))
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    a, b = rng.uniform(-1.0, 1.0, (2, n))
+    off = bend * (a * a + b * b + rng.normal(size=n))
+    pts = (a[:, None] * e1 + b[:, None] * e2 + off[:, None] * normal
+           + rng.normal(size=3))
+    etas = abs(normal[2]) * sign + 1e-3 * rng.normal(size=n)
+    Hs = h_scale * rng.normal(size=n)
+    _assert_plane_fit_matches_svd(pts, etas, Hs, sign)
 
 
 def test_identity_rescale_matches_bowl_model(tall_bowl, spec_linear):

@@ -386,11 +386,49 @@ def test_table_verdicts_match_reference(family, data):
 def test_scalar_d1_matches_vectorised(family, data):
     spec = data.draw(_valid_specs(family))
     z_lo, z_hi = data.draw(_windows(spec))
-    zs = np.linspace(z_lo, z_hi, 9)
+    _assert_scalar_d1_matches_vectorised(spec, np.linspace(z_lo, z_hi, 9))
+
+
+def _assert_scalar_d1_matches_vectorised(spec, zs):
     d1 = spec.rules.d1_scalar(spec)
     scalar = np.array([d1(float(z)) for z in zs])
     vector = _derivatives(spec, zs)[1]
-    assert np.array_equal(scalar, vector)
+    # bit patterns, so that -0.0 and 0.0 differ
+    assert scalar.view(np.int64).tolist() == vector.view(np.int64).tolist()
+
+
+def _heights_above_floor(spec):
+    """Heights just above the domain floor (the least finite float for an
+    unbounded domain), then a few well inside it."""
+    floor = spec.domain_left if math.isfinite(spec.domain_left) else -math.inf
+    z = np.nextafter(floor, math.inf)
+    near = [z, np.nextafter(z, math.inf), z + 1e-300, z + 1e-12 * max(abs(z), 1.0)]
+    inside = (0.0 if math.isinf(floor) else floor) + np.array([1e-6, 0.3, 1.0, 7.5])
+    return np.concatenate([near, inside])
+
+
+# the tails that d1_scalar writes out: one coefficient, and the loop over two
+# and three; Lambda = beta = c_1 = -0.0, where only the 0.0 + c_n that the
+# Horner sum starts from gives phi' = +0.0 (with Lambda = +0.0 the sum is
+# +0.0 whatever the tail's sign, so that case alone could not tell); and a
+# beta of -0.0 with no tail, where phi' takes the sign of Lambda z
+_D1_SPECS = [
+    PotentialSpec.linear(-0.0), PotentialSpec.quadratic(-0.0, -0.0),
+    PotentialSpec.series(0.0, 1.0, [-0.2], u0=1.0),
+    PotentialSpec.series(0.7, -0.3, [1.5, -0.25], u0=1.0),
+    PotentialSpec.series(0.0, 2.0, [-2.0, 0.5, 1.25], u0=0.5, alpha=0.25),
+    PotentialSpec.series(0.0, -0.0, [-0.0], u0=1.0),
+    PotentialSpec.series(-0.0, -0.0, [-0.0], u0=1.0),
+    PotentialSpec.series(-0.0, -0.0, [-0.0, -0.0], u0=1.0),
+    PotentialSpec.series(-0.0, -0.0, [-0.0, -0.0, -0.0], u0=1.0),
+]
+
+
+@pytest.mark.parametrize("spec", _CORNER_SPECS + _D1_SPECS,
+                         ids=lambda s: f"{s.family}{s.params}")
+def test_scalar_d1_matches_vectorised_on_corners_and_tails(spec):
+    with np.errstate(all="ignore"):
+        _assert_scalar_d1_matches_vectorised(spec, _heights_above_floor(spec))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
