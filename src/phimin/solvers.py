@@ -28,14 +28,13 @@ iterate and its step damped.
 
 Every grid operator is assembled and applied with its unknowns numbered
 row-major.  A grid with at most _DIRECT_CELLS = 64 cells on each side is
-LU-factored, and only there does _Hierarchy renumber the unknowns, in a
-nested-dissection order of the grid (George, SIAM J. Numer. Anal. 10,
-1973) that the LU keeps (NATURAL column ordering).  A finer grid is
-factored as a V-cycle (Briggs, Henson and McCormick, A Multigrid
-Tutorial, 2000): bilinear prolongation P, restriction P^T / 4, Galerkin
-coarse operators, two damped-Jacobi sweeps (weight 0.7) on each side of
-a coarse correction, and that LU on the first coarser grid with at most
-64 cells a side.  Each
+LU-factored by SuperLU, which orders the columns by minimum degree on
+A^T + A (George and Liu, SIAM Review 31, 1989); so is the 5-point
+Laplacian of the harmonic start.  A finer grid is factored as a V-cycle
+(Briggs, Henson and McCormick, A Multigrid Tutorial, 2000): bilinear
+prolongation P, restriction P^T / 4, Galerkin coarse operators, two
+damped-Jacobi sweeps (weight 0.7) on each side of a coarse correction,
+and that LU on the first coarser grid with at most 64 cells a side.  Each
 step on such a grid is GMRES (Saad, Iterative Methods for Sparse Linear
 Systems, 2003) with one V-cycle as preconditioner, to a residual relative
 to the right-hand side that an Eisenstat-Walker forcing term sets per
@@ -52,7 +51,6 @@ of stability.first_eigenvalue on its region's block of the grid.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -313,39 +311,6 @@ def _stencil_matrix(offsets, coefs: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((coefs[keep], cols[keep], indptr), shape=(n, n))
 
 
-# blocks with at most this many nodes on each side are not dissected further
-_DISSECTION_LEAF = 4
-
-
-@functools.lru_cache(maxsize=32)
-def _dissection_order(m: int, n: int) -> np.ndarray:
-    """Nested-dissection order of an m x n grid: the flat node indices
-    i * n + j in elimination order.  A block is bisected along its longer
-    side by one grid line, which follows both halves; blocks with at most
-    _DISSECTION_LEAF nodes on each side keep their row-major order.  The
-    orders of the last 32 shapes are cached; each is read-only, as every
-    caller of its shape shares it."""
-    parts = []
-
-    def visit(block):
-        rows, cols = block.shape
-        if rows <= _DISSECTION_LEAF and cols <= _DISSECTION_LEAF:
-            parts.append(block.ravel())
-        elif rows >= cols:
-            visit(block[:rows // 2])
-            visit(block[rows // 2 + 1:])
-            parts.append(block[rows // 2])
-        else:
-            visit(block[:, :cols // 2])
-            visit(block[:, cols // 2 + 1:])
-            parts.append(block[:, cols // 2])
-
-    visit(np.arange(m * n).reshape(m, n))
-    order = np.concatenate(parts)
-    order.flags.writeable = False
-    return order
-
-
 # the 9-point and 5-point stencil offsets (di, dj), sorted
 _NINE_POINT = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 _FIVE_POINT = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
@@ -388,7 +353,7 @@ def _harmonic_extension(u_bc: np.ndarray) -> np.ndarray:
     b = u_bc.copy()
     b[1:-1, 1:-1] = 0.0
     rhs = b[2:, 1:-1] + b[:-2, 1:-1] + b[1:-1, 2:] + b[1:-1, :-2]
-    sol = spla.spsolve(A.tocsc(), rhs.ravel(), permc_spec="MMD_AT_PLUS_A")
+    sol = _Hierarchy(A, []).solve(rhs.ravel(), 0.0)[0]
     u = u_bc.copy()
     u[1:-1, 1:-1] = sol.reshape(nx - 2, ny - 2)
     return u
@@ -464,52 +429,38 @@ def _bilinear_1d(cells: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, np.tile(k, 3))), shape=(cells - 1, k.size))
 
 
-def _transfers(mx: int, my: int):
-    """(transfers, order) of a grid of mx x my cells.  The transfers are
-    (P, P^T / 4) pairs, finest first: P is bilinear prolongation on interior
-    nodes from the grid of twice the spacing, and P^T / 4 the restriction.
-    Halving stops at the first grid with at most _DIRECT_CELLS cells on
-    each side, or an odd number on one.  order is the _dissection_order of
-    the coarsest grid's interior nodes, in which _Hierarchy factors its
-    operator."""
+def _transfers(mx: int, my: int) -> list:
+    """The (P, P^T / 4) pairs of a grid of mx x my cells, finest first: P
+    is bilinear prolongation on interior nodes from the grid of twice the
+    spacing, and P^T / 4 the restriction.  Halving stops at the first grid
+    with at most _DIRECT_CELLS cells on each side, or an odd number on
+    one."""
     prolongations = []
     while (max(mx, my) > _DIRECT_CELLS and mx % 2 == 0 and my % 2 == 0
            and min(mx, my) >= 4):
         prolongations.append(sp.kron(_bilinear_1d(mx), _bilinear_1d(my),
                                      format="csr"))
         mx, my = mx // 2, my // 2
-    return ([(P, (P.T / 4.0).tocsr()) for P in prolongations],
-            _dissection_order(mx - 1, my - 1))
+    return [(P, (P.T / 4.0).tocsr()) for P in prolongations]
 
 
 class _Hierarchy:
     """The V-cycle of one operator J (CSR, numbered row-major): a Newton
-    Jacobian, or the shifted stability operator that preconditions
-    stability.first_eigenvalue.  It holds, for each grid above the
-    coarsest, its operator, weighted inverse diagonal and transfers, and
-    the LU of the coarsest operator.  Each coarser operator is the
-    Galerkin product (P^T / 4) A P.  With no grid above the coarsest, a
-    cycle is the LU back-solve.
+    Jacobian, the Laplacian of the harmonic start, or the shifted
+    stability operator that preconditions stability.first_eigenvalue.  It
+    holds, for each grid above the coarsest, its operator, weighted
+    inverse diagonal and transfers, and the LU of the coarsest operator,
+    in SuperLU's minimum-degree column order of A^T + A.  Each coarser
+    operator is the Galerkin product (P^T / 4) A P.  With no grid above
+    the coarsest, a cycle is the LU back-solve."""
 
-    The hierarchy alone applies order, the nested-dissection numbering of
-    the coarsest grid from _transfers: the LU factors that grid's operator
-    with its unknowns in that order, and each back-solve gathers and
-    scatters, so every vector in and out is row-major."""
-
-    def __init__(self, J, transfers, order):
+    def __init__(self, J, transfers):
         self.levels = []
         A = J
         for P, R in transfers:
             self.levels.append((A, _JACOBI_WEIGHT / A.diagonal(), P, R))
             A = R @ (A @ P)
-        self.order = order
-        self.lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL")
-
-    def _back_solve(self, b: np.ndarray) -> np.ndarray:
-        """The LU back-solve on the coarsest grid, row-major in and out."""
-        x = np.empty_like(b)
-        x[self.order] = self.lu.solve(b[self.order])
-        return x
+        self.lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def vcycle(self, b: np.ndarray) -> np.ndarray:
         """One V-cycle for J x = b from x = 0, with _SWEEPS damped-Jacobi
@@ -521,7 +472,7 @@ class _Hierarchy:
                 x += wdinv * (b - A @ x)
             down.append((b, x))
             b = R @ (b - A @ x)
-        x = self._back_solve(b)
+        x = self.lu.solve(b)
         for (A, wdinv, P, R), (b, x_fine) in zip(reversed(self.levels),
                                                  reversed(down)):
             x = x_fine + P @ x
@@ -535,7 +486,7 @@ class _Hierarchy:
         to a 2-norm residual of at most rtol |b|.  Raises LinearSolveError
         when GMRES misses rtol."""
         if not self.levels:
-            return self._back_solve(b), 0
+            return self.lu.solve(b), 0
         # the operator is made per solve: kept on the hierarchy, it would
         # close a reference cycle that holds the grid operators until a
         # full garbage collection
@@ -600,7 +551,7 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
     last step solves no further than that test needs.  A rejected chord step and the Newton step that
     replaces it share eta_k.  A grid that is LU-factored ignores eta_k."""
     nx, ny = u.shape
-    transfers, order = _transfers(nx - 1, ny - 1)
+    transfers = _transfers(nx - 1, ny - 1)
     gmres_iters = 0
 
     def step(hierarchy, res, eta):
@@ -627,7 +578,7 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
                 iters += 1
                 continue
         hierarchy = None  # release the old factor before the new one is made
-        hierarchy = _Hierarchy(_graph_jacobian(spec, u, h), transfers, order)
+        hierarchy = _Hierarchy(_graph_jacobian(spec, u, h), transfers)
         lus += 1
         delta = step(hierarchy, res, eta)
         step_len = 1.0

@@ -264,12 +264,15 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
     sigma = -float(np.max(np.abs(V / M))) - 1.0 - asm.extra_mode
     A = K + sp.diags(asm.extra_mode * M - V)
     shifted = A - sp.diags(sigma * M)
-    transfers, order = [], np.arange(M.size)
+    transfers = []
     if not field.is_profile:
-        # a block of rows x (M.size / rows) nodes has one more cell a side
-        rows = np.unique(asm.region // field.source.ny).size
-        transfers, order = _transfers(rows + 1, M.size // rows + 1)
-    hierarchy = _Hierarchy(shifted, transfers, order)
+        # the region is a full block (_assemble_graph refuses any other), so
+        # its first and last nodes give its rows; a block of rows x
+        # (M.size / rows) nodes has one more cell a side
+        ny = field.source.ny
+        rows = asm.region[-1] // ny - asm.region[0] // ny + 1
+        transfers = _transfers(rows + 1, M.size // rows + 1)
+    hierarchy = _Hierarchy(shifted, transfers)
     abs_K = abs(K)
     x = np.full(M.size, 1.0 / np.sqrt(M.sum()))
     for iters in range(501):

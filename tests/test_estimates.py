@@ -208,6 +208,16 @@ def test_catenoid_hypotheses_fail(catenoid_field, spec_zero):
     assert rep.min_K < 0.0
 
 
+def test_flat_graph_gates_on_a_widened_height_window(spec_zero):
+    # a horizontal plane has one height, an empty window that
+    # check_conditions refuses (PotentialDomainError); the gates are read on
+    # [z, z + 1] instead, where the Constant weight fails c1
+    field, _ = _flat_graph(spec_zero, n=17, h=1 / 8, height=0.25)
+    rep = convexity_report(field, spec_zero, _tol_for(field))
+    assert rep.verdict == "HypothesesFail"
+    assert not rep.hypotheses["c1"]
+
+
 def test_saddle_graph_meets_every_hypothesis_and_is_not_convex(spec_linear):
     # mean convexity alone does not make a compact patch convex: a saddle
     # of Dirichlet data passes every gate, and only properness, which the

@@ -14,7 +14,7 @@ from phimin import solvers
 from phimin.cli import main
 from phimin.solvers import (AxisCollisionError, AxisRegular, DomainExitError,
                             LinearSolveError, NewtonConfig, PointStart,
-                            ShootingConfig, _Hierarchy, _dissection_order,
+                            ShootingConfig, _Hierarchy,
                             _graph_jacobian, _harmonic_extension, _newton,
                             _transfers, _trial, graph_pde_residual,
                             solve_graph, solve_rotational_profile,
@@ -291,26 +291,44 @@ def test_prolonged_start_outside_domain_falls_back_to_harmonic():
 
 @pytest.mark.parametrize("m, n", [(1, 1), (4, 4), (5, 5), (31, 31), (63, 31),
                                   (7, 12), (15, 9), (1, 13), (13, 1)])
-def test_dissection_order_is_a_permutation(m, n):
-    order = _dissection_order(m, n)
-    assert np.array_equal(np.sort(order), np.arange(m * n))
+def test_coarsest_lu_matches_minimum_degree_spsolve(m, n):
+    # a non-symmetric 9-point operator on m x n unknowns, thin and single
+    # node grids included: SuperLU orders the coarsest LU itself, so the
+    # back-solve is spsolve's in the same column order, bit for bit
+    rng = np.random.default_rng(7)
+    coefs = rng.uniform(-1.0, 1.0, (m, n, 9))
+    coefs[..., 4] = 10.0
+    A = solvers._stencil_matrix(solvers._NINE_POINT, coefs)
+    b = rng.standard_normal(m * n)
+    assert _transfers(m + 1, n + 1) == []
+    sol, iters = _Hierarchy(A, []).solve(b, 0.0)
+    assert iters == 0
+    assert np.array_equal(sol, spla.spsolve(A.tocsc(), b, permc_spec="MMD_AT_PLUS_A"))
+    assert np.abs(A @ sol - b).max() <= 1e-12 * np.abs(b).max()
 
 
-def test_dissection_order_is_cached_and_read_only():
-    order = _dissection_order(9, 5)
-    assert _dissection_order(9, 5) is order
-    assert np.array_equal(order, _dissection_order.__wrapped__(9, 5))
-    with pytest.raises(ValueError):
-        order[0] = 1
+@pytest.mark.parametrize("nx, ny", [(9, 17), (17, 9), (33, 33), (49, 33),
+                                    (65, 65), (129, 129)])
+def test_harmonic_extension_keeps_the_spsolve_bits(nx, ny):
+    # the harmonic start factors its Laplacian through _Hierarchy, and
+    # gives the interior that spsolve with minimum-degree ordering gives
+    rng = np.random.default_rng(nx * ny)
+    u_bc = rng.uniform(0.5, 1.5, (nx, ny))
+    A = solvers._stencil_matrix(
+        solvers._FIVE_POINT,
+        np.broadcast_to([-1.0, -1.0, 4.0, -1.0, -1.0], (nx - 2, ny - 2, 5)))
+    b = u_bc.copy()
+    b[1:-1, 1:-1] = 0.0
+    rhs = b[2:, 1:-1] + b[:-2, 1:-1] + b[1:-1, 2:] + b[1:-1, :-2]
+    ref = spla.spsolve(A.tocsc(), rhs.ravel(), permc_spec="MMD_AT_PLUS_A")
+    u = _harmonic_extension(u_bc)
+    assert np.array_equal(u[1:-1, 1:-1], ref.reshape(nx - 2, ny - 2))
+    assert np.array_equal(u[0], u_bc[0]) and np.array_equal(u[:, -1], u_bc[:, -1])
 
 
-def test_dissection_order_puts_the_separator_last():
-    # a 9 x 5 grid is cut by its middle row, whose 5 nodes come last
-    assert np.array_equal(_dissection_order(9, 5)[-5:], 4 * 5 + np.arange(5))
-    assert np.array_equal(_dissection_order(5, 9)[-5:], 4 + 9 * np.arange(5))
-
-
-def test_dissection_ordered_solve_matches_minimum_degree(spec_linear, bowl):
+def test_lu_solve_matches_minimum_degree_spsolve_bits(spec_linear, bowl):
+    # with no grid above the coarsest, a hierarchy is SuperLU's LU in the
+    # column order spsolve takes with the same permc_spec
     h = 1 / 32
     n = int(round(2.0 / h)) + 1
     xs = -1.0 + h * np.arange(n)
@@ -319,9 +337,9 @@ def test_dissection_ordered_solve_matches_minimum_degree(spec_linear, bowl):
     rhs = -graph_pde_residual(spec_linear, u, h).ravel()
     J = _graph_jacobian(spec_linear, u, h)
     ref = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
-    sol, iters = _Hierarchy(J, [], _dissection_order(n - 2, n - 2)).solve(rhs, 1e-4)
+    sol, iters = _Hierarchy(J, []).solve(rhs, 1e-4)
     assert iters == 0
-    assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(sol, ref)
 
 
 def _coo_stencil(stencil, nx, ny):
@@ -424,8 +442,8 @@ def _count_hierarchies(monkeypatch):
     sizes, refs = [], []
 
     class Counted(_Hierarchy):
-        def __init__(self, J, transfers, order):
-            super().__init__(J, transfers, order)
+        def __init__(self, J, transfers):
+            super().__init__(J, transfers)
             sizes.append(J.shape[0])
             refs.append(weakref.ref(self))
 
@@ -460,9 +478,9 @@ def _bowl_jacobian(spec, bowl, h):
 
 @pytest.mark.parametrize("h", [1 / 64, 1 / 128])
 def test_hierarchy_solve_matches_the_lu_solve(spec_linear, bowl, h):
-    J, (transfers, order), rhs = _bowl_jacobian(spec_linear, bowl, h)
+    J, transfers, rhs = _bowl_jacobian(spec_linear, bowl, h)
     assert len(transfers) == round(math.log2(1 / (32 * h)))
-    sol, iters = _Hierarchy(J, transfers, order).solve(rhs, 1e-10)
+    sol, iters = _Hierarchy(J, transfers).solve(rhs, 1e-10)
     ref = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
     assert 0 < iters <= 30
     assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -490,12 +508,9 @@ def _lu_newton(spec, u, h, cfg):
     """The graph Newton with an LU of every Jacobian, as before the V-cycle:
     (last iterate, residual norm, steps, LU count)."""
     nx, ny = u.shape
-    order = _dissection_order(nx - 2, ny - 2)
 
     def back_solve(lu, res):
-        delta = np.empty(order.size)
-        delta[order] = lu.solve(-res.ravel()[order])
-        return delta.reshape(nx - 2, ny - 2)
+        return lu.solve(-res.ravel()).reshape(nx - 2, ny - 2)
 
     res = graph_pde_residual(spec, u, h)
     res_norm = float(np.abs(res).max())
@@ -509,7 +524,7 @@ def _lu_newton(spec, u, h, cfg):
                 iters += 1
                 continue
         J = _graph_jacobian(spec, u, h)
-        lu = spla.splu(J[order][:, order].tocsc(), permc_spec="NATURAL")
+        lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
         lus += 1
         delta = back_solve(lu, res)
         step_len = 1.0
@@ -528,7 +543,7 @@ def _lu_newton(spec, u, h, cfg):
 @pytest.mark.parametrize("case", ["bowl-64", "bowl-48x32", "reaper-16"])
 def test_small_grids_keep_the_lu_path_bits(spec_linear, bowl, case):
     # grids of at most 64 cells a side have no level above the coarsest,
-    # so each step is the LU back-solve of the dissection-ordered Jacobian
+    # so each step is the LU back-solve of the Jacobian
     domain, h, boundary = {
         "bowl-64": ((-1, 1, -1, 1), 1 / 32, _bowl_boundary(bowl)),
         "bowl-48x32": ((-0.75, 0.75, -0.5, 0.5), 1 / 32, _bowl_boundary(bowl)),
@@ -538,7 +553,7 @@ def test_small_grids_keep_the_lu_path_bits(spec_linear, bowl, case):
     ys = np.arange(domain[2], domain[3] + h / 2, h)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     u0 = _harmonic_extension(boundary(X, Y))
-    assert _transfers(len(xs) - 1, len(ys) - 1)[0] == []
+    assert _transfers(len(xs) - 1, len(ys) - 1) == []
     u, res_norm, iters, note = _newton(spec_linear, u0, h, NewtonConfig())
     ref, ref_norm, ref_iters, ref_lus = _lu_newton(spec_linear, u0, h, NewtonConfig())
     assert np.array_equal(u, ref)
@@ -570,7 +585,7 @@ def test_v_cycle_newton_takes_the_lu_newton_steps(spec_linear, spec_quadratic,
     }[case]
     h, cfg = 1 / 64, NewtonConfig(tol_residual=tol)
     u0 = _grid_start(spec, boundary, h, cfg)
-    assert _transfers(128, 128)[0]
+    assert _transfers(128, 128)
     u, res_norm, iters, note = _newton(spec, u0, h, cfg)
     ref, ref_norm, ref_iters, ref_lus = _lu_newton(spec, u0, h, cfg)
     assert res_norm <= tol and ref_norm <= tol
@@ -653,9 +668,11 @@ def test_rejected_chord_step_refactors_and_converges(spec_linear, monkeypatch):
     res = solve_graph(spec_linear, (-1, 1, -1, 1), 1 / 8,
                       lambda x, y: -np.log(np.cos(x)), NewtonConfig())
     assert res.converged and res.residual <= 1e-10
-    assert len(sizes) > 1 and set(sizes) == {15 * 15}
-    assert res.iterations > len(sizes)  # some chord steps were kept
-    assert f"({len(sizes)} LU)" in res.diagnostics
+    # the first LU is the harmonic start's Laplacian, the rest Jacobians
+    lus = len(sizes) - 1
+    assert lus > 1 and set(sizes) == {15 * 15}
+    assert res.iterations > lus  # some chord steps were kept
+    assert f"({lus} LU)" in res.diagnostics
 
 
 def test_stalled_line_search_stops_newton_unconverged(spec_linear, bowl):

@@ -274,6 +274,29 @@ def test_first_eigenvalue_matches_dense_pencil(case, bowl_field, reaper_field,
     assert res.lambda1 == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("surface", ["profile", "graph"])
+def test_negative_mean_eigenfunction_is_flipped(surface, bowl_field, bowl_graphs,
+                                                spec_linear, monkeypatch):
+    # the first Ritz vector negated: the solve is linear and sign-symmetric,
+    # so every later iterate is exactly the negated one, and the final flip
+    # to a positive mean must give back the unpatched solve bit for bit
+    field = bowl_field if surface == "profile" else bowl_graphs["non-square"]
+    region = np.flatnonzero(field.interior_mask(2))
+    want = first_eigenvalue(field, spec_linear, region, tol=1e-10)
+    eigh, calls = scipy.linalg.eigh, []
+
+    def first_negated(*args, **kwargs):
+        w, c = eigh(*args, **kwargs)
+        calls.append(c)
+        return w, (-c if len(calls) == 1 else c)
+
+    monkeypatch.setattr(stability.scipy.linalg, "eigh", first_negated)
+    got = first_eigenvalue(field, spec_linear, region, tol=1e-10)
+    assert len(calls) == want.iterations > 1
+    assert np.array_equal(got.eigenfunction, want.eigenfunction)
+    assert (got.lambda1, got.iterations) == (want.lambda1, want.iterations)
+
+
 def test_unpreconditioned_eigen_solve_raises_convergence_error(bowl_field, spec_linear,
                                                                monkeypatch):
     # with the V-cycle replaced by the identity, 500 iterations are too few
