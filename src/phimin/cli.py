@@ -1,9 +1,9 @@
 """Command-line front end: config parsing, pipelines, artifact emission.
 
-Usage:  phimin <command> --config <file> [--out DIR] [--seed N] [--verbose]
+Usage:  phimin --config <file> [--out DIR] [--verbose]
 
-The JSON config carries the weight spec, the command, and per-command
-parameters; artifacts (CSV profiles/graphs, OBJ meshes, JSON reports and
+The JSON config carries the weight spec, the command, its parameters and
+the seed; artifacts (CSV profiles/graphs, OBJ meshes, JSON reports and
 a manifest with content hashes) are written atomically to the output
 directory.  Exit codes: 0 all gated audits pass, 1 an audit whose
 hypotheses hold fails its conclusion, 2 errors.  The computation is
@@ -30,8 +30,9 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .potential import (PotentialSpec, asymptotics, check_conditions,
-                        spec_from_json, to_json_dict)
+from .potential import (FAMILIES, PotentialFamilyError, PotentialSpec,
+                        asymptotics, check_conditions, spec_from_json,
+                        to_json_dict)
 from .solvers import (AxisRegular, NewtonConfig, PointStart, ShootingConfig,
                       SolveResult, rotational_curve, solve_graph,
                       solve_rotational_profile, solve_translation_profile)
@@ -76,23 +77,25 @@ class RunManifest:
 
 
 def _validate_potential(obj, errors) -> PotentialSpec | None:
+    if not isinstance(obj, dict):
+        errors.append("potential: must be an object")
+        return None
+    family = obj.get("family")
+    if not isinstance(family, str) or family not in FAMILIES:
+        errors.append(f"potential.family: {family!r} not one of {tuple(FAMILIES)}")
+        return None
+    n = len(errors)
+    _check_keys(obj, "potential", ("family", *FAMILIES[family].params),
+                ("alpha", "offset"), errors)
+    if len(errors) > n:
+        return None
     try:
         spec = spec_from_json(obj)
-    except (ValueError, TypeError) as exc:
+    except PotentialFamilyError as exc:
         errors.append(f"potential: {exc}")
         return None
     p = spec.params
-    # checked as given, since spec_from_json passes offset, alpha and the
-    # coefficients through float(), which takes bools and numeric strings
-    given = {**dict(obj.get("params") or {}), **obj}
-    bad = [f"potential.{key}: must be a number"
-           for key in (*p, "offset", "alpha")
-           if key in given and key != "coefficients" and not _number(given[key])
-           and not (key == "alpha" and given[key] is None)]
-    if "coefficients" in p and not all(map(_number, given["coefficients"])):
-        bad.append("potential.coefficients: must be a list of numbers")
-    errors += bad
-    if "Lambda" in p and not bad and asymptotics(spec).violates_constraint:
+    if "Lambda" in p and asymptotics(spec).violates_constraint:
         # a nonzero Lambda violates the constraint only by its sign
         errors.append("potential.Lambda: admissible tails need Lambda >= 0" if p["Lambda"]
                       else "potential.beta: beta > 0 required when Lambda = 0")
@@ -127,18 +130,23 @@ _EXPORT_FORMATS = ("CSV", "OBJ", "JSON")
 
 # key -> (test of its value, what the value must be), wherever the key is
 _VALUES = {
-    **dict.fromkeys(("z_lo", "z_hi", "s_max", "z0", "x0", "theta0", "value"),
+    **dict.fromkeys(("z_lo", "z_hi", "s_max", "z0", "x0", "theta0", "value",
+                     "c0", "slope", "Lambda", "beta", "a", "u0", "offset"),
                     (_number, "a number")),
+    "alpha": (lambda v: v is None or _number(v), "a number"),
+    "coefficients": (lambda v: isinstance(v, list) and all(map(_number, v)),
+                     "a list of numbers"),
     **dict.fromkeys(("step", "h", "rho", "epsilon", "tol_residual"),
                     (lambda v: _number(v) and v > 0, "a positive number")),
     "n_samples": (lambda v: _number(v, int), "an integer"),
     "max_iters": (lambda v: _number(v, int) and v >= 1, "a positive integer"),
     "seed": (lambda v: _number(v, int) and v >= 0, "a non-negative integer"),
-    "heights": (lambda v: isinstance(v, list) and all(map(_number, v)),
-                "a list of numbers"),
+    "heights": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_number, v)),
+                "a non-empty list of numbers"),
     # the test that estimates.blowup_rescale makes
-    "scales": (lambda v: isinstance(v, list) and all(_number(s) and s > 0 for s in v)
-               and sorted(v) == v, "a list of positive numbers in nondecreasing order"),
+    "scales": (lambda v: isinstance(v, list) and len(v) > 0
+               and all(_number(s) and s > 0 for s in v) and sorted(v) == v,
+               "a list of positive numbers in nondecreasing order"),
     "model": (lambda v: v in estimates.BLOWUP_MODELS,
               f"one of {estimates.BLOWUP_MODELS}"),
     "radii": (lambda v: isinstance(v, list) and len(v) > 0
@@ -207,8 +215,7 @@ def parse_config(text: str) -> RunConfig:
     errors = []
     if not isinstance(obj, dict):
         raise ConfigError(["$: config must be a JSON object"])
-    _check_keys(obj, "", ("potential", "command"),
-                ("command_params", "output_dir", "seed"), errors)
+    _check_keys(obj, "", ("potential", "command"), ("command_params", "seed"), errors)
     spec = _validate_potential(obj["potential"], errors) if "potential" in obj else None
     command = obj.get("command")
     if "command" in obj and command not in COMMANDS:
@@ -242,13 +249,14 @@ def parse_config(text: str) -> RunConfig:
         potential=spec,
         command=command,
         command_params=params,
-        output_dir=str(obj.get("output_dir", ".")),
         seed=obj.get("seed", 0),
     )
 
 
 def serialize_config(config: RunConfig) -> str:
-    obj = {**asdict(config), "potential": to_json_dict(config.potential)}
+    """The config as parse_config reads it; the output directory is left out."""
+    obj = {"potential": to_json_dict(config.potential), "command": config.command,
+           "command_params": config.command_params, "seed": config.seed}
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
@@ -716,11 +724,10 @@ def run(config: RunConfig) -> RunManifest:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="phimin",
-        description="construction and audits of weighted minimal surfaces")
-    parser.add_argument("command", choices=COMMANDS)
+        description="construction and audits of weighted minimal surfaces",
+        epilog=f"The config names the command, one of: {', '.join(COMMANDS)}.")
     parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", default=".", help="output directory (default: .)")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -729,17 +736,7 @@ def main(argv=None) -> int:
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if config.command != args.command:
-        print(f"config command {config.command!r} does not match "
-              f"CLI command {args.command!r}", file=sys.stderr)
-        return 2
-    if args.out is not None:
-        config.output_dir = args.out
-    if args.seed is not None:
-        if args.seed < 0:
-            print("config error: --seed: must be a non-negative integer", file=sys.stderr)
-            return 2
-        config.seed = args.seed
+    config.output_dir = args.out
     try:
         manifest = run(config)
     except Exception as exc:

@@ -633,8 +633,8 @@ def blowup_rescale(source, basepoints, scales, spec: PotentialSpec,
         raise ValueError(f"unknown blow-up model {model!r}")
     scales = [float(s) for s in scales]
     basepoints = [int(p) for p in basepoints]
-    if sorted(scales) != scales or any(s <= 0 for s in scales):
-        raise ValueError("scales must be positive and increasing")
+    if not scales or sorted(scales) != scales or any(s <= 0 for s in scales):
+        raise ValueError("scales must be a non-empty list, positive and increasing")
     if not isinstance(source, (list, tuple)):
         source = [source] * len(basepoints)
     if len(source) != len(basepoints) or len(scales) != len(basepoints):

@@ -47,15 +47,14 @@ class PotentialFamilyError(ValueError):
 class PotentialSpec:
     """One member of the closed weight-function registry.
 
-    ``params`` holds the family coefficients under fixed key names
-    (see the factory classmethods).  ``alpha`` is the left endpoint of
-    the height domain; evaluation is defined for z > alpha only.
+    ``params`` holds the family coefficients under the names in its
+    ``Family.params``.  ``alpha`` is the left endpoint of the height
+    domain; evaluation is defined for z > alpha only.
     """
 
     family: str
     params: dict = field(default_factory=dict)
     alpha: float = float("-inf")
-    label: str = ""
     offset: float = 0.0
 
     def __post_init__(self):
@@ -66,27 +65,27 @@ class PotentialSpec:
     # -- factories ---------------------------------------------------------
 
     @classmethod
-    def constant(cls, c0: float = 0.0, alpha: float = float("-inf"), label: str = "") -> "PotentialSpec":
-        return cls("Constant", {"c0": float(c0)}, alpha=alpha, label=label)
+    def constant(cls, c0: float = 0.0, alpha: float = float("-inf")) -> "PotentialSpec":
+        return cls("Constant", {"c0": float(c0)}, alpha=alpha)
 
     @classmethod
-    def linear(cls, slope: float, alpha: float = float("-inf"), label: str = "") -> "PotentialSpec":
-        return cls("Linear", {"slope": float(slope)}, alpha=alpha, label=label)
+    def linear(cls, slope: float, alpha: float = float("-inf")) -> "PotentialSpec":
+        return cls("Linear", {"slope": float(slope)}, alpha=alpha)
 
     @classmethod
-    def quadratic(cls, lam: float, beta: float, alpha: float = float("-inf"), label: str = "") -> "PotentialSpec":
-        return cls("Quadratic", {"Lambda": float(lam), "beta": float(beta)}, alpha=alpha, label=label)
+    def quadratic(cls, lam: float, beta: float, alpha: float = float("-inf")) -> "PotentialSpec":
+        return cls("Quadratic", {"Lambda": float(lam), "beta": float(beta)}, alpha=alpha)
 
     @classmethod
-    def log_power(cls, a: float, alpha: float = 0.0, label: str = "") -> "PotentialSpec":
-        return cls("LogPower", {"a": float(a)}, alpha=alpha, label=label)
+    def log_power(cls, a: float, alpha: float = 0.0) -> "PotentialSpec":
+        return cls("LogPower", {"a": float(a)}, alpha=alpha)
 
     @classmethod
     def series(cls, lam: float, beta: float, coefficients, u0: float,
-               alpha: float = 0.0, label: str = "") -> "PotentialSpec":
+               alpha: float = 0.0) -> "PotentialSpec":
         return cls("Series", {"Lambda": float(lam), "beta": float(beta),
                               "coefficients": tuple(float(c) for c in coefficients),
-                              "u0": float(u0)}, alpha=alpha, label=label)
+                              "u0": float(u0)}, alpha=alpha)
 
     # -- family and domain -------------------------------------------------
 
@@ -564,35 +563,27 @@ def normalized_for_window(spec: PotentialSpec, epsilon: float) -> PotentialSpec:
 
 
 def to_json_dict(spec: PotentialSpec) -> dict:
+    """The JSON object form that spec_from_json reads: the family, its
+    parameters inline, alpha (null for -inf) and offset."""
     params = dict(spec.params)
     if "coefficients" in params:
         params["coefficients"] = list(params["coefficients"])
-    return {
-        "family": spec.family,
-        "params": params,
-        "alpha": None if math.isinf(spec.alpha) else spec.alpha,
-        "label": spec.label,
-        "offset": spec.offset,
-    }
+    return {"family": spec.family, **params,
+            "alpha": None if math.isinf(spec.alpha) else spec.alpha,
+            "offset": spec.offset}
 
 
 def spec_from_json(obj: dict) -> PotentialSpec:
     """Build a spec from its JSON object form.
 
-    Family parameters may sit under "params" or inline next to "family";
+    Every key but "family", "alpha" and "offset" is a family parameter;
     a missing alpha means the family's ``default_alpha`` and a null one
     -inf (unbounded below), as :func:`to_json_dict` writes it.
     """
-    if "family" not in obj:
-        raise PotentialFamilyError("potential object missing 'family'")
-    family = obj["family"]
+    family = obj.get("family")
     if family not in FAMILIES:
         raise PotentialFamilyError(f"unknown family {family!r}")
-    known = {"family", "params", "alpha", "label", "offset"}
-    params = dict(obj.get("params") or {})
-    for key, val in obj.items():
-        if key not in known:
-            params[key] = val
+    params = {k: v for k, v in obj.items() if k not in ("family", "alpha", "offset")}
     if "coefficients" in params:
         params["coefficients"] = tuple(float(c) for c in params["coefficients"])
     alpha = obj.get("alpha", FAMILIES[family].default_alpha)
@@ -600,6 +591,5 @@ def spec_from_json(obj: dict) -> PotentialSpec:
         family=family,
         params=params,
         alpha=float("-inf") if alpha is None else float(alpha),
-        label=str(obj.get("label", "")),
         offset=float(obj.get("offset", 0.0)),
     )

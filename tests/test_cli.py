@@ -12,7 +12,7 @@ from phimin import stability
 from phimin.cli import (COMMANDS, ConfigError, RunConfig, main, parse_config,
                         run, serialize_config, write_graph_obj,
                         write_report_json)
-from phimin.potential import PotentialSpec
+from phimin.potential import FAMILIES, PotentialSpec
 from phimin.solvers import (AxisRegular, ShootingConfig, rotational_curve,
                             solve_rotational_profile)
 from phimin.surface_geometry import GraphPatch, grid_shape, sample_geometry
@@ -51,15 +51,21 @@ def test_parse_rejects_negative_quadratic_coefficient():
 
 
 def test_parse_rejects_misspelt_and_malformed_potentials():
-    doc = _base_config("PotentialCheck", {"z_lo": 0.1, "z_hi": 1.0, "n_samples": 5},
-                       potential={"family": "Linear", "slope": 1, "slop": 2})
-    with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps(doc))
-    assert any(v.startswith("potential:") and "slop" in v for v in err.value.violations)
-    doc["potential"] = 5
-    with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps(doc))
-    assert any(v.startswith("potential:") for v in err.value.violations)
+    doc = _base_config("PotentialCheck", {"z_lo": 0.1, "z_hi": 1.0, "n_samples": 5})
+    for potential, violation in [
+            ({"family": "Linear", "slope": 1, "slop": 2}, "potential.slop: unknown key"),
+            ({"family": "Linear"}, "potential.slope: missing"),
+            (5, "potential: must be an object"),
+            ({"family": "Cubic", "slope": 1},
+             "potential.family: 'Cubic' not one of "
+             "('Constant', 'Linear', 'Quadratic', 'LogPower', 'Series')"),
+            ({"family": ["Linear"], "slope": 1},
+             "potential.family: ['Linear'] not one of "
+             "('Constant', 'Linear', 'Quadratic', 'LogPower', 'Series')")]:
+        doc["potential"] = potential
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.violations == [violation]
 
 
 def test_parse_lets_unexpected_potential_errors_through(monkeypatch):
@@ -220,13 +226,10 @@ def test_main_exit_codes(tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(_base_config("SolveTranslation", {
         **REAPER_PARAMS, "step": 1e-3})))
-    assert main(["SolveTranslation", "--config", str(config_path),
-                 "--out", str(tmp_path / "out")]) == 0
-    # mismatched CLI command
-    assert main(["SolveRotational", "--config", str(config_path)]) == 2
+    assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
-    assert main(["SolveRotational", "--config", str(bad)]) == 2
+    assert main(["--config", str(bad), "--out", str(tmp_path / "bad")]) == 2
 
 
 def test_domain_exit_inside_a_step_is_a_typed_error(tmp_path, capsys):
@@ -234,8 +237,7 @@ def test_domain_exit_inside_a_step_is_a_typed_error(tmp_path, capsys):
     config_path.write_text(json.dumps(_base_config("SolveTranslation", {
         "start": {"kind": "point", "x0": 1.0, "z0": 5e-4, "theta0": -np.pi / 2},
         "step": 1e-3, "s_max": 0.1}, potential={"family": "LogPower", "a": 1})))
-    assert main(["SolveTranslation", "--config", str(config_path),
-                 "--out", str(tmp_path / "out")]) == 2
+    assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
     assert "DomainExitError" in capsys.readouterr().err
 
 
@@ -344,20 +346,21 @@ def test_audit_stability_assembles_once(tmp_path, monkeypatch):
     assert doc["values"]["rayleigh_trial_min"] == min(trials)
 
 
-def _main_stability(tmp_path, label, *flags):
-    """main on an AuditStability config of seed 3, with the extra flags,
+def _main_stability(tmp_path, label, *flags, seed=3):
+    """main on an AuditStability config of the seed, with the extra flags,
     into tmp_path/label: (exit code, manifest, stability report)."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(_base_config("AuditStability", {"surface": ROT_SURF})))
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps({**_base_config("AuditStability", {"surface": ROT_SURF}),
+                                "seed": seed}))
     out = tmp_path / label
-    code = main(["AuditStability", "--config", str(path), "--out", str(out), *flags])
+    code = main(["--config", str(path), "--out", str(out), *flags])
     return (code, json.loads((out / "manifest.json").read_text()),
             json.loads((out / "stability.json").read_text())[0])
 
 
-def test_seed_flag_overrides_the_config_seed(tmp_path):
-    _, manifest, doc = _main_stability(tmp_path, "config")
-    _, seeded, seeded_doc = _main_stability(tmp_path, "flag", "--seed", "7")
+def test_config_seed_sets_only_the_rayleigh_trials(tmp_path):
+    _, manifest, doc = _main_stability(tmp_path, "three")
+    _, seeded, seeded_doc = _main_stability(tmp_path, "seven", seed=7)
     assert (manifest["config"]["seed"], seeded["config"]["seed"]) == (3, 7)
     # the Rayleigh trials are the only seeded values
     assert seeded_doc["values"]["lambda1"] == doc["values"]["lambda1"]
@@ -431,7 +434,7 @@ def test_csv_boundary_missing_a_node_exits_2_with_its_path(tmp_path, capsys, com
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_base_config(command, params,
                                               {"family": "Constant", "c0": 0.0})))
-    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         f"error: ConfigError: {path}: node (0.0, 0.125) missing from the CSV\n")
 
@@ -475,7 +478,7 @@ def test_audits_and_export_refuse_unconverged_graph(tmp_path):
     for command, params, code in cases:
         config_path = tmp_path / f"{command}.json"
         config_path.write_text(json.dumps(_base_config(command, params)))
-        assert main([command, "--config", str(config_path),
+        assert main(["--config", str(config_path),
                      "--out", str(tmp_path / command)]) == code
 
 
@@ -486,8 +489,7 @@ def test_one_node_translation_stability_exits_2_in_one_line(tmp_path, capsys):
     path.write_text(json.dumps(_base_config("AuditStability", {
         "surface": {"kind": "translation", **REAPER_PARAMS, "s_max": 0.04,
                     "step": 0.01}})))
-    assert main(["AuditStability", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 2
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: RulingWidthError: a one-node translation region")
     assert err.count("\n") == 1
@@ -521,7 +523,7 @@ def test_graph_audits_default_to_the_middle_node(tmp_path):
         config_path.write_text(json.dumps(_base_config(
             command, {"surface": BOWL_GRAPH, **params})))
         out = tmp_path / command
-        assert main([command, "--config", str(config_path), "--out", str(out)]) == 0
+        assert main(["--config", str(config_path), "--out", str(out)]) == 0
     area = json.loads((tmp_path / "AuditArea" / "area.json").read_text())[0]
     assert area["values"]["center_index"] == 16 * 33 + 16
 
@@ -816,8 +818,7 @@ def test_center_index_outside_the_samples_is_a_config_error(tmp_path, capsys, ce
     config_path = tmp_path / "area.json"
     config_path.write_text(json.dumps(_base_config("AuditArea", {
         "surface": BOWL_GRAPH, "rho": 0.3, "center_index": center})))
-    assert main(["AuditArea", "--config", str(config_path),
-                 "--out", str(tmp_path / "out")]) == 2
+    assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
     assert "ConfigError: command_params.center_index:" in capsys.readouterr().err
 
 
@@ -826,8 +827,7 @@ def test_center_index_off_the_axis_of_a_rotational_profile_is_a_config_error(
     config_path = tmp_path / "area.json"
     config_path.write_text(json.dumps(_base_config("AuditArea", {
         "surface": ROT_SURF, "rho": 0.3, "center_index": 17})))
-    assert main(["AuditArea", "--config", str(config_path),
-                 "--out", str(tmp_path / "out")]) == 2
+    assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
     assert "ConfigError: command_params.center_index: 17" in capsys.readouterr().err
 
 
@@ -915,8 +915,7 @@ def test_unknown_and_missing_keys_exit_2_with_their_path(tmp_path, capsys, case)
     config, violation = KEY_CASES[case]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert main([config["command"], "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 2
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {violation}\n"
 
 
@@ -947,8 +946,7 @@ def test_bowl_profile_boundary_reaches_every_edge_node(tmp_path, capsys, boundar
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_base_config("SolveGraph", {
         "domain": [-2, 2, -2, 2], "h": 0.125, "boundary": boundary})))
-    assert main(["SolveGraph", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == code
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == code
     assert ("ConfigError: command_params.boundary.s_max:"
             in capsys.readouterr().err) == (code == 2)
 
@@ -1072,7 +1070,7 @@ for case, potential, violation in [
         ("slope-nan", {"family": "Linear", "slope": float("nan")}, "slope"),
         ("slope-infinity", {"family": "Linear", "slope": float("inf")}, "slope"),
         ("slope-bool", {"family": "Linear", "slope": True}, "slope"),
-        ("slope-null", {"family": "Linear", "params": {"slope": None}}, "slope"),
+        ("slope-null", {"family": "Linear", "slope": None}, "slope"),
         ("lambda-string", {**SERIES, "Lambda": "0"}, "Lambda"),
         ("offset-infinity", {"family": "Linear", "slope": 1, "offset": float("inf")},
          "offset"),
@@ -1099,34 +1097,106 @@ def test_bad_values_exit_2_with_their_path(tmp_path, capsys, case):
     command, params, violation, *potential = VALUE_CASES[case]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_base_config(command, params, *potential)))
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {violation}\n"
 
 
+def test_empty_blowup_sequence_is_a_config_error():
+    # it ran, and wrote a limit constant of NaN into blowup.json
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(_base_config("Blowup", {
+            **BLOWUP_PARAMS, "heights": [], "scales": []})))
+    assert err.value.violations == [
+        "command_params.heights: must be a non-empty list of numbers",
+        "command_params.scales: must be a list of positive numbers in nondecreasing order"]
+
+
+def _bench_weight(monkeypatch, family):
+    """The benchmark's weight of the family."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    weights = (workloads.CONSTANT, workloads.LINEAR, workloads.QUADRATIC,
+               workloads.LOG_POWER, workloads.SERIES)
+    return {w["family"]: w for w in weights}[family]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_weight_parameter_is_checked_by_the_value_table(monkeypatch, family):
+    weight = _bench_weight(monkeypatch, family)
+    # the weight as given parses; each bad value is its one violation
+    parse_config(json.dumps(_base_config("PotentialCheck", CHECK_PARAMS, weight)))
+    for name in FAMILIES[family].params:
+        rule = cli_module._VALUES[name][1]
+        for bad in (True, "1", None, float("nan")):
+            doc = _base_config("PotentialCheck", CHECK_PARAMS, {**weight, name: bad})
+            with pytest.raises(ConfigError) as err:
+                parse_config(json.dumps(doc))
+            assert err.value.violations == [f"potential.{name}: must be {rule}"]
+
+
+def test_weight_keys_name_no_command_or_sub_config_key():
+    # a _VALUES rule holds wherever its key is, so a shared name would be
+    # checked by the other key's rule
+    weight = {name for f in FAMILIES.values() for name in f.params} | {"alpha", "offset"}
+    keys = set(cli_module._SUBCONFIGS)
+    for entry, _ in cli_module._COMMANDS.values():
+        if not isinstance(entry, str):
+            keys.update(*entry)
+    for kinds in cli_module._SUBCONFIGS.values():
+        for required, optional in kinds.values():
+            keys.update(required, optional)
+    assert "domain" in keys and not weight & keys
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_manifest_config_reparses_to_the_config(tmp_path, monkeypatch, family):
+    weight = _bench_weight(monkeypatch, family)
+    # LogPower needs alpha >= 0
+    alphas = (0.25,) if family == "LogPower" else (None, 0.25)
+    for alpha in alphas:
+        cfg = parse_config(json.dumps(_base_config("PotentialCheck", {
+            "z_lo": 1.0, "z_hi": 2.0, "n_samples": 5},
+            {**weight, "alpha": alpha, "offset": -1.5})))
+        assert parse_config(serialize_config(cfg)) == cfg
+        cfg.output_dir = str(tmp_path / str(alpha))
+        run(cfg)
+        manifest = json.loads((tmp_path / str(alpha) / "manifest.json").read_text())
+        assert "output_dir" not in manifest["config"]
+        again = parse_config(json.dumps(manifest["config"]))
+        again.output_dir = cfg.output_dir
+        assert again == cfg
+
+
 CONVEXITY = _base_config("AuditConvexity", {"surface": ROT_SURF})
-# document (or JSON text), extra main flags, one of the violations reported
+# document (or JSON text), one of the violations reported
 REFUSAL_CASES = {
-    "surface-number": ({**CONVEXITY, "command_params": {"surface": 5}}, (),
+    "surface-number": ({**CONVEXITY, "command_params": {"surface": 5}},
                        "command_params.surface: must be an object"),
-    "config-array": ([CONVEXITY], (), "$: config must be a JSON object"),
-    "params-list": ({**CONVEXITY, "command_params": [ROT_SURF]}, (),
+    "config-array": ([CONVEXITY], "$: config must be a JSON object"),
+    "params-list": ({**CONVEXITY, "command_params": [ROT_SURF]},
                     "command_params: must be an object"),
-    **{case: ({**CONVEXITY, "seed": seed}, (), "seed: must be a non-negative integer")
+    **{case: ({**CONVEXITY, "seed": seed}, "seed: must be a non-negative integer")
        for case, seed in [("seed-string", "3"), ("seed-bool", True),
                           ("seed-negative", -1), ("seed-float", 3.0)]},
-    "seed-flag-negative": (CONVEXITY, ("--seed", "-5"),
-                           "--seed: must be a non-negative integer"),
+    # inputs that have one source elsewhere: --out, and the inline weight
+    "output-dir": ({**CONVEXITY, "output_dir": "elsewhere"}, "output_dir: unknown key"),
+    "potential-label": ({**CONVEXITY, "potential": {**CONVEXITY["potential"],
+                                                    "label": "soliton"}},
+                        "potential.label: unknown key"),
+    "potential-params": ({**CONVEXITY, "potential": {"family": "Linear",
+                                                     "params": {"slope": 1}}},
+                         "potential.params: unknown key"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSAL_CASES))
 def test_refusals_exit_2_with_one_config_error_line(tmp_path, capsys, case):
-    doc, flags, violation = REFUSAL_CASES[case]
+    doc, violation = REFUSAL_CASES[case]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main(["AuditConvexity", "--config", str(path), "--out", str(out),
-                 *flags]) == 2
+    assert main(["--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert violation in err[len("config error: "):-1].split("; ")

@@ -352,6 +352,12 @@ def test_identity_rescale_matches_bowl_model(tall_bowl, spec_linear):
     assert rep.c2_distance <= 1e-6
 
 
+def test_empty_blowup_sequence_is_refused(tall_bowl, spec_linear):
+    # with no stage, the limit constant would be NaN, which JSON cannot hold
+    with pytest.raises(ValueError, match="non-empty"):
+        blowup_rescale(tall_bowl, [], [], spec_linear, "Plane")
+
+
 def test_quadratic_tips_approach_unit_bowl(spec_quadratic):
     # tip rescalings of solves at increasing heights, scale = slope there
     sources, bps, scales = [], [], []

@@ -96,13 +96,17 @@ def test_normalized_for_window():
 
 def test_json_round_trip():
     specs = [
-        PotentialSpec.linear(1.5, alpha=-2.0, label="soliton"),
+        PotentialSpec.linear(1.5, alpha=-2.0),
         PotentialSpec.series(1.0, 0.5, [0.1, -0.2], u0=2.0),
         PotentialSpec.log_power(-2.0, alpha=0.0),
         PotentialSpec.series(1.0, 1.0, [], u0=1.0, alpha=float("-inf")),
     ]
     for spec in specs:
         assert spec_from_json(to_json_dict(spec)) == spec
+    # one form: the parameters sit inline, next to the family
+    assert to_json_dict(specs[1].with_offset(0.5)) == {
+        "family": "Series", "Lambda": 1.0, "beta": 0.5, "coefficients": [0.1, -0.2],
+        "u0": 2.0, "alpha": 0.0, "offset": 0.5}
 
 
 def test_json_flat_params_accepted():

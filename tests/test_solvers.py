@@ -152,8 +152,7 @@ def test_stage_on_the_axis_exits_2_in_one_line(tmp_path, capsys):
         "command_params": {"start": {"kind": "point", "x0": 0.01, "z0": 0.0,
                                      "theta0": math.pi},
                            "s_max": 1.0, "step": 1e-3}}))
-    assert main(["SolveRotational", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 2
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: AxisCollisionError: {AXIS_SHOTS[0.01]}\n"
 
 
@@ -655,8 +654,7 @@ def test_gmres_failure_exits_2_in_one_line(tmp_path, capsys, monkeypatch):
         "potential": {"family": "Linear", "slope": 1}, "command": "SolveGraph",
         "command_params": {"domain": [-1, 1, -1, 1], "h": 1 / 64,
                            "boundary": {"kind": "bowl_profile"}}}))
-    assert main(["SolveGraph", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 2
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: LinearSolveError: GMRES missed") and err.count("\n") == 1
 
