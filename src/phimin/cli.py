@@ -36,7 +36,7 @@ from .potential import (FAMILIES, PotentialFamilyError, PotentialSpec,
 from .solvers import (AxisRegular, NewtonConfig, PointStart, ShootingConfig,
                       SolveResult, rotational_curve, solve_graph,
                       solve_rotational_profile, solve_translation_profile)
-from .surface_geometry import (IDENTITY_NAMES, ROTATIONAL, GeometryField,
+from .surface_geometry import (IDENTITY_NAMES, GeometryField,
                                GraphPatch, ProfileCurve,
                                fundamental_identity_residuals, grid_shape,
                                phi_minimal_residual, sample_geometry)
@@ -184,7 +184,7 @@ def _check_kind(obj, path: str, kinds: dict, errors) -> None:
     """Check obj, the sub-config at path, against the entry of its kind."""
     if not isinstance(obj, dict):
         errors.append(f"{path}: must be an object")
-    elif obj.get("kind") not in kinds:
+    elif not isinstance(obj.get("kind"), str) or obj["kind"] not in kinds:
         errors.append(f"{path}.kind: {obj.get('kind')!r} not one of {tuple(kinds)}")
     else:
         required, optional = kinds[obj["kind"]]
@@ -224,7 +224,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(params, dict):
         errors.append("command_params: must be an object")
         params = {}
-    if command in _COMMANDS:
+    if isinstance(command, str) and command in _COMMANDS:
         keys = _COMMANDS[command][0]
         if isinstance(keys, str):  # Solve<Kind>: the params are a surface of that kind
             _check_kind({"kind": keys, **params}, "command_params",
@@ -565,39 +565,28 @@ def _run_audit_fundamental(config, out: Path):
 
 def _run_audit_stability(config, out: Path):
     _, field = _surface_field(config)
-    interior = np.where(field.interior_mask(2))[0]
-    lam_floor = float(10.0 * field.grid_h)
-    spectrum = stability.first_eigenvalue(field, config.potential, interior, tol=1e-9)
-    rng = np.random.default_rng(config.seed)
-    trials = [spectrum.assembly.rayleigh(rng.standard_normal(interior.size))
-              for _ in range(20)]
-    mean_convex = bool(np.max(field.H) <= 1e-8)
-    hypotheses = {"mean_convex": mean_convex}
-    passed = spectrum.lambda1 >= -lam_floor
-    doc = _report("stability_first_eigenvalue", hypotheses, {
+    rep = stability.stability_audit(field, config.potential, config.seed)
+    spectrum = rep.spectrum
+    doc = _report("stability_first_eigenvalue", {"mean_convex": rep.mean_convex}, {
         "lambda1": spectrum.lambda1, "residual": spectrum.residual,
         "iterations": spectrum.iterations,
-        "rayleigh_trial_min": min(trials)},
-        {"lambda_floor": lam_floor}, passed)
+        "rayleigh_trial_min": rep.rayleigh_trial_min},
+        {"lambda_floor": rep.lambda_floor}, rep.passed)
     path = _write_report(out, "stability.json", doc)
     csv_path = out / "eigenfunction.csv"
     _write_csv(csv_path, "sample,value",
                np.arange(spectrum.eigenfunction.size), spectrum.eigenfunction)
-    return [path, csv_path], [(mean_convex, passed)]
+    return [path, csv_path], [(rep.mean_convex, rep.passed)]
 
 
 def _run_audit_area(config, out: Path):
     p = config.command_params
     _, field = _surface_field(config)
-    center = _center_index(p, field)
-    if field.is_profile and field.source.kind == ROTATIONAL and center != 0:
-        raise ConfigError([f"command_params.center_index: {center} is not the "
-                           "axis sample 0 of a rotational profile"])
-    z_lo = float(field.mu.min())
-    z_hi = float(field.mu.max()) + 1.0
-    cond = check_conditions(config.potential, z_lo + 1e-9, z_hi, 101)
-    rep = estimates.geodesic_disk_area_check(
-        field, center, float(p["rho"]), config.potential, float(cond.gamma))
+    try:
+        rep = estimates.geodesic_disk_area_check(
+            field, _center_index(p, field), float(p["rho"]), config.potential)
+    except estimates.CenterIndexError as exc:
+        raise ConfigError([f"command_params.center_index: {exc}"]) from exc
     doc = _report("geodesic_disk_area", {"hypothesis_ok": rep.hypothesis_ok}, {
         "disk_area": rep.disk_area, "bound": rep.bound, "rho": rep.rho,
         "center_index": rep.center_index}, {}, rep.passed)
@@ -610,18 +599,13 @@ def _run_audit_monotonicity(config, out: Path):
     rep = estimates.density_monotonicity(
         field, _center_index(p, field), [float(r) for r in p["radii"]],
         config.potential, float(p["epsilon"]))
-    minimality = phi_minimal_residual(field, config.potential)
-    z_lo = float(field.mu.min())
-    cond = check_conditions(config.potential, z_lo + 1e-9, z_lo + 2.0, 51)
-    hyp_ok = bool(cond.c1_holds and minimality.max_abs_residual
-                  <= 100.0 * field.grid_h**2)
-    doc = _report("density_monotonicity", {"c1_and_minimal": hyp_ok}, {
+    doc = _report("density_monotonicity", {"c1_and_minimal": rep.c1_and_minimal}, {
         "radii": list(rep.radii), "o_values": list(rep.o_values),
         "epsilon": rep.epsilon}, {"clip": list(rep.tolerance)}, rep.monotone)
     path = _write_report(out, "monotonicity.json", doc)
     csv_path = out / "density.csv"
     _write_csv(csv_path, "r,o_value", rep.radii, rep.o_values)
-    return [path, csv_path], [(hyp_ok, rep.monotone)]
+    return [path, csv_path], [(rep.c1_and_minimal, rep.monotone)]
 
 
 def _run_audit_curvature_ratio(config, out: Path):
@@ -633,14 +617,13 @@ def _run_audit_curvature_ratio(config, out: Path):
 
 def _run_audit_convexity(config, out: Path):
     _, field = _surface_field(config)
-    tol = float(10.0 * field.grid_h**2 * max(field.norm_s2().max(), 1.0))
-    rep = estimates.convexity_report(field, config.potential, tol)
+    rep = estimates.convexity_report(field, config.potential)
     hyp_ok = all(rep.hypotheses.values())
     passed = (rep.verdict != "NotConvex")
     doc = _report("convexity", rep.hypotheses, {
         "min_K": rep.min_K, "min_k2": rep.min_k2, "theta_sup": rep.theta_sup,
         "lambda_K_inf": rep.lambda_K_inf, "verdict": rep.verdict},
-        {"tol": tol}, passed)
+        {"tol": rep.tol}, passed)
     path = _write_report(out, "convexity.json", doc)
     csv_path = out / "convexity_samples.csv"
     _write_csv(csv_path, "sample,K,k2_over_eta",

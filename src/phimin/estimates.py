@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
+from . import potential
 from .ilmanen import ambient_curvatures, conformal_curvatures
 from .potential import (PotentialDomainError, PotentialSpec, eval_potential,
                         normalized_for_window)
@@ -35,7 +36,8 @@ from .solvers import (AxisRegular, PointStart, ShootingConfig, SolveResult,
                       _stencil_matrix)
 from .surface_geometry import (AXIS_TOL, GeometryField, GraphPatch, ProfileCurve,
                                ROTATIONAL, TRANSLATION, drift_laplacian,
-                               sample_geometry, _cell_average, _make_report)
+                               phi_minimal_residual, sample_geometry,
+                               _cell_average, _make_report)
 
 LOG2 = float(np.log(2.0))
 # relative widening of the radius for which _window_samples works out its
@@ -56,6 +58,10 @@ class WindowUnderflowError(ValueError):
 
 class OriginProximityError(ValueError):
     """All samples too close to the ambient origin for the log audit."""
+
+
+class CenterIndexError(ValueError):
+    """A rotational disk centred off the axis sample 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +85,7 @@ class DensityReport:
     epsilon: float
     monotone: bool
     tolerance: np.ndarray
+    c1_and_minimal: bool
 
 
 @dataclass
@@ -91,6 +98,7 @@ class ConvexityReport:
     verdict: str
     # k2 / eta per sample, NaN where eta <= 1e-10
     k2_over_eta: np.ndarray
+    tol: float
 
 
 @dataclass
@@ -195,16 +203,25 @@ def _cell_areas(pos: np.ndarray) -> np.ndarray:
 
 
 def geodesic_disk_area_check(field: GeometryField, p: int, rho: float,
-                             spec: PotentialSpec, gamma: float) -> AreaReport:
+                             spec: PotentialSpec) -> AreaReport:
     """Intrinsic area of the geodesic disk of radius rho about sample p
-    against the 4 pi rho^2 bound, with the slope-smallness hypothesis gate.
+    against the 4 pi rho^2 bound, with the slope-smallness hypothesis gate
+    2 rho phi'(rho + mu(p)) < log 2 and sqrt(|Gamma|) rho < 1, Gamma from
+    check_conditions(spec, min mu + 1e-9, max mu + 1, 101); a domain exit
+    in either closes the gate.  A rotational disk must be centred on the
+    axis sample 0 (CenterIndexError, raised before any work).
 
     Distances: knight-template Dijkstra on the once-refined lattice for
     graphs; exact arclength from the axis sample of rotational profiles;
     the flat unrolling for translation-invariant profiles.
     """
+    if field.is_profile and field.source.kind == ROTATIONAL and not (
+            p == 0 and field.source.x[0] < AXIS_TOL):
+        raise CenterIndexError(f"{p} is not the axis sample 0 of a rotational profile")
     mu_p = float(field.mu[p])
     try:
+        gamma = potential.check_conditions(spec, float(field.mu.min()) + 1e-9,
+                                           float(field.mu.max()) + 1.0, 101).gamma
         d1_at = eval_potential(spec, rho + mu_p).d1
         hypothesis_ok = (2.0 * rho * d1_at < LOG2) and (np.sqrt(abs(gamma)) * rho < 1.0)
     except PotentialDomainError:
@@ -225,9 +242,6 @@ def _profile_disk_area(field: GeometryField, p: int, rho: float) -> float:
     curve: ProfileCurve = field.source
     s = curve.s
     if curve.kind == ROTATIONAL:
-        if not (p == 0 and curve.x[0] < AXIS_TOL):
-            raise ValueError(
-                "rotational disk centers must be the axis sample (index 0)")
         if rho >= s[-1]:
             raise PatchExceededError("disk radius exceeds the sampled profile")
         # meridians through the pole are minimizing: distance = arclength
@@ -274,7 +288,10 @@ def density_monotonicity(field: GeometryField, q: int, radii, spec: PotentialSpe
     """Normalised density phi(r) A(r) / (4 pi r^2) over increasing radii.
 
     A(r) is the area of the surface inside the Euclidean ball B(q, r);
-    the weight is re-normalised so that phi(0) = 0 <= phi(eps) < 1.
+    the weight is re-normalised so that phi(0) = 0 <= phi(eps) < 1.  The
+    hypothesis c1_and_minimal is c1 of check_conditions(spec, min mu +
+    1e-9, min mu + 2, 51) and a phi_minimal_residual of at most 100 h^2,
+    h the grid spacing or profile step.
     """
     radii = np.asarray(sorted(float(r) for r in radii))
     if radii.size == 0 or radii[0] <= 0.0:
@@ -290,8 +307,12 @@ def density_monotonicity(field: GeometryField, q: int, radii, spec: PotentialSpe
     o_tols = phis * tols / (4.0 * np.pi * radii**2)
     mono = all(o_vals[k + 1] >= o_vals[k] - (o_tols[k] + o_tols[k + 1])
                for k in range(radii.size - 1))
+    minimal = phi_minimal_residual(field, spec).max_abs_residual <= 100.0 * field.grid_h**2
+    z_lo = float(field.mu.min())
+    c1 = potential.check_conditions(spec, z_lo + 1e-9, z_lo + 2.0, 51).c1_holds
     return DensityReport(radii=radii, o_values=o_vals, epsilon=float(epsilon),
-                         monotone=bool(mono), tolerance=o_tols)
+                         monotone=bool(mono), tolerance=o_tols,
+                         c1_and_minimal=bool(c1 and minimal))
 
 
 def _clipped_areas(field: GeometryField, q: np.ndarray, radii: np.ndarray):
@@ -367,22 +388,21 @@ def curvature_ratio_sup(field: GeometryField, spec: PotentialSpec) -> float:
     return float(np.max(s_norm / d1))
 
 
-def convexity_report(field: GeometryField, spec: PotentialSpec,
-                     tol: float) -> ConvexityReport:
+def convexity_report(field: GeometryField, spec: PotentialSpec) -> ConvexityReport:
     """Convexity audit: min K with hypothesis gates and the sup k2/eta
     diagnostic (k2 = larger principal curvature).
 
-    Verdict semantics: when the weight hypotheses hold and the surface is
-    mean convex, min K >= -tol is ConvexWithinTol; a failing gate yields
-    HypothesesFail and the values are reported without assertion.
+    tol = 10 h^2 max(max |S|^2, 1), h the grid spacing or profile step.
+    The hypotheses are c1, cc3 and d3_nonpositive of check_conditions on
+    the sampled heights and mean convexity, max H <= tol.  The verdict is
+    HypothesesFail if one fails, ConvexWithinTol if min K >= -tol, else NotConvex.
     """
-    from .potential import check_conditions
-
+    tol = float(10.0 * field.grid_h**2 * max(field.norm_s2().max(), 1.0))
     z_lo = max(float(field.mu.min()), spec.domain_left + 1e-9)
     z_hi = float(field.mu.max())
     if z_hi <= z_lo:
         z_hi = z_lo + 1.0
-    cond = check_conditions(spec, z_lo, z_hi, 101)
+    cond = potential.check_conditions(spec, z_lo, z_hi, 101)
     mean_convex = bool(np.max(field.H) <= tol)
     hypotheses = {
         "c1": cond.c1_holds,
@@ -406,7 +426,7 @@ def convexity_report(field: GeometryField, spec: PotentialSpec,
         verdict = "NotConvex"
     return ConvexityReport(min_K=min_K, min_k2=min_k2, theta_sup=theta_sup,
                            lambda_K_inf=lambda_K_inf, hypotheses=hypotheses,
-                           verdict=verdict, k2_over_eta=ratio)
+                           verdict=verdict, k2_over_eta=ratio, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,32 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
                           iterations=iters, residual=res_norm, assembly=asm)
 
 
+@dataclass
+class StabilityAudit:
+    spectrum: SpectrumResult
+    lambda_floor: float
+    mean_convex: bool
+    passed: bool
+    rayleigh_trial_min: float
+
+
+def stability_audit(field: GeometryField, spec: PotentialSpec,
+                    seed: int) -> StabilityAudit:
+    """first_eigenvalue on the interior at margin 2 to eigen-residual 1e-9;
+    passed when lambda1 >= -lambda_floor, the floor 10 h with h the grid
+    spacing or profile step; the hypothesis mean_convex is max H <= 1e-8;
+    and the least Rayleigh quotient of 20 standard normal vectors on the
+    region, drawn from default_rng(seed)."""
+    interior = np.where(field.interior_mask(2))[0]
+    lam_floor = float(10.0 * field.grid_h)
+    spectrum = first_eigenvalue(field, spec, interior, tol=1e-9)
+    rng = np.random.default_rng(seed)
+    trials = [spectrum.assembly.rayleigh(rng.standard_normal(interior.size))
+              for _ in range(20)]
+    return StabilityAudit(spectrum, lam_floor, bool(np.max(field.H) <= 1e-8),
+                          spectrum.lambda1 >= -lam_floor, min(trials))
+
+
 def jacobi_residual(field: GeometryField, spec: PotentialSpec, direction,
                     margin: int = 2) -> ResidualReport:
     """Residual of L nu = 0 for nu = <V, N> with a horizontal Killing V,

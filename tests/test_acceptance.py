@@ -192,7 +192,7 @@ def test_criterion_05_area_bound():
     patch = GraphPatch(domain=(-0.5, 0.5, -0.5, 0.5), h=0.01,
                        u=np.zeros((n, n)))
     flat = sample_geometry(patch, SPEC0)
-    rep0 = geodesic_disk_area_check(flat, (n // 2) * n + n // 2, 0.3, SPEC0, 0.0)
+    rep0 = geodesic_disk_area_check(flat, (n // 2) * n + n // 2, 0.3, SPEC0)
     control = rep0.disk_area / (np.pi * 0.09)
     control_ok = 0.95 <= control <= 1.05
 
@@ -208,14 +208,14 @@ def test_criterion_05_area_bound():
     gfield = sample_geometry(res.surface, SPEC1)
     ng = res.surface.nx
     checks.append(geodesic_disk_area_check(
-        gfield, (ng // 2) * ng + ng // 2, 0.3, SPEC1, -1.0))
+        gfield, (ng // 2) * ng + ng // 2, 0.3, SPEC1))
     # bowl and quadratic profiles from the pole
     bowl = sample_geometry(solve_rotational_profile(SPEC1, ShootingConfig(
         start=AxisRegular(0.0), s_max=2.0, step=1e-3)).surface, SPEC1)
-    checks.append(geodesic_disk_area_check(bowl, 0, 0.3, SPEC1, -1.0))
+    checks.append(geodesic_disk_area_check(bowl, 0, 0.3, SPEC1))
     quad = sample_geometry(solve_rotational_profile(SPECQ, ShootingConfig(
         start=AxisRegular(0.0), s_max=1.5, step=1e-3)).surface, SPECQ)
-    checks.append(geodesic_disk_area_check(quad, 0, 0.25, SPECQ, 1.0))
+    checks.append(geodesic_disk_area_check(quad, 0, 0.25, SPECQ))
 
     all_hyp = all(c.hypothesis_ok for c in checks)
     all_pass = all(c.passed and c.disk_area < c.bound for c in checks)
@@ -285,7 +285,7 @@ def test_criterion_08_convexity_audit():
                                   ("reaper", reaper, SPEC1),
                                   ("catenoid", cat, SPEC0)):
             tol = 10.0 * field.grid_h**2 * float(field.norm_s2().max())
-            rep = convexity_report(field, spec, tol)
+            rep = convexity_report(field, spec)
             verdicts.setdefault(name, []).append(rep.verdict)
             if name in ("bowl", "reaper"):
                 assert all(rep.hypotheses.values())

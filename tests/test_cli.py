@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phimin.cli as cli_module
-from phimin import stability
+from phimin import estimates, stability
 from phimin.cli import (COMMANDS, ConfigError, RunConfig, main, parse_config,
                         run, serialize_config, write_graph_obj,
                         write_report_json)
@@ -808,6 +808,50 @@ def test_atomic_write_removes_its_temporary_file_when_the_chunks_raise(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
 
 
+# -- each audit owns its gate ---------------------------------------------------
+
+# gated command -> (command_params beyond the surface, report file)
+GATED = {"AuditStability": ({}, "stability.json"),
+         "AuditArea": ({"rho": 0.3}, "area.json"),
+         "AuditMonotonicity": ({"radii": [0.1, 0.2, 0.3], "epsilon": 0.9},
+                               "monotonicity.json"),
+         "AuditConvexity": ({}, "convexity.json")}
+
+
+def _library_gate(command, cfg, field, center):
+    """(hypotheses, tolerances, passed) of the library audit of the command."""
+    spec, p = cfg.potential, cfg.command_params
+    if command == "AuditStability":
+        rep = stability.stability_audit(field, spec, cfg.seed)
+        return {"mean_convex": rep.mean_convex}, {"lambda_floor": rep.lambda_floor}, rep.passed
+    if command == "AuditArea":
+        rep = estimates.geodesic_disk_area_check(field, center, p["rho"], spec)
+        return {"hypothesis_ok": rep.hypothesis_ok}, {}, rep.passed
+    if command == "AuditMonotonicity":
+        rep = estimates.density_monotonicity(field, center, p["radii"], spec, p["epsilon"])
+        return ({"c1_and_minimal": rep.c1_and_minimal}, {"clip": list(rep.tolerance)},
+                rep.monotone)
+    rep = estimates.convexity_report(field, spec)
+    return rep.hypotheses, {"tol": rep.tol}, rep.verdict != "NotConvex"
+
+
+@pytest.mark.parametrize("surface, center", [(ROT_SURF, 0), (BOWL_GRAPH, 16 * 33 + 16)],
+                         ids=["rotational", "graph"])
+@pytest.mark.parametrize("command", sorted(GATED))
+def test_library_audit_gives_the_cli_verdict(tmp_path, command, surface, center):
+    params, report = GATED[command]
+    cfg = parse_config(json.dumps(_base_config(command, {
+        "surface": surface, **params})))
+    cfg.output_dir = str(tmp_path)
+    code = run(cfg).exit_code
+    doc = json.loads((tmp_path / report).read_text())[0]
+    hypotheses, tolerances, passed = _library_gate(
+        command, cfg, cli_module._surface_field(cfg)[1], center)
+    assert (hypotheses, tolerances, passed) == (
+        doc["hypotheses"], doc["tolerances"], doc["passed"])
+    assert code == int(all(hypotheses.values()) and not passed)
+
+
 # -- center_index --------------------------------------------------------------
 
 BOWL_NODES = 33 * 33
@@ -1187,6 +1231,16 @@ REFUSAL_CASES = {
     "potential-params": ({**CONVEXITY, "potential": {"family": "Linear",
                                                      "params": {"slope": 1}}},
                          "potential.params: unknown key"),
+    # a list is unhashable: a dict lookup of one raised TypeError, and Python
+    # exited 1, the code of a failed audit
+    "command-list": ({**CONVEXITY, "command": ["AuditConvexity"]},
+                     f"command: ['AuditConvexity'] not one of {COMMANDS}"),
+    "kind-list": ({**CONVEXITY, "command_params": {
+        "surface": {**ROT_SURF, "start": {"kind": [1]}}}},
+        "command_params.surface.start.kind: [1] not one of ('axis', 'point')"),
+    "series-u0": ({**CONVEXITY, "potential": {
+        "family": "Series", "Lambda": 0, "beta": 1, "coefficients": [-0.2], "u0": -1}},
+        "potential: Series requires u0 > max(alpha, 0)"),
 }
 
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phimin as pm
-from phimin.estimates import (PatchExceededError, WindowUnderflowError,
-                              _clipped_areas, _plane_distance, _plane_normal,
+from phimin.estimates import (CenterIndexError, PatchExceededError,
+                              WindowUnderflowError, _clipped_areas,
+                              _plane_distance, _plane_normal,
                               _window_samples, blowup_rescale, convexity_report,
                               curvature_ratio_sup, density_monotonicity,
                               geodesic_disk_area_check, ilmanen_estimate_report,
@@ -27,7 +28,7 @@ def _flat_graph(spec, n=101, h=0.01, height=0.0):
 
 def test_flat_plane_area_control(spec_zero):
     field, center = _flat_graph(spec_zero)
-    rep = geodesic_disk_area_check(field, center, 0.3, spec_zero, 0.0)
+    rep = geodesic_disk_area_check(field, center, 0.3, spec_zero)
     assert 0.95 <= rep.disk_area / (np.pi * 0.3**2) <= 1.05
     assert rep.passed
 
@@ -43,33 +44,46 @@ def test_bowl_graph_area_check(spec_linear):
     field = sample_geometry(res.surface, spec_linear)
     n = res.surface.nx
     center = (n // 2) * n + n // 2
-    rep = geodesic_disk_area_check(field, center, 0.3, spec_linear, -1.0)
+    rep = geodesic_disk_area_check(field, center, 0.3, spec_linear)
     # 2 rho phi'(rho + mu(p)) = 0.6 < log 2 and sqrt(|Gamma|) rho < 1
     assert rep.hypothesis_ok
     assert rep.passed and rep.disk_area < rep.bound
 
 
 def test_bowl_profile_pole_area_check(bowl_field, spec_linear):
-    rep = geodesic_disk_area_check(bowl_field, 0, 0.3, spec_linear, -1.0)
+    rep = geodesic_disk_area_check(bowl_field, 0, 0.3, spec_linear)
     assert rep.hypothesis_ok and rep.passed
 
 
 def test_hypothesis_gate_reports_without_asserting(bowl_field, spec_linear):
     # large slope window: 2 rho phi' >= log 2, the gate must open
-    rep = geodesic_disk_area_check(bowl_field, 0, 0.5, spec_linear, -1.0)
+    rep = geodesic_disk_area_check(bowl_field, 0, 0.5, spec_linear)
     assert not rep.hypothesis_ok
     assert rep.disk_area > 0.0  # still recorded
 
 
 def test_patch_exceeded(bowl_field, spec_linear):
     with pytest.raises(PatchExceededError):
-        geodesic_disk_area_check(bowl_field, 0, 5.0, spec_linear, -1.0)
+        geodesic_disk_area_check(bowl_field, 0, 5.0, spec_linear)
+
+
+def test_rotational_disk_off_the_axis_sample_is_refused_before_any_work(
+        bowl_field, catenoid_field, spec_linear, spec_zero, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the centre rule is checked first")
+
+    monkeypatch.setattr(pm.potential, "check_conditions", no_work)
+    with pytest.raises(CenterIndexError, match="^17 is not the axis sample 0"):
+        geodesic_disk_area_check(bowl_field, 17, 0.3, spec_linear)
+    # sample 0 of a profile shot from a point off the axis
+    with pytest.raises(CenterIndexError, match="^0 is not the axis sample 0"):
+        geodesic_disk_area_check(catenoid_field, 0, 0.3, spec_zero)
 
 
 def test_translation_disk_is_flat(reaper_field, spec_linear):
     # ruled surfaces are intrinsically flat: exact pi rho^2 up to the
     # O(h^(3/2)) rim error of the chord quadrature
-    rep = geodesic_disk_area_check(reaper_field, 700, 0.2, spec_linear, -1.0)
+    rep = geodesic_disk_area_check(reaper_field, 700, 0.2, spec_linear)
     assert rep.disk_area == pytest.approx(np.pi * 0.04, rel=5e-4)
 
 
@@ -182,27 +196,23 @@ def test_ratio_stabilises_under_window_and_grid(spec_linear, spec_quadratic):
 
 # -- convexity ----------------------------------------------------------------
 
-def _tol_for(field):
-    return 10.0 * field.grid_h**2 * max(float(field.norm_s2().max()), 1.0)
-
-
 def test_bowl_convex(bowl_field, spec_linear):
-    rep = convexity_report(bowl_field, spec_linear, _tol_for(bowl_field))
+    rep = convexity_report(bowl_field, spec_linear)
     assert rep.verdict == "ConvexWithinTol"
-    assert rep.min_K >= -_tol_for(bowl_field)
+    assert rep.min_K >= -rep.tol
     assert rep.theta_sup < 0.0  # larger curvature strictly negative
     assert rep.lambda_K_inf == 0.0
 
 
 def test_reaper_flat_boundary_case(reaper_field, spec_linear):
-    rep = convexity_report(reaper_field, spec_linear, _tol_for(reaper_field))
+    rep = convexity_report(reaper_field, spec_linear)
     assert rep.verdict == "ConvexWithinTol"
     assert rep.min_K == pytest.approx(0.0, abs=1e-12)
     assert rep.min_k2 == 0.0
 
 
 def test_catenoid_hypotheses_fail(catenoid_field, spec_zero):
-    rep = convexity_report(catenoid_field, spec_zero, _tol_for(catenoid_field))
+    rep = convexity_report(catenoid_field, spec_zero)
     assert rep.verdict == "HypothesesFail"
     assert not rep.hypotheses["c1"]
     assert rep.min_K < 0.0
@@ -213,7 +223,7 @@ def test_flat_graph_gates_on_a_widened_height_window(spec_zero):
     # check_conditions refuses (PotentialDomainError); the gates are read on
     # [z, z + 1] instead, where the Constant weight fails c1
     field, _ = _flat_graph(spec_zero, n=17, h=1 / 8, height=0.25)
-    rep = convexity_report(field, spec_zero, _tol_for(field))
+    rep = convexity_report(field, spec_zero)
     assert rep.verdict == "HypothesesFail"
     assert not rep.hypotheses["c1"]
 
@@ -225,15 +235,15 @@ def test_saddle_graph_meets_every_hypothesis_and_is_not_convex(spec_linear):
     res = solve_graph(spec_linear, (-0.5, 0.5, -0.5, 0.5), 1 / 16,
                       lambda x, y: 0.3 * (x**2 - y**2), NewtonConfig())
     field = sample_geometry(res.surface, spec_linear)
-    rep = convexity_report(field, spec_linear, _tol_for(field))
+    rep = convexity_report(field, spec_linear)
     assert res.converged and all(rep.hypotheses.values())
     # min K = -5.01 against tol 0.397
-    assert rep.verdict == "NotConvex" and rep.min_K < -10.0 * _tol_for(field)
+    assert rep.verdict == "NotConvex" and rep.min_K < -10.0 * rep.tol
 
 
 def test_quadratic_bowl_convex(quad_bowl, spec_quadratic):
     field = sample_geometry(quad_bowl.surface, spec_quadratic)
-    rep = convexity_report(field, spec_quadratic, _tol_for(field))
+    rep = convexity_report(field, spec_quadratic)
     assert rep.hypotheses["d3_nonpositive"]
     assert rep.verdict == "ConvexWithinTol"
 
@@ -464,10 +474,11 @@ def test_omori_origin_proximity(spec_zero):
 # -- geodesic area hypothesis gate --------------------------------------------
 
 def test_area_gate_outside_weight_domain_reports_false(spec_zero):
-    # the gate evaluates phi' at rho + mu(p) = 0.3, below alpha = 1
+    # the gate's Gamma window starts at mu + 1e-9 and phi' is evaluated at
+    # rho + mu(p) = 0.3, both below alpha = 1
     field, center = _flat_graph(spec_zero)
     spec = pm.PotentialSpec.linear(1.0, alpha=1.0)
-    rep = geodesic_disk_area_check(field, center, 0.3, spec, 0.0)
+    rep = geodesic_disk_area_check(field, center, 0.3, spec)
     assert not rep.hypothesis_ok
     assert rep.disk_area > 0.0
 
@@ -480,7 +491,7 @@ def test_area_gate_lets_other_errors_through(bowl_field, spec_linear, monkeypatc
 
     monkeypatch.setattr(estimates, "eval_potential", broken)
     with pytest.raises(ZeroDivisionError):
-        geodesic_disk_area_check(bowl_field, 0, 0.3, spec_linear, -1.0)
+        geodesic_disk_area_check(bowl_field, 0, 0.3, spec_linear)
 
 
 # -- candidate-run window sampler against the per-sample loop ------------------
