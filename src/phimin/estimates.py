@@ -187,6 +187,16 @@ def _lattice_distances(pos: np.ndarray, sources, conformal_weight=None):
     return dist.reshape(nx, ny)
 
 
+def _lattice_block(shape, centre, reach):
+    """(nodes, cells): slices of the nodes within reach nodes of the node
+    centre on each axis (all for an infinite or NaN reach), and of the cells
+    between them, clipped to the lattice."""
+    reach = int(min(max(shape[:2]), reach))
+    nodes = tuple(slice(max(c - reach, 0), min(c + reach + 1, n))
+                  for c, n in zip(centre, shape))
+    return nodes, tuple(slice(b.start, b.stop - 1) for b in nodes)
+
+
 def _cell_areas(pos: np.ndarray) -> np.ndarray:
     """Areas of lattice cells as two ambient triangles each."""
     p00 = pos[:-1, :-1]
@@ -213,7 +223,10 @@ def geodesic_disk_area_check(field: GeometryField, p: int, rho: float,
 
     Distances: knight-template Dijkstra on the once-refined lattice for
     graphs; exact arclength from the axis sample of rotational profiles;
-    the flat unrolling for translation-invariant profiles.
+    the flat unrolling for translation-invariant profiles.  A graph disk
+    is worked out on the lattice block within ceil(rho / h') + 1 nodes of
+    p on each axis (h' the lattice spacing), which holds every shortest
+    path into it: no lattice path is shorter than the planar distance.
     """
     if field.is_profile and field.source.kind == ROTATIONAL and not (
             p == 0 and field.source.x[0] < AXIS_TOL):
@@ -265,15 +278,19 @@ def _profile_disk_area(field: GeometryField, p: int, rho: float) -> float:
 def _graph_disk_area(field: GeometryField, p: int, rho: float) -> float:
     patch: GraphPatch = field.source
     pos, h = _graph_lattice(field)
-    pi, pj = divmod(int(p), patch.ny)
-    src = (2 * pi) * pos.shape[1] + 2 * pj
-    dist = _lattice_distances(pos, [src])
-    inside = dist < rho
+    centre = [2 * c for c in divmod(int(p), patch.ny)]
+    nodes, cells = _lattice_block(pos.shape, centre, np.ceil(rho / h) + 1)
+    near = pos[nodes]
+    src = (centre[0] - nodes[0].start) * near.shape[1] + centre[1] - nodes[1].start
+    inside = np.zeros(pos.shape[:2], dtype=bool)
+    inside[nodes] = _lattice_distances(near, [src]) < rho
     edge = np.zeros_like(inside)
     edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
     if np.any(inside & edge):
         raise PatchExceededError("geodesic disk touches the sample boundary")
-    areas = _cell_areas(pos)
+    # zero off the block, so the sum adds the same terms in the same order
+    areas = np.zeros((pos.shape[0] - 1, pos.shape[1] - 1))
+    areas[cells] = _cell_areas(near)
     corner_count = (inside[:-1, :-1].astype(float) + inside[1:, :-1]
                     + inside[:-1, 1:] + inside[1:, 1:])
     return float(np.sum(areas * corner_count / 4.0))
@@ -291,7 +308,10 @@ def density_monotonicity(field: GeometryField, q: int, radii, spec: PotentialSpe
     the weight is re-normalised so that phi(0) = 0 <= phi(eps) < 1.  The
     hypothesis c1_and_minimal is c1 of check_conditions(spec, min mu +
     1e-9, min mu + 2, 51) and a phi_minimal_residual of at most 100 h^2,
-    h the grid spacing or profile step.
+    h the grid spacing or profile step.  On a graph only the lattice cells
+    within ceil(max r / h') + 2 nodes of q on each axis (h' the lattice
+    spacing) are clipped: no other cell meets the largest ball, as no
+    planar distance is longer than the ambient one.
     """
     radii = np.asarray(sorted(float(r) for r in radii))
     if radii.size == 0 or radii[0] <= 0.0:
@@ -299,9 +319,7 @@ def density_monotonicity(field: GeometryField, q: int, radii, spec: PotentialSpe
     if np.any(radii >= epsilon):
         raise ValueError("all radii must stay below the normalisation window")
     norm_spec = normalized_for_window(spec, epsilon)
-    q_pos = field.positions[int(q)]
-
-    areas, tols = _clipped_areas(field, q_pos, radii)
+    areas, tols = _clipped_areas(field, int(q), radii)
     phis = np.array([eval_potential(norm_spec, r).phi for r in radii])
     o_vals = phis * areas / (4.0 * np.pi * radii**2)
     o_tols = phis * tols / (4.0 * np.pi * radii**2)
@@ -315,9 +333,10 @@ def density_monotonicity(field: GeometryField, q: int, radii, spec: PotentialSpe
                          c1_and_minimal=bool(c1 and minimal))
 
 
-def _clipped_areas(field: GeometryField, q: np.ndarray, radii: np.ndarray):
-    """(areas, clip tolerances) of the surface in B(q, r) for each radius
-    r; the sampling set-up is shared by all radii."""
+def _clipped_areas(field: GeometryField, q_index: int, radii: np.ndarray):
+    """(areas, clip tolerances) of the surface in the ball of radius r about
+    sample q_index for each radius r; the sampling set-up is shared by all radii."""
+    q = field.positions[q_index]
     areas = np.empty(radii.size)
     tols = np.empty(radii.size)
     if field.is_profile:
@@ -352,17 +371,22 @@ def _clipped_areas(field: GeometryField, q: np.ndarray, radii: np.ndarray):
         return areas, tols
 
     pos, h = _graph_lattice(field)
-    cell_areas = _cell_areas(pos)
+    centre = [2 * c for c in divmod(q_index, field.source.ny)]
+    nodes, cells = _lattice_block(pos.shape, centre, np.ceil(radii.max() / h) + 2)
+    near = pos[nodes]
+    # zero off the block, as in _graph_disk_area
+    cell_areas = np.zeros((pos.shape[0] - 1, pos.shape[1] - 1))
+    cell_areas[cells] = _cell_areas(near)
     # 4x4 subsample of each cell for the clipping fraction
     sub = np.linspace(1.0 / 8.0, 7.0 / 8.0, 4)
     fracs = np.zeros((radii.size,) + cell_areas.shape)
     for sx in sub:
         for sy in sub:
-            pt = ((1 - sx) * (1 - sy) * pos[:-1, :-1] + sx * (1 - sy) * pos[1:, :-1]
-                  + (1 - sx) * sy * pos[:-1, 1:] + sx * sy * pos[1:, 1:])
+            pt = ((1 - sx) * (1 - sy) * near[:-1, :-1] + sx * (1 - sy) * near[1:, :-1]
+                  + (1 - sx) * sy * near[:-1, 1:] + sx * sy * near[1:, 1:])
             dist = np.linalg.norm(pt - q, axis=-1)
             for frac, r in zip(fracs, radii):
-                frac += (dist < r)
+                frac[cells] += (dist < r)
     edge = np.zeros(cell_areas.shape, dtype=bool)
     edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
     for k, (frac, r) in enumerate(zip(fracs, radii)):

@@ -109,7 +109,7 @@ def test_translation_ball_area_of_a_plane(spec_zero):
         start=PointStart(-1.0, 0.0, 0.3), s_max=2.0, step=1e-3))
     field, q = res.field, res.surface.s.size // 2
     radii = np.array([0.1, 0.3, 0.5])
-    areas, tols = _clipped_areas(field, field.positions[q], radii)
+    areas, tols = _clipped_areas(field, q, radii)
     assert np.all(np.abs(areas - np.pi * radii**2) <= tols)
     with pytest.raises(PatchExceededError):
         density_monotonicity(field, q, [1.5], spec_zero, 2.0)
@@ -154,6 +154,105 @@ def test_density_radii_share_setup_without_mixing(spec_linear):
         one = density_monotonicity(field, center, [r], spec_linear, 0.9)
         assert one.o_values[0] == rep.o_values[k]
         assert one.tolerance[0] == rep.tolerance[k]
+
+
+def test_graph_disk_and_ball_at_the_patch_edge_are_refused(spec_zero):
+    # the centre sits 0.2 from the edge x = -0.5 of a flat patch: a disk or
+    # ball of radius 0.19 stays clear of it, one of radius 0.21 reaches it
+    field, center = _flat_graph(spec_zero)
+    near_edge = center - 30 * 101
+    rep = geodesic_disk_area_check(field, near_edge, 0.19, spec_zero)
+    assert rep.disk_area > 0.0
+    with pytest.raises(PatchExceededError, match="geodesic disk touches"):
+        geodesic_disk_area_check(field, near_edge, 0.21, spec_zero)
+    rep = density_monotonicity(field, near_edge, [0.1, 0.19], spec_zero, 0.9)
+    assert rep.o_values.size == 2
+    with pytest.raises(PatchExceededError, match="ball reaches the patch"):
+        density_monotonicity(field, near_edge, [0.1, 0.21], spec_zero, 0.9)
+
+
+# -- graph audits against the whole lattice -----------------------------------
+
+def _whole_lattice_disk_area(field, p, rho):
+    """The graph disk area with Dijkstra and cell areas over the whole
+    once-refined lattice."""
+    from phimin.estimates import _cell_areas, _graph_lattice, _lattice_distances
+
+    pos, _ = _graph_lattice(field)
+    pi, pj = divmod(int(p), field.source.ny)
+    inside = _lattice_distances(pos, [(2 * pi) * pos.shape[1] + 2 * pj]) < rho
+    edge = np.zeros_like(inside)
+    edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
+    if np.any(inside & edge):
+        raise PatchExceededError("geodesic disk touches the sample boundary")
+    corner_count = (inside[:-1, :-1].astype(float) + inside[1:, :-1]
+                    + inside[:-1, 1:] + inside[1:, 1:])
+    return float(np.sum(_cell_areas(pos) * corner_count / 4.0))
+
+
+def _whole_lattice_clipped_areas(field, q, radii):
+    """The graph ball areas and tolerances with every cell of the whole
+    once-refined lattice clipped."""
+    from phimin.estimates import _cell_areas, _graph_lattice
+
+    pos, h = _graph_lattice(field)
+    cell_areas = _cell_areas(pos)
+    sub = np.linspace(1.0 / 8.0, 7.0 / 8.0, 4)
+    fracs = np.zeros((radii.size,) + cell_areas.shape)
+    for sx in sub:
+        for sy in sub:
+            pt = ((1 - sx) * (1 - sy) * pos[:-1, :-1] + sx * (1 - sy) * pos[1:, :-1]
+                  + (1 - sx) * sy * pos[:-1, 1:] + sx * sy * pos[1:, 1:])
+            dist = np.linalg.norm(pt - field.positions[q], axis=-1)
+            for frac, r in zip(fracs, radii):
+                frac += (dist < r)
+    edge = np.zeros(cell_areas.shape, dtype=bool)
+    edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
+    areas, tols = np.empty(radii.size), np.empty(radii.size)
+    for k, (frac, r) in enumerate(zip(fracs, radii)):
+        frac /= 16.0
+        if np.any((frac > 0) & edge):
+            raise PatchExceededError("ball reaches the patch boundary")
+        areas[k] = np.sum(cell_areas * frac)
+        tols[k] = np.sum(cell_areas[(frac > 0) & (frac < 1)]) / 16.0 + 2.0 * r * h
+    return areas, tols
+
+
+def _hex_or_error(f, *args):
+    try:
+        out = f(*args)
+    except PatchExceededError as exc:
+        return type(exc)
+    return [v.hex() for v in np.ravel(out)]
+
+
+def test_graph_audits_on_the_reachable_block_match_the_whole_lattice(spec_linear):
+    import phimin.estimates as est
+
+    # a 49 x 33 grid: the centres are its middle, a sample next to each edge,
+    # samples 0.125 from each edge, one 0.25 from two edges and two corners;
+    # the patch clips the block of most disks and balls, and 30 of those
+    # keep clear of its edge, so give an area
+    h = 1 / 32
+    domain = (-0.75, 0.75, -0.5, 0.5)
+    X, Y = GraphPatch(domain, h, np.zeros((49, 33))).grid()
+    centres = [(24, 16), (1, 16), (47, 16), (24, 1), (24, 31), (4, 16), (44, 16),
+               (24, 4), (24, 28), (8, 8), (0, 0), (48, 32)]
+    outcomes = []
+    for u in (np.zeros_like(X), 1.5 * (X**2 + Y**2), 1.5 * X - 0.5 * Y):
+        field = sample_geometry(GraphPatch(domain, h, u), spec_linear)
+        for i, j in centres:
+            p = i * 33 + j
+            for rho in (0.1, 0.2, 0.4):
+                got = _hex_or_error(est._graph_disk_area, field, p, rho)
+                assert got == _hex_or_error(_whole_lattice_disk_area, field, p, rho)
+                outcomes.append(got is PatchExceededError)
+            for radii in (np.array([0.05, 0.1]), np.array([0.1, 0.2, 0.4])):
+                got = _hex_or_error(est._clipped_areas, field, p, radii)
+                assert got == _hex_or_error(_whole_lattice_clipped_areas, field, p, radii)
+                outcomes.append(got is PatchExceededError)
+    # 126 refusals and 54 areas
+    assert sum(outcomes) > 100 and len(outcomes) - sum(outcomes) > 50
 
 
 # -- curvature ratio ----------------------------------------------------------

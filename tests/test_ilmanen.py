@@ -110,6 +110,21 @@ def test_bounded_geometry_log_power():
     assert rep2.sup_quantity == pytest.approx(1e3, rel=1e-6)
 
 
+def test_bounded_geometry_window_of_a_few_ulps_is_the_sample_max(monkeypatch):
+    # the window [1, 1 + 4e-16] holds three doubles, so its 101 samples
+    # repeat, the best one's neighbours coincide and nothing is refined
+    from phimin.ilmanen import _bounded_quantity
+
+    def no_refine(*args, **kw):
+        raise AssertionError("a window without a bracket is not refined")
+
+    monkeypatch.setattr(pm.potential, "_golden_refine", no_refine)
+    spec = PotentialSpec.log_power(1.0)
+    zs = np.linspace(1.0, 1.0 + 4e-16, 101)
+    rep = bounded_geometry_check(spec, 1.0, 1.0 + 4e-16, 101)
+    assert rep.sup_quantity == float(_bounded_quantity(spec, zs).max())
+
+
 def test_ilmanen_shape_of_minimal_input():
     spec = PotentialSpec.linear(1.0)
     k = np.array([-0.3, -0.7])  # H = -1 = -phi' eta with eta = 1
