@@ -10,10 +10,10 @@ height.
 __version__ = "0.1.0"
 
 from .potential import (PotentialSpec, PotentialEval, ConditionReport,
-                        eval_potential, check_conditions, asymptotics,
+                        BoundedGeometryReport, eval_potential, check_conditions,
+                        asymptotics, bounded_geometry_check,
                         normalized_for_window)
-from .ilmanen import (BoundedGeometryReport, ambient_curvatures,
-                      bounded_geometry_check)
+from .ilmanen import ambient_curvatures
 from .surface_geometry import (ProfileCurve, GraphPatch, GeometryField,
                                ResidualReport, sample_geometry,
                                phi_minimal_residual,

@@ -380,8 +380,10 @@ def write_graph_obj(path: Path, patch: GraphPatch) -> None:
 
 def write_report_json(path: Path, reports) -> None:
     """Reports in the stable schema {name, hypotheses, values, tolerances,
-    passed}, sorted keys, deterministic float formatting."""
-    _atomic_write(path, json.dumps(reports, sort_keys=True, indent=2) + "\n")
+    passed}, sorted keys, deterministic float formatting; strict JSON, so a
+    NaN or an infinity raises ValueError."""
+    _atomic_write(path, json.dumps(reports, sort_keys=True, indent=2,
+                                   allow_nan=False) + "\n")
 
 
 def _report(name: str, hypotheses: dict, values: dict, tolerances: dict,
@@ -466,7 +468,13 @@ def _parse_boundary(spec: PotentialSpec, obj: dict, path: str):
 
         return bowl
     # csv: columns x,y,value; boundary nodes must match listed points
-    data = np.genfromtxt(obj["path"], delimiter=",", names=True)
+    try:
+        data = np.atleast_1d(np.genfromtxt(obj["path"], delimiter=",", names=True))
+    except OSError as exc:
+        raise ConfigError([f"{path}.path: cannot read the CSV: {exc}"]) from exc
+    missing = [c for c in ("x", "y", "value") if c not in (data.dtype.names or ())]
+    if missing:
+        raise ConfigError([f"{path}.path: no column {', '.join(missing)} in the CSV"])
     table = {(round(float(px), 9), round(float(py), 9)): float(v)
              for px, py, v in zip(data["x"], data["y"], data["value"])}
 
@@ -621,7 +629,9 @@ def _run_audit_convexity(config, out: Path):
     hyp_ok = all(rep.hypotheses.values())
     passed = (rep.verdict != "NotConvex")
     doc = _report("convexity", rep.hypotheses, {
-        "min_K": rep.min_K, "min_k2": rep.min_k2, "theta_sup": rep.theta_sup,
+        "min_K": rep.min_K, "min_k2": rep.min_k2,
+        # the sup of k2/eta over no sample with eta > 1e-10 is -inf
+        "theta_sup": None if rep.theta_sup == float("-inf") else rep.theta_sup,
         "lambda_K_inf": rep.lambda_K_inf, "verdict": rep.verdict},
         {"tol": rep.tol}, passed)
     path = _write_report(out, "convexity.json", doc)

@@ -28,16 +28,16 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import potential
+from .grid import cell_average, stencil_matrix
 from .ilmanen import ambient_curvatures, conformal_curvatures
 from .potential import (PotentialDomainError, PotentialSpec, eval_potential,
                         normalized_for_window)
 from .solvers import (AxisRegular, PointStart, ShootingConfig, SolveResult,
-                      solve_rotational_profile, solve_translation_profile,
-                      _stencil_matrix)
+                      solve_rotational_profile, solve_translation_profile)
 from .surface_geometry import (AXIS_TOL, GeometryField, GraphPatch, ProfileCurve,
                                ROTATIONAL, TRANSLATION, drift_laplacian,
-                               phi_minimal_residual, sample_geometry,
-                               _cell_average, _make_report)
+                               phi_minimal_residual, residual_report,
+                               sample_geometry)
 
 LOG2 = float(np.log(2.0))
 # relative widening of the radius for which _window_samples works out its
@@ -148,7 +148,7 @@ def _graph_lattice(field: GeometryField):
     fine[::2, ::2] = u
     fine[1::2, ::2] = 0.5 * (u[:-1, :] + u[1:, :])
     fine[::2, 1::2] = 0.5 * (u[:, :-1] + u[:, 1:])
-    fine[1::2, 1::2] = _cell_average(u, nx, ny)
+    fine[1::2, 1::2] = cell_average(u, nx, ny)
     X, Y = GraphPatch(patch.domain, patch.h / 2, fine).grid()
     return np.stack([X, Y, fine], axis=-1), patch.h / 2
 
@@ -179,7 +179,7 @@ def _lattice_distances(pos: np.ndarray, sources, conformal_weight=None):
     if conformal_weight is not None:
         w = conformal_weight
         lengths = lengths * 0.5 * np.stack([w + v for v in neighbours(w)], axis=-1)
-    graph = _stencil_matrix(_NEIGHBOR_TEMPLATE, lengths)
+    graph = stencil_matrix(_NEIGHBOR_TEMPLATE, lengths)
     dist = _csgraph_dijkstra(graph, directed=False, indices=np.asarray(sources),
                              min_only=len(np.atleast_1d(sources)) > 1)
     if dist.ndim > 1:
@@ -738,8 +738,8 @@ def omori_gamma_check(field: GeometryField, spec: PotentialSpec,
     a_const = float(np.max(field.mu[mask] * d1[mask] / r_amb[mask] ** 2))
     res_lap = np.maximum(lap - (2.0 * a_const + 1.0), 0.0)
 
-    rep_grad = _make_report("log_distance_gradient_bound", np.where(mask, res_grad, 0.0),
-                            mask, field.grid_h, margin)
-    rep_lap = _make_report("log_distance_drift_laplacian_bound",
-                           np.where(mask, res_lap, 0.0), mask, field.grid_h, margin)
+    rep_grad = residual_report("log_distance_gradient_bound", np.where(mask, res_grad, 0.0),
+                               mask, field.grid_h, margin)
+    rep_lap = residual_report("log_distance_drift_laplacian_bound",
+                              np.where(mask, res_lap, 0.0), mask, field.grid_h, margin)
     return rep_grad, rep_lap

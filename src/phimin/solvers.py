@@ -13,40 +13,17 @@ use the series x = s - (a^2/24) s^3, theta = (a/2) s + a(2b - a^2)/32 s^3
 Graphs come from a Newton iteration on the second-order central
 difference discretisation of  div(grad u / W) = phi'(u) / W,
 W = sqrt(1 + |grad u|^2), with an analytically assembled Jacobian
-including the -phi''(u)/W zeroth-order term.  That Jacobian, the
-5-point Laplacian of the harmonic start, the Dijkstra lattice of the
-geodesic audits and the graph stiffness of the stability form (on its
-region's block of the grid) come from one interior-stencil assembly
-(_stencil_matrix), which writes the compressed-row (CSR) arrays
-straight from the grid, with no COO stage; only a matrix that is
-LU-factored is converted, to CSC.  Each Jacobian is factored once and
-its factor is reused for chord steps (Shamanskii's method; Kelley,
-Solving Nonlinear Equations with Newton's Method, SIAM 2003): a step
-whose max-norm residual is at most _CHORD_RATIO = 0.1 of the last one is
-kept, otherwise the Jacobian is rebuilt and factored at the current
-iterate and its step damped.
-
-Every grid operator is assembled and applied with its unknowns numbered
-row-major.  A grid with at most _DIRECT_CELLS = 64 cells on each side is
-LU-factored by SuperLU, which orders the columns by minimum degree on
-A^T + A (George and Liu, SIAM Review 31, 1989); so is the 5-point
-Laplacian of the harmonic start.  A finer grid is factored as a V-cycle
-(Briggs, Henson and McCormick, A Multigrid Tutorial, 2000): bilinear
-prolongation P, restriction P^T / 4, Galerkin coarse operators, two
-damped-Jacobi sweeps (weight 0.7) on each side of a coarse correction,
-and that LU on the first coarser grid with at most 64 cells a side.  Each
-step on such a grid is GMRES (Saad, Iterative Methods for Sparse Linear
-Systems, 2003) with one V-cycle as preconditioner, to a residual relative
-to the right-hand side that an Eisenstat-Walker forcing term sets per
-step, at most 1e-4 (see _newton); a GMRES that misses it raises
-LinearSolveError and no step is taken.  At h = 1/128 on [-1, 1]^2 a
-standalone solve peaks at about 109 MiB of resident memory, against
-about 127 MiB with a COO assembly and 170 MiB with an LU of the whole
-grid.  Newton starts from nested iteration (Briggs, Henson and
-McCormick, ch. 3): the grid of spacing 2h is solved first and its
-solution interpolated.  The same V-cycle, or LU, of the stability
-operator shifted below its spectrum preconditions the LOBPCG eigen-solve
-of stability.first_eigenvalue on its region's block of the grid.
+including the -phi''(u)/W zeroth-order term.  Each Jacobian is factored
+once, as a grid.Hierarchy, and its factor is reused for chord steps
+(Shamanskii's method; Kelley, Solving Nonlinear Equations with Newton's
+Method, SIAM 2003): a step whose max-norm residual is at most
+_CHORD_RATIO = 0.1 of the last one is kept, otherwise the Jacobian is
+rebuilt and factored at the current iterate and its step damped.  At
+h = 1/128 on [-1, 1]^2 a standalone solve peaks at about 109 MiB of
+resident memory, against about 127 MiB with a COO assembly and 170 MiB
+with an LU of the whole grid.  Newton starts from nested iteration
+(Briggs, Henson and McCormick, ch. 3): the grid of spacing 2h is solved
+first and its solution interpolated.
 """
 
 from __future__ import annotations
@@ -55,9 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from .grid import FIVE_POINT, NINE_POINT, Hierarchy, stencil_matrix, transfers
 from .potential import PotentialSpec, eval_potential
 from .surface_geometry import (GeometryField, GraphPatch, ProfileCurve,
                                ROTATIONAL, TRANSLATION, grid_shape,
@@ -288,35 +264,7 @@ def graph_pde_residual(spec: PotentialSpec, u: np.ndarray, h: float) -> np.ndarr
     return g / (w2 * w) - d1 / w
 
 
-def _stencil_matrix(offsets, coefs: np.ndarray) -> sp.csr_matrix:
-    """The interior stencil of an nx x ny grid as a CSR matrix over the
-    interior unknowns, the grid less a border as wide as the longest offset
-    (b = max |di|, |dj|): coefs[i, j, m], of shape (nx - 2b, ny - 2b, k),
-    weighs the neighbour (i + di, j + dj) of interior node (i, j) for the
-    m-th of the k offsets (di, dj), sorted as pairs, which puts each row's
-    columns in order: unknowns are numbered row-major.  A neighbour on the border is left out; every
-    other entry is stored, zeros included."""
-    mx, my, k = coefs.shape
-    n = mx * my
-    b = max(max(abs(di), abs(dj)) for di, dj in offsets)
-    # the unknown of each node, -1 on the border
-    unknown = np.full((mx + 2 * b, my + 2 * b), -1, dtype=np.int32)
-    unknown[b:mx + b, b:my + b] = np.arange(n, dtype=np.int32).reshape(mx, my)
-    cols = np.stack([unknown[b + di:mx + b + di, b + dj:my + b + dj]
-                     for di, dj in offsets], axis=-1).reshape(n, k)
-    coefs = coefs.reshape(n, k)
-    keep = cols >= 0
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=1, dtype=np.int32), out=indptr[1:])
-    return sp.csr_matrix((coefs[keep], cols[keep], indptr), shape=(n, n))
-
-
-# the 9-point and 5-point stencil offsets (di, dj), sorted
-_NINE_POINT = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
-_FIVE_POINT = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
-
-
-def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float) -> sp.csr_matrix:
+def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float):
     """Jacobian of graph_pde_residual in u's interior, its unknowns
     numbered row-major."""
     p, q, r, s, t, w2, w, g = _pde_parts(u, h)
@@ -332,7 +280,7 @@ def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float) -> sp.csr_matr
     x_r, x_p = f_r / h**2, f_p / (2 * h)
     y_s, y_q = f_s / h**2, f_q / (2 * h)
     corner = f_t / (4 * h**2)
-    # column m weighs the neighbour _NINE_POINT[m]
+    # column m weighs the neighbour NINE_POINT[m]
     coefs = np.empty(f_u.shape + (9,))
     coefs[..., 0] = coefs[..., 8] = corner
     coefs[..., 1] = x_r - x_p
@@ -341,19 +289,19 @@ def _graph_jacobian(spec: PotentialSpec, u: np.ndarray, h: float) -> sp.csr_matr
     coefs[..., 4] = -2.0 * f_r / h**2 - 2.0 * f_s / h**2 + f_u
     coefs[..., 5] = y_s + y_q
     coefs[..., 7] = x_r + x_p
-    return _stencil_matrix(_NINE_POINT, coefs)
+    return stencil_matrix(NINE_POINT, coefs)
 
 
 def _harmonic_extension(u_bc: np.ndarray) -> np.ndarray:
     """Interior = discrete harmonic extension of the boundary values."""
     nx, ny = u_bc.shape
-    A = _stencil_matrix(_FIVE_POINT, np.broadcast_to([-1.0, -1.0, 4.0, -1.0, -1.0],
-                                                     (nx - 2, ny - 2, 5)))
+    A = stencil_matrix(FIVE_POINT, np.broadcast_to([-1.0, -1.0, 4.0, -1.0, -1.0],
+                                                   (nx - 2, ny - 2, 5)))
     # the edge neighbours' values, moved to the right-hand side
     b = u_bc.copy()
     b[1:-1, 1:-1] = 0.0
     rhs = b[2:, 1:-1] + b[:-2, 1:-1] + b[1:-1, 2:] + b[1:-1, :-2]
-    sol = _Hierarchy(A, []).solve(rhs.ravel(), 0.0)[0]
+    sol = Hierarchy(A, []).solve(rhs.ravel(), 0.0)[0]
     u = u_bc.copy()
     u[1:-1, 1:-1] = sol.reshape(nx - 2, ny - 2)
     return u
@@ -401,108 +349,8 @@ def _nested_start(spec: PotentialSpec, u_bc: np.ndarray, h: float,
     return u
 
 
-# a grid with more than this many cells on a side is solved by GMRES with a
-# V-cycle preconditioner; coarsening stops at the first grid with at most
-# this many, and only that grid is LU-factored
-_DIRECT_CELLS = 64
-# damped-Jacobi weight and sweeps on each side of a coarse correction
-_JACOBI_WEIGHT = 0.7
-_SWEEPS = 2
-# cap eta_max of the forcing term of _newton: GMRES stops at a residual of
-# at most this share of the right-hand side, restarts every _GMRES_RESTART
-# iterations and gives up after _GMRES_CYCLES restarts
+# the cap eta_max of _newton's forcing term, a share of the right-hand side
 _ETA_MAX = 1e-4
-_GMRES_RESTART = 30
-_GMRES_CYCLES = 10
-
-
-class LinearSolveError(RuntimeError):
-    """GMRES did not reach its tolerance on a Newton step."""
-
-
-def _bilinear_1d(cells: int) -> sp.csr_matrix:
-    """Linear interpolation from the interior nodes of a line of cells/2
-    cells to the interior nodes of the line of cells cells."""
-    k = np.arange(cells // 2 - 1)
-    rows = np.concatenate([2 * k + 1, 2 * k, 2 * k + 2])
-    vals = np.repeat([1.0, 0.5, 0.5], k.size)
-    return sp.csr_matrix((vals, (rows, np.tile(k, 3))), shape=(cells - 1, k.size))
-
-
-def _transfers(mx: int, my: int) -> list:
-    """The (P, P^T / 4) pairs of a grid of mx x my cells, finest first: P
-    is bilinear prolongation on interior nodes from the grid of twice the
-    spacing, and P^T / 4 the restriction.  Halving stops at the first grid
-    with at most _DIRECT_CELLS cells on each side, or an odd number on
-    one."""
-    prolongations = []
-    while (max(mx, my) > _DIRECT_CELLS and mx % 2 == 0 and my % 2 == 0
-           and min(mx, my) >= 4):
-        prolongations.append(sp.kron(_bilinear_1d(mx), _bilinear_1d(my),
-                                     format="csr"))
-        mx, my = mx // 2, my // 2
-    return [(P, (P.T / 4.0).tocsr()) for P in prolongations]
-
-
-class _Hierarchy:
-    """The V-cycle of one operator J (CSR, numbered row-major): a Newton
-    Jacobian, the Laplacian of the harmonic start, or the shifted
-    stability operator that preconditions stability.first_eigenvalue.  It
-    holds, for each grid above the coarsest, its operator, weighted
-    inverse diagonal and transfers, and the LU of the coarsest operator,
-    in SuperLU's minimum-degree column order of A^T + A.  Each coarser
-    operator is the Galerkin product (P^T / 4) A P.  With no grid above
-    the coarsest, a cycle is the LU back-solve."""
-
-    def __init__(self, J, transfers):
-        self.levels = []
-        A = J
-        for P, R in transfers:
-            self.levels.append((A, _JACOBI_WEIGHT / A.diagonal(), P, R))
-            A = R @ (A @ P)
-        self.lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-
-    def vcycle(self, b: np.ndarray) -> np.ndarray:
-        """One V-cycle for J x = b from x = 0, with _SWEEPS damped-Jacobi
-        sweeps before and after each coarse correction."""
-        down = []
-        for A, wdinv, P, R in self.levels:
-            x = wdinv * b
-            for _ in range(_SWEEPS - 1):
-                x += wdinv * (b - A @ x)
-            down.append((b, x))
-            b = R @ (b - A @ x)
-        x = self.lu.solve(b)
-        for (A, wdinv, P, R), (b, x_fine) in zip(reversed(self.levels),
-                                                 reversed(down)):
-            x = x_fine + P @ x
-            for _ in range(_SWEEPS):
-                x += wdinv * (b - A @ x)
-        return x
-
-    def solve(self, b: np.ndarray, rtol: float):
-        """(x, GMRES iterations) for J x = b: the LU back-solve when there is
-        no grid above the coarsest, else GMRES preconditioned by one V-cycle
-        to a 2-norm residual of at most rtol |b|.  Raises LinearSolveError
-        when GMRES misses rtol."""
-        if not self.levels:
-            return self.lu.solve(b), 0
-        # the operator is made per solve: kept on the hierarchy, it would
-        # close a reference cycle that holds the grid operators until a
-        # full garbage collection
-        J = self.levels[0][0]
-        cycle = spla.LinearOperator(J.shape, matvec=self.vcycle, dtype=float)
-        iters = []
-        x, info = spla.gmres(J, b, M=cycle, rtol=rtol, atol=0.0,
-                             restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES,
-                             callback=iters.append, callback_type="pr_norm")
-        if info != 0:
-            raise LinearSolveError(
-                f"GMRES missed relative residual eta_k = {rtol:.3g} on "
-                f"{J.shape[0]} unknowns (info {info}, {len(iters)} iterations)")
-        return x, len(iters)
-
-
 # a chord step is kept when it cuts the max-norm residual to at most this
 # share of the last one
 _CHORD_RATIO = 0.1
@@ -526,7 +374,7 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
     """Newton with chord steps from the iterate u: (last iterate, its
     max-norm PDE residual, steps taken, note), where the note counts the
     LU factorisations and, on a grid solved through a V-cycle, the GMRES
-    iterations.  Once a Jacobian is factored (its _Hierarchy built), each
+    iterations.  Once a Jacobian is factored (its Hierarchy built), each
     step first solves with that factor and is kept whole when it stays in
     the weight domain and cuts the residual to at most _CHORD_RATIO of the
     last one.  Otherwise the Jacobian is rebuilt and factored at the
@@ -551,7 +399,7 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
     last step solves no further than that test needs.  A rejected chord step and the Newton step that
     replaces it share eta_k.  A grid that is LU-factored ignores eta_k."""
     nx, ny = u.shape
-    transfers = _transfers(nx - 1, ny - 1)
+    grid_transfers = transfers(nx - 1, ny - 1)
     gmres_iters = 0
 
     def step(hierarchy, res, eta):
@@ -578,7 +426,7 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
                 iters += 1
                 continue
         hierarchy = None  # release the old factor before the new one is made
-        hierarchy = _Hierarchy(_graph_jacobian(spec, u, h), transfers)
+        hierarchy = Hierarchy(_graph_jacobian(spec, u, h), grid_transfers)
         lus += 1
         delta = step(hierarchy, res, eta)
         step_len = 1.0
@@ -592,7 +440,7 @@ def _newton(spec: PotentialSpec, u: np.ndarray, h: float, cfg: NewtonConfig):
         u, res, res_norm = u_try, res_try, try_norm
         iters += 1
     note = f"{lus} LU"
-    if transfers:
+    if grid_transfers:
         note += f", {gmres_iters} GMRES iterations"
     return u, res_norm, iters, note
 

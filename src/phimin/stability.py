@@ -12,12 +12,12 @@ so stability of a surface means lambda1 >= 0 on every compact region.
 Discretisation: on graph patches a bilinear finite-element stiffness
 with cell-centred coefficients (exact element integration, no reduced
 quadrature) on a region that is a full rectangular block of the grid,
-written as a 9-point stencil by solvers._stencil_matrix; on rotational
+written as a 9-point stencil by grid.stencil_matrix; on rotational
 profiles the one-dimensional radial problem with 2 pi x e^phi weight; on
 translation-invariant profiles the exact separated reduction, adding
 (pi / ruling_width)^2 for the lowest ruling mode.  The generalized
 eigenproblem is solved by LOBPCG, preconditioned by the Newton solver's
-V-cycle (solvers._Hierarchy) of the operator shifted below its spectrum.
+V-cycle (grid.Hierarchy) of the operator shifted below its spectrum.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .grid import NINE_POINT, Hierarchy, cell_average, stencil_matrix, transfers
 # eval_potential is unused here, but bench/tracing.py wraps it in every layer module
 from .potential import PotentialSpec, eval_potential
-from .solvers import _NINE_POINT, _Hierarchy, _stencil_matrix, _transfers
 from .surface_geometry import (AXIS_TOL, GeometryField, ProfileCurve,
                                ResidualReport, ROTATIONAL, drift_laplacian,
-                               _cell_average, _make_report)
+                               residual_report)
 
 
 class SupportError(ValueError):
@@ -143,7 +143,7 @@ def _cell_coefficients(field, e_phi):
     nx, ny = field.source.nx, field.source.ny
     g = field.partials
     nodal = [e_phi * g.W.ravel(), g.gixx, g.giyy, g.gixy]
-    return [_cell_average(F, nx, ny) for F in nodal]
+    return [cell_average(F, nx, ny) for F in nodal]
 
 
 def _assemble_graph(field, region, pot, e_phi):
@@ -173,7 +173,7 @@ def _assemble_graph(field, region, pot, e_phi):
     coefs = np.zeros((i1 - i0, j1 - j0, 9))
     for ci, cj in ((-1, -1), (-1, 0), (0, -1), (0, 0)):
         cell = Ke[i0 + ci + 1:i1 + ci + 1, j0 + cj + 1:j1 + cj + 1]
-        for m, (di, dj) in enumerate(_NINE_POINT):
+        for m, (di, dj) in enumerate(NINE_POINT):
             if 0 <= di - ci <= 1 and 0 <= dj - cj <= 1:
                 coefs[..., m] += cell[..., -ci - 2 * cj, di - ci + 2 * (dj - cj)]
 
@@ -183,7 +183,7 @@ def _assemble_graph(field, region, pot, e_phi):
     for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
         mass[di:nx - 1 + di, dj:ny - 1 + dj] += share
     mass = mass[i0:i1, j0:j1].ravel()
-    return StabilityAssembly(stiffness=_stencil_matrix(_NINE_POINT, coefs),
+    return StabilityAssembly(stiffness=stencil_matrix(NINE_POINT, coefs),
                              potential_term=pot[region] * mass, mass=mass,
                              region=region)
 
@@ -239,8 +239,8 @@ def quadratic_form(field: GeometryField, spec: PotentialSpec, u: np.ndarray,
     ux_, uy_ = cgrad(u)
     vx_, vy_ = cgrad(v)
     inner = gixx * ux_ * vx_ + giyy * uy_ * vy_ + gixy * (ux_ * vy_ + uy_ * vx_)
-    cells = coef * (inner - _cell_average(pot, nx, ny) * _cell_average(u, nx, ny)
-                    * _cell_average(v, nx, ny)) * h**2
+    cells = coef * (inner - cell_average(pot, nx, ny) * cell_average(u, nx, ny)
+                    * cell_average(v, nx, ny)) * h**2
     return float(cells.sum())
 
 
@@ -251,7 +251,7 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
 
     Solves A u = lambda M u, A = stiffness - potential + extra_mode M, by
     one-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) from u = 1,
-    preconditioned by one solvers._Hierarchy V-cycle of A - sigma M,
+    preconditioned by one grid.Hierarchy V-cycle of A - sigma M,
     sigma = -max |potential / M| - 1 - extra_mode: each iteration is one
     Rayleigh-Ritz step on the mass-normalised span of the iterate, its
     preconditioned residual and the last step.  It stops at mass-norm
@@ -264,15 +264,15 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
     sigma = -float(np.max(np.abs(V / M))) - 1.0 - asm.extra_mode
     A = K + sp.diags(asm.extra_mode * M - V)
     shifted = A - sp.diags(sigma * M)
-    transfers = []
+    grid_transfers = []
     if not field.is_profile:
         # the region is a full block (_assemble_graph refuses any other), so
         # its first and last nodes give its rows; a block of rows x
         # (M.size / rows) nodes has one more cell a side
         ny = field.source.ny
         rows = asm.region[-1] // ny - asm.region[0] // ny + 1
-        transfers = _transfers(rows + 1, M.size // rows + 1)
-    hierarchy = _Hierarchy(shifted, transfers)
+        grid_transfers = transfers(rows + 1, M.size // rows + 1)
+    hierarchy = Hierarchy(shifted, grid_transfers)
     abs_K = abs(K)
     x = np.full(M.size, 1.0 / np.sqrt(M.sum()))
     for iters in range(501):
@@ -352,7 +352,7 @@ def jacobi_residual(field: GeometryField, spec: PotentialSpec, direction,
         grad_eta_sq = field.surface_inner(field.eta, field.eta)
         gm2 = (field.grad_mu**2).sum(axis=1)
         res = lhs + grad_eta_sq / field.eta**2 + field.norm_s2() + ev.d2 * gm2
-        return _make_report("log_angle_certificate", res, mask, field.grid_h, margin)
+        return residual_report("log_angle_certificate", res, mask, field.grid_h, margin)
 
     V = np.asarray(direction, dtype=float)
     if V.shape != (3,) or abs(np.linalg.norm(V) - 1.0) > 1e-9 or abs(V[2]) > 1e-12:
@@ -370,4 +370,4 @@ def jacobi_residual(field: GeometryField, spec: PotentialSpec, direction,
         res = lap + field.surface_inner(phi_mu, nu) + pot * nu
     else:
         res = drift_laplacian(field, nu, phi_mu) + pot * nu
-    return _make_report("killing_jacobi_field", res, mask, field.grid_h, margin)
+    return residual_report("killing_jacobi_field", res, mask, field.grid_h, margin)

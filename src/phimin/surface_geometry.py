@@ -191,6 +191,20 @@ class ResidualReport:
     interior_margin: int
 
 
+def residual_report(name: str, res: np.ndarray, mask: np.ndarray, h: float,
+                    margin: int) -> ResidualReport:
+    vals = np.abs(np.asarray(res, dtype=float))[mask]
+    if vals.size == 0:
+        raise StencilError(f"no interior samples left for {name} at margin {margin}")
+    return ResidualReport(
+        identity_name=name,
+        max_abs_residual=float(vals.max()),
+        l2_residual=float(np.sqrt(np.mean(vals**2))),
+        grid_h=float(h),
+        interior_margin=int(margin),
+    )
+
+
 class GraphPartials(NamedTuple):
     """Nodal partials of a graph's height u on its grid, with
     W2 = 1 + |grad u|^2, W = sqrt(W2) and the inverse metric
@@ -331,12 +345,6 @@ def _second_diff(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return d
 
 
-def _cell_average(F: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """Mean of the four corner values of each cell of an nx x ny grid."""
-    G = F.reshape(nx, ny)
-    return 0.25 * (G[:-1, :-1] + G[1:, :-1] + G[:-1, 1:] + G[1:, 1:])
-
-
 def _axis_ratio(curve: "ProfileCurve"):
     """cos(theta) / x of a rotational profile and its off-axis mask
     x > AXIS_TOL; the ratio is 0 on the axis and on translation profiles."""
@@ -435,27 +443,13 @@ def _graph_geometry(patch: GraphPatch, spec: PotentialSpec) -> GeometryField:
 # residual reports
 
 
-def _make_report(name: str, res: np.ndarray, mask: np.ndarray, h: float,
-                 margin: int) -> ResidualReport:
-    vals = np.abs(np.asarray(res, dtype=float))[mask]
-    if vals.size == 0:
-        raise StencilError(f"no interior samples left for {name} at margin {margin}")
-    return ResidualReport(
-        identity_name=name,
-        max_abs_residual=float(vals.max()),
-        l2_residual=float(np.sqrt(np.mean(vals**2))),
-        grid_h=float(h),
-        interior_margin=int(margin),
-    )
-
-
 def phi_minimal_residual(field: GeometryField, spec: PotentialSpec) -> ResidualReport:
     """Max and RMS of |H + phi'(mu) eta| over the samples at least 2
     stencil cells inside the boundary."""
     d1 = field.potential(spec).d1
     res = field.H + d1 * field.eta
-    return _make_report("weighted_minimality", res, field.interior_mask(2),
-                        field.grid_h, 2)
+    return residual_report("weighted_minimality", res, field.interior_mask(2),
+                           field.grid_h, 2)
 
 
 def drift_laplacian(field: GeometryField, f: np.ndarray,
@@ -490,8 +484,8 @@ def fundamental_identity_residuals(field: GeometryField, spec: PotentialSpec,
         m = margin if margin is not None else _ITEM_MARGIN[item]
         res = (_profile_identity(field, spec, item) if field.is_profile
                else _graph_identity(field, spec, item))
-        reports.append(_make_report(IDENTITY_NAMES[item], res,
-                                    field.interior_mask(m), field.grid_h, m))
+        reports.append(residual_report(IDENTITY_NAMES[item], res,
+                                       field.interior_mask(m), field.grid_h, m))
     return reports
 
 
@@ -657,20 +651,20 @@ def curvature_evolution_residuals(field: GeometryField, spec: PotentialSpec,
 
     dl_k1 = drift_laplacian(field, k1, phi_mu)
     res1 = dl_k1 + S2 * k1 + eta * hp11 + b11 - 2.0 * q2 / safe_gap
-    reports.append(_make_report("curvature_evolution_meridian", res1, mask,
-                                step, margin))
+    reports.append(residual_report("curvature_evolution_meridian", res1, mask,
+                                   step, margin))
     dl_k2 = drift_laplacian(field, k2, phi_mu)
     res2 = dl_k2 + S2 * k2 + eta * hp22 + 2.0 * q2 / safe_gap
-    reports.append(_make_report("curvature_evolution_parallel", res2, mask,
-                                step, margin))
+    reports.append(residual_report("curvature_evolution_parallel", res2, mask,
+                                   step, margin))
 
     # J with weight eta^2 e^phi applied to k2 / eta
     psi_eta = phi_mu + 2.0 * np.log(np.maximum(eta, 1e-300))
     ratio = k2 / eta
     lhs = drift_laplacian(field, ratio, psi_eta)
     rhs = d2 * ratio + 2.0 * q2 / (eta * np.where(np.abs(gap) > 1e-300, k2 - k1, np.inf))
-    reports.append(_make_report("jacobi_quotient_parallel_over_eta",
-                                lhs - rhs, mask, step, margin))
+    reports.append(residual_report("jacobi_quotient_parallel_over_eta",
+                                   lhs - rhs, mask, step, margin))
 
     # J with weight k1^2 e^phi applied to eta / k1; needs k1 < 0
     if np.any(field.k1[mask] >= 0.0):
@@ -681,6 +675,6 @@ def curvature_evolution_residuals(field: GeometryField, spec: PotentialSpec,
     rhs2 = (d3 * sin_t**2 * ratio2**2
             - d2 * ratio2 * (1.0 - 2.0 * sin_t**2)
             - 2.0 * ratio2 * q2 / (k1 * safe_gap))
-    reports.append(_make_report("jacobi_quotient_eta_over_meridian",
-                                lhs2 - rhs2, mask, step, margin))
+    reports.append(residual_report("jacobi_quotient_eta_over_meridian",
+                                   lhs2 - rhs2, mask, step, margin))
     return reports

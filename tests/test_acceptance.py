@@ -16,7 +16,7 @@ from phimin.estimates import (blowup_rescale, convexity_report,
                               curvature_ratio_sup, density_monotonicity,
                               geodesic_disk_area_check, ilmanen_estimate_report,
                               omori_gamma_check, rescale_profile)
-from phimin.ilmanen import bounded_geometry_check
+from phimin.potential import bounded_geometry_check
 from phimin.solvers import (AxisRegular, NewtonConfig, PointStart,
                             ShootingConfig, solve_graph,
                             solve_rotational_profile,

@@ -191,9 +191,36 @@ def test_audit_convexity_hypotheses_fail_exits_zero(tmp_path):
     cfg.output_dir = str(tmp_path)
     manifest = run(cfg)
     assert manifest.exit_code == 0
-    report = json.loads((tmp_path / "convexity.json").read_text())[0]
+    report = _strict_json((tmp_path / "convexity.json").read_text())[0]
     assert report["values"]["verdict"] == "HypothesesFail"
     assert report["values"]["min_K"] < 0.0
+    # a vertical plane has eta = 0 at every sample, so the sup of k2/eta is
+    # over no sample: null in strict JSON, where it was -Infinity
+    cfg = parse_config(json.dumps(_base_config("AuditConvexity", {
+        "surface": {"kind": "translation",
+                    "start": {"kind": "point", "x0": 1.0, "z0": 0.0,
+                              "theta0": 1.5707963267948966},
+                    "s_max": 1.0, "step": 0.01}},
+        potential={"family": "Constant", "c0": 0.0})))
+    cfg.output_dir = str(tmp_path / "plane")
+    assert run(cfg).exit_code == 0
+    report = _strict_json((tmp_path / "plane" / "convexity.json").read_text())[0]
+    assert report["values"]["verdict"] == "HypothesesFail"
+    assert report["values"]["theta_sup"] is None
+
+
+def test_report_json_refuses_a_non_finite_number(tmp_path):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report_json(tmp_path / "report.json", [{"values": {"x": value}}])
+    assert not (tmp_path / "report.json").exists()
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, as RFC 8259 readers do."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_determinism_across_runs(tmp_path):
@@ -427,16 +454,26 @@ def test_csv_boundary_missing_a_node_exits_2_with_its_path(tmp_path, capsys, com
     coarse = [k / 4 for k in range(5)]
     lines = ["x,y,value"] + [f"{x!r},{y!r},0.25" for x in coarse for y in coarse
                              if x in (0.0, 1.0) or y in (0.0, 1.0)]
-    (tmp_path / "boundary.csv").write_text("\n".join(lines) + "\n")
-    surface = {"kind": "graph", "domain": [0, 1, 0, 1], "h": 0.125,
-               "boundary": {"kind": "csv", "path": str(tmp_path / "boundary.csv")}}
-    params = {"surface": surface, **params} if params else surface
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(_base_config(command, params,
-                                              {"family": "Constant", "c0": 0.0})))
-    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: ConfigError: {path}: node (0.0, 0.125) missing from the CSV\n")
+    missing = tmp_path / "missing.csv"
+    # file name -> (its lines, or None for no file; the refusal after the path)
+    tables = {
+        "boundary.csv": (lines, "node (0.0, 0.125) missing from the CSV"),
+        # one row, the node (0, 0): a table of one node, not a 0-d array
+        "one_row.csv": (lines[:2], "node (0.0, 0.125) missing from the CSV"),
+        "no_value.csv": (["x,y,height"] + lines[1:], "no column value in the CSV"),
+        "missing.csv": (None, f"cannot read the CSV: {missing} not found."),
+    }
+    for name, (table, refusal) in tables.items():
+        if table is not None:
+            (tmp_path / name).write_text("\n".join(table) + "\n")
+        surface = {"kind": "graph", "domain": [0, 1, 0, 1], "h": 0.125,
+                   "boundary": {"kind": "csv", "path": str(tmp_path / name)}}
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(_base_config(
+            command, {"surface": surface, **params} if params else surface,
+            {"family": "Constant", "c0": 0.0})))
+        assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {path}: {refusal}\n"
 
 
 def test_blowup_command(tmp_path):

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phimin as pm
-from phimin.ilmanen import (ambient_curvatures, bounded_geometry_check,
-                            conformal_curvatures)
-from phimin.potential import PotentialSpec, eval_potential
+from phimin.ilmanen import ambient_curvatures, conformal_curvatures
+from phimin.potential import PotentialSpec, bounded_geometry_check, eval_potential
 
 
 def test_flat_space_everything_vanishes():
@@ -113,7 +112,7 @@ def test_bounded_geometry_log_power():
 def test_bounded_geometry_window_of_a_few_ulps_is_the_sample_max(monkeypatch):
     # the window [1, 1 + 4e-16] holds three doubles, so its 101 samples
     # repeat, the best one's neighbours coincide and nothing is refined
-    from phimin.ilmanen import _bounded_quantity
+    from phimin.potential import _bounded_quantity
 
     def no_refine(*args, **kw):
         raise AssertionError("a window without a bracket is not refined")

@@ -10,13 +10,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import phimin as pm
-from phimin import solvers
+from phimin import grid, solvers
 from phimin.cli import main
+from phimin.grid import Hierarchy, LinearSolveError, transfers
 from phimin.solvers import (AxisCollisionError, AxisRegular, DomainExitError,
-                            LinearSolveError, NewtonConfig, PointStart,
-                            ShootingConfig, _Hierarchy,
+                            NewtonConfig, PointStart, ShootingConfig,
                             _graph_jacobian, _harmonic_extension, _newton,
-                            _transfers, _trial, graph_pde_residual,
+                            _trial, graph_pde_residual,
                             solve_graph, solve_rotational_profile,
                             solve_translation_profile)
 from phimin.surface_geometry import sample_geometry, phi_minimal_residual
@@ -297,10 +297,10 @@ def test_coarsest_lu_matches_minimum_degree_spsolve(m, n):
     rng = np.random.default_rng(7)
     coefs = rng.uniform(-1.0, 1.0, (m, n, 9))
     coefs[..., 4] = 10.0
-    A = solvers._stencil_matrix(solvers._NINE_POINT, coefs)
+    A = grid.stencil_matrix(grid.NINE_POINT, coefs)
     b = rng.standard_normal(m * n)
-    assert _transfers(m + 1, n + 1) == []
-    sol, iters = _Hierarchy(A, []).solve(b, 0.0)
+    assert transfers(m + 1, n + 1) == []
+    sol, iters = Hierarchy(A, []).solve(b, 0.0)
     assert iters == 0
     assert np.array_equal(sol, spla.spsolve(A.tocsc(), b, permc_spec="MMD_AT_PLUS_A"))
     assert np.abs(A @ sol - b).max() <= 1e-12 * np.abs(b).max()
@@ -309,12 +309,12 @@ def test_coarsest_lu_matches_minimum_degree_spsolve(m, n):
 @pytest.mark.parametrize("nx, ny", [(9, 17), (17, 9), (33, 33), (49, 33),
                                     (65, 65), (129, 129)])
 def test_harmonic_extension_keeps_the_spsolve_bits(nx, ny):
-    # the harmonic start factors its Laplacian through _Hierarchy, and
+    # the harmonic start factors its Laplacian through Hierarchy, and
     # gives the interior that spsolve with minimum-degree ordering gives
     rng = np.random.default_rng(nx * ny)
     u_bc = rng.uniform(0.5, 1.5, (nx, ny))
-    A = solvers._stencil_matrix(
-        solvers._FIVE_POINT,
+    A = grid.stencil_matrix(
+        grid.FIVE_POINT,
         np.broadcast_to([-1.0, -1.0, 4.0, -1.0, -1.0], (nx - 2, ny - 2, 5)))
     b = u_bc.copy()
     b[1:-1, 1:-1] = 0.0
@@ -336,7 +336,7 @@ def test_lu_solve_matches_minimum_degree_spsolve_bits(spec_linear, bowl):
     rhs = -graph_pde_residual(spec_linear, u, h).ravel()
     J = _graph_jacobian(spec_linear, u, h)
     ref = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
-    sol, iters = _Hierarchy(J, []).solve(rhs, 1e-4)
+    sol, iters = Hierarchy(J, []).solve(rhs, 1e-4)
     assert iters == 0
     assert np.array_equal(sol, ref)
 
@@ -372,14 +372,14 @@ def _same_arrays(A, B):
 def test_stencil_matrix_matches_the_coo_assembly(spec_linear, monkeypatch,
                                                  nx, ny, case):
     calls = []
-    stencil_matrix = solvers._stencil_matrix
+    stencil_matrix = solvers.stencil_matrix
 
     def captured(offsets, coefs):
         A = stencil_matrix(offsets, coefs)
         calls.append((offsets, coefs, A))
         return A
 
-    monkeypatch.setattr(solvers, "_stencil_matrix", captured)
+    monkeypatch.setattr(solvers, "stencil_matrix", captured)
     h = 1 / 8
     # heights even in x and y about the middle node: p = 0 and q = 0 on the
     # middle lines, where the corner coefficients are signed zeros
@@ -436,17 +436,17 @@ def _count_factorisations(monkeypatch):
 
 
 def _count_hierarchies(monkeypatch):
-    """Unknowns of the Jacobian of each _Hierarchy built, in call order,
+    """Unknowns of the Jacobian of each Hierarchy built, in call order,
     and a weak reference to each hierarchy."""
     sizes, refs = [], []
 
-    class Counted(_Hierarchy):
+    class Counted(Hierarchy):
         def __init__(self, J, transfers):
             super().__init__(J, transfers)
             sizes.append(J.shape[0])
             refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(solvers, "_Hierarchy", Counted)
+    monkeypatch.setattr(solvers, "Hierarchy", Counted)
     return sizes, refs
 
 
@@ -465,21 +465,21 @@ def test_bowl_factors_once_on_its_own_grid(spec_linear, bowl, monkeypatch):
 
 
 def _bowl_jacobian(spec, bowl, h):
-    """(J, the _transfers of its grid, a right-hand side) at the harmonic
+    """(J, the transfers of its grid, a right-hand side) at the harmonic
     start of the bowl on [-1, 1]^2."""
     n = int(round(2.0 / h)) + 1
     xs = -1.0 + h * np.arange(n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     u = _harmonic_extension(_bowl_boundary(bowl)(X, Y))
     rhs = -graph_pde_residual(spec, u, h).ravel()
-    return _graph_jacobian(spec, u, h), _transfers(n - 1, n - 1), rhs
+    return _graph_jacobian(spec, u, h), transfers(n - 1, n - 1), rhs
 
 
 @pytest.mark.parametrize("h", [1 / 64, 1 / 128])
 def test_hierarchy_solve_matches_the_lu_solve(spec_linear, bowl, h):
     J, transfers, rhs = _bowl_jacobian(spec_linear, bowl, h)
     assert len(transfers) == round(math.log2(1 / (32 * h)))
-    sol, iters = _Hierarchy(J, transfers).solve(rhs, 1e-10)
+    sol, iters = Hierarchy(J, transfers).solve(rhs, 1e-10)
     ref = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
     assert 0 < iters <= 30
     assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -552,7 +552,7 @@ def test_small_grids_keep_the_lu_path_bits(spec_linear, bowl, case):
     ys = np.arange(domain[2], domain[3] + h / 2, h)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     u0 = _harmonic_extension(boundary(X, Y))
-    assert _transfers(len(xs) - 1, len(ys) - 1) == []
+    assert transfers(len(xs) - 1, len(ys) - 1) == []
     u, res_norm, iters, note = _newton(spec_linear, u0, h, NewtonConfig())
     ref, ref_norm, ref_iters, ref_lus = _lu_newton(spec_linear, u0, h, NewtonConfig())
     assert np.array_equal(u, ref)
@@ -584,7 +584,7 @@ def test_v_cycle_newton_takes_the_lu_newton_steps(spec_linear, spec_quadratic,
     }[case]
     h, cfg = 1 / 64, NewtonConfig(tol_residual=tol)
     u0 = _grid_start(spec, boundary, h, cfg)
-    assert _transfers(128, 128)
+    assert transfers(128, 128)
     u, res_norm, iters, note = _newton(spec, u0, h, cfg)
     ref, ref_norm, ref_iters, ref_lus = _lu_newton(spec, u0, h, cfg)
     assert res_norm <= tol and ref_norm <= tol

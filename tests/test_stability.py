@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 import scipy.special
 
 import phimin as pm
-from phimin import solvers, stability
+from phimin import grid, stability
 from phimin.solvers import (AxisRegular, NewtonConfig, PointStart,
                             ShootingConfig, solve_graph,
                             solve_rotational_profile,
@@ -215,10 +215,10 @@ def test_translation_reduction_uses_ruling_width(reaper_field, spec_linear):
 
 @pytest.fixture
 def hierarchies(monkeypatch):
-    """Each solvers._Hierarchy built, and the splu calls made, while the
+    """Each grid.Hierarchy built, and the splu calls made, while the
     fixture is in use."""
     made = {"hierarchies": [], "splu": 0}
-    init, splu = solvers._Hierarchy.__init__, spla.splu
+    init, splu = grid.Hierarchy.__init__, spla.splu
 
     def counted_init(self, *args):
         made["hierarchies"].append(self)
@@ -228,7 +228,7 @@ def hierarchies(monkeypatch):
         made["splu"] += 1
         return splu(*args, **kwargs)
 
-    monkeypatch.setattr(solvers._Hierarchy, "__init__", counted_init)
+    monkeypatch.setattr(grid.Hierarchy, "__init__", counted_init)
     monkeypatch.setattr(spla, "splu", counted_splu)
     return made
 
@@ -300,7 +300,7 @@ def test_negative_mean_eigenfunction_is_flipped(surface, bowl_field, bowl_graphs
 def test_unpreconditioned_eigen_solve_raises_convergence_error(bowl_field, spec_linear,
                                                                monkeypatch):
     # with the V-cycle replaced by the identity, 500 iterations are too few
-    monkeypatch.setattr(solvers._Hierarchy, "vcycle", lambda self, b: b)
+    monkeypatch.setattr(grid.Hierarchy, "vcycle", lambda self, b: b)
     region = np.flatnonzero(bowl_field.interior_mask(2))
     with pytest.raises(EigenConvergenceError, match="after 500 iterations"):
         first_eigenvalue(bowl_field, spec_linear, region, tol=1e-10)
