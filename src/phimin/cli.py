@@ -475,6 +475,11 @@ def _parse_boundary(spec: PotentialSpec, obj: dict, path: str):
     missing = [c for c in ("x", "y", "value") if c not in (data.dtype.names or ())]
     if missing:
         raise ConfigError([f"{path}.path: no column {', '.join(missing)} in the CSV"])
+    # genfromtxt reads an entry that is not a number as NaN
+    finite = np.isfinite(data["x"]) & np.isfinite(data["y"]) & np.isfinite(data["value"])
+    if not finite.all():
+        raise ConfigError([f"{path}.path: data row {np.argmin(finite) + 1} of the "
+                           f"CSV has an x, y or value that is not a finite number"])
     table = {(round(float(px), 9), round(float(py), 9)): float(v)
              for px, py, v in zip(data["x"], data["y"], data["value"])}
 

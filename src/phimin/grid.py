@@ -4,23 +4,30 @@ The graph Newton Jacobian, the 5-point Laplacian of the harmonic start,
 the Dijkstra lattice of the geodesic audits and the graph stiffness of
 the stability form (on its region's block of the grid) come from one
 interior-stencil assembly (stencil_matrix), which writes the compressed-
-row (CSR) arrays straight from the grid, with no COO stage; only a matrix
-that is LU-factored is converted, to CSC.
+row (CSR) arrays straight from the grid, with no COO stage; the LU reads
+its band from those arrays, and only an operator too wide for the band
+is converted, to CSC for SuperLU.
 
 Every grid operator is assembled and applied with its unknowns numbered
-row-major.  A grid with at most _DIRECT_CELLS = 64 cells on each side is
-LU-factored by SuperLU, which orders the columns by minimum degree on
-A^T + A (George and Liu, SIAM Review 31, 1989).  A finer grid is factored
-as a V-cycle (Briggs, Henson and McCormick, A Multigrid Tutorial, 2000):
-bilinear prolongation P, restriction P^T / 4, Galerkin coarse operators,
-two damped-Jacobi sweeps (weight 0.7) on each side of a coarse
-correction, and that LU on the first coarser grid with at most 64 cells a
-side.  A solve on such a grid is GMRES (Saad, Iterative Methods for Sparse
-Linear Systems, 2003) with one V-cycle as preconditioner, to the residual
-relative to the right-hand side that the caller sets (solvers._newton's
-forcing term); a GMRES that misses it raises LinearSolveError.  The same
-V-cycle, or LU, of the stability operator shifted below its spectrum
-preconditions the LOBPCG eigen-solve of stability.first_eigenvalue.
+row-major, so an operator on a grid of m x n interior nodes is banded,
+with half-bandwidth n + 1 for the 9-point stencil.  A grid with at most
+_DIRECT_CELLS = 64 cells on each side, or one that cannot be halved, is
+LU-factored directly (_factor): by LAPACK's banded LU with partial
+pivoting, dgbtrf and dgbtrs (Anderson et al., LAPACK Users' Guide, SIAM
+1999), when the operator's half-bandwidth is at most 64, as it is on
+every grid of at most 64 cells a side; else by SuperLU, which orders the
+columns by minimum degree on A^T + A (George and Liu, SIAM Review 31,
+1989).  A finer grid that can be halved is factored as a V-cycle (Briggs, Henson and McCormick, A
+Multigrid Tutorial, 2000): bilinear prolongation P, restriction P^T / 4,
+Galerkin coarse operators, two damped-Jacobi sweeps (weight 0.7) on each
+side of a coarse correction, and that LU on the first coarser grid with
+at most 64 cells a side, whose half-bandwidth is at most 64.  A solve on
+such a grid is GMRES (Saad, Iterative Methods for Sparse Linear Systems,
+2003) with one V-cycle as preconditioner, to the residual relative to the
+right-hand side that the caller sets (solvers._newton's forcing term); a
+GMRES that misses it raises LinearSolveError.  The same V-cycle, or LU,
+of the stability operator shifted below its spectrum preconditions the
+LOBPCG eigen-solve of stability.first_eigenvalue.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 
 def stencil_matrix(offsets, coefs: np.ndarray) -> sp.csr_matrix:
@@ -66,7 +74,8 @@ def cell_average(F: np.ndarray, nx: int, ny: int) -> np.ndarray:
 
 # a grid with more than this many cells on a side is solved by GMRES with a
 # V-cycle preconditioner; coarsening stops at the first grid with at most
-# this many, and only that grid is LU-factored
+# this many, and only that grid is LU-factored, by the banded LU when its
+# operator's half-bandwidth is at most this many
 _DIRECT_CELLS = 64
 # damped-Jacobi weight and sweeps on each side of a coarse correction
 _JACOBI_WEIGHT = 0.7
@@ -78,7 +87,38 @@ _GMRES_CYCLES = 10
 
 
 class LinearSolveError(RuntimeError):
-    """GMRES did not reach its tolerance on a Newton step."""
+    """GMRES did not reach its tolerance on a Newton step, or the LU of a
+    coarsest operator met an exactly zero pivot."""
+
+
+def _factor(A):
+    """The LU back-solve b -> A^{-1} b of the square sparse operator A.
+
+    The half-bandwidths kl and ku are read from A's entries as column less
+    row.  When both are at most _DIRECT_CELLS, the entries are scattered
+    into LAPACK band storage, (2 kl + ku + 1) x n in Fortran order so that
+    dgbtrf factors it in place, and each back-solve is dgbtrs.  A wider
+    operator is factored by SuperLU in the minimum-degree column order of
+    A^T + A: there the band holds three to four times SuperLU's L + U and
+    back-solves slower.  Raises LinearSolveError when a pivot is exactly
+    zero."""
+    A = A.tocsr()
+    A.sum_duplicates()  # in place: the scatter below keeps one entry per slot
+    n = A.shape[0]
+    offset = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))
+    kl, ku = -int(offset.min(initial=0)), int(offset.max(initial=0))
+    if max(kl, ku) > _DIRECT_CELLS:
+        try:
+            return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise LinearSolveError(f"LU of {n} unknowns: {exc}") from exc
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    ab[kl + ku - offset, A.indices] = A.data
+    lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
+    if info > 0:
+        raise LinearSolveError(
+            f"LU of {n} unknowns: pivot {info} is exactly zero")
+    return lambda b: lapack.dgbtrs(lu, kl, ku, b, piv)[0]
 
 
 def _bilinear_1d(cells: int) -> sp.csr_matrix:
@@ -110,10 +150,10 @@ class Hierarchy:
     Jacobian, the Laplacian of the harmonic start, or the shifted
     stability operator that preconditions stability.first_eigenvalue.  It
     holds, for each grid above the coarsest, its operator, weighted
-    inverse diagonal and transfers, and the LU of the coarsest operator,
-    in SuperLU's minimum-degree column order of A^T + A.  Each coarser
-    operator is the Galerkin product (P^T / 4) A P.  With no grid above
-    the coarsest, a cycle is the LU back-solve."""
+    inverse diagonal and transfers, and the LU back-solve of the coarsest
+    operator (_factor).  Each coarser operator is the Galerkin product
+    (P^T / 4) A P.  With no grid above the coarsest, a cycle is the LU
+    back-solve."""
 
     def __init__(self, J, transfers):
         self.levels = []
@@ -121,7 +161,7 @@ class Hierarchy:
         for P, R in transfers:
             self.levels.append((A, _JACOBI_WEIGHT / A.diagonal(), P, R))
             A = R @ (A @ P)
-        self.lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self.coarse_solve = _factor(A)
 
     def vcycle(self, b: np.ndarray) -> np.ndarray:
         """One V-cycle for J x = b from x = 0, with _SWEEPS damped-Jacobi
@@ -133,7 +173,7 @@ class Hierarchy:
                 x += wdinv * (b - A @ x)
             down.append((b, x))
             b = R @ (b - A @ x)
-        x = self.lu.solve(b)
+        x = self.coarse_solve(b)
         for (A, wdinv, P, R), (b, x_fine) in zip(reversed(self.levels),
                                                  reversed(down)):
             x = x_fine + P @ x
@@ -147,7 +187,7 @@ class Hierarchy:
         to a 2-norm residual of at most rtol |b|.  Raises LinearSolveError
         when GMRES misses rtol."""
         if not self.levels:
-            return self.lu.solve(b), 0
+            return self.coarse_solve(b), 0
         # the operator is made per solve: kept on the hierarchy, it would
         # close a reference cycle that holds the grid operators until a
         # full garbage collection

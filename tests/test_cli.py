@@ -461,6 +461,13 @@ def test_csv_boundary_missing_a_node_exits_2_with_its_path(tmp_path, capsys, com
         # one row, the node (0, 0): a table of one node, not a 0-d array
         "one_row.csv": (lines[:2], "node (0.0, 0.125) missing from the CSV"),
         "no_value.csv": (["x,y,height"] + lines[1:], "no column value in the CSV"),
+        # a value that is not a number reads as NaN
+        "nan_value.csv": (lines[:3] + [lines[3].replace("0.25", "abc")] + lines[4:],
+                          "data row 3 of the CSV has an x, y or value that is "
+                          "not a finite number"),
+        "inf_x.csv": (lines[:2] + ["inf,0.0,0.25"] + lines[2:],
+                      "data row 2 of the CSV has an x, y or value that is "
+                      "not a finite number"),
         "missing.csv": (None, f"cannot read the CSV: {missing} not found."),
     }
     for name, (table, refusal) in tables.items():

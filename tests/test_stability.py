@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg as spla
 import scipy.special
 
 import phimin as pm
@@ -215,21 +214,21 @@ def test_translation_reduction_uses_ruling_width(reaper_field, spec_linear):
 
 @pytest.fixture
 def hierarchies(monkeypatch):
-    """Each grid.Hierarchy built, and the splu calls made, while the
-    fixture is in use."""
-    made = {"hierarchies": [], "splu": 0}
-    init, splu = grid.Hierarchy.__init__, spla.splu
+    """Each grid.Hierarchy built, and the LU factorisations made, while
+    the fixture is in use."""
+    made = {"hierarchies": [], "factor": 0}
+    init, factor = grid.Hierarchy.__init__, grid._factor
 
     def counted_init(self, *args):
         made["hierarchies"].append(self)
         init(self, *args)
 
-    def counted_splu(*args, **kwargs):
-        made["splu"] += 1
-        return splu(*args, **kwargs)
+    def counted_factor(A):
+        made["factor"] += 1
+        return factor(A)
 
     monkeypatch.setattr(grid.Hierarchy, "__init__", counted_init)
-    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(grid, "_factor", counted_factor)
     return made
 
 
@@ -241,7 +240,7 @@ def test_first_eigenvalue_builds_one_hierarchy(surface, bowl_field, bowl_graphs,
     res = first_eigenvalue(field, spec_linear, region, tol=1e-10)
     # 9 and 11 iterations; an LU made in the wrong numbering took 78
     assert 1 < res.iterations <= 15
-    assert len(hierarchies["hierarchies"]) == 1 and hierarchies["splu"] == 1
+    assert len(hierarchies["hierarchies"]) == 1 and hierarchies["factor"] == 1
 
 
 def test_first_eigenvalue_runs_v_cycle_levels(spec_zero, hierarchies):

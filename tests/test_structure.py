@@ -1,7 +1,8 @@
 """The import structure of src/phimin, read from the source: no module
 reaches into another phimin module's underscore names, the sparse grid
-layer is imported from grid.py, and stability does not go through the
-graph solver for it."""
+layer is imported from grid.py, stability does not go through the graph
+solver for it, and only grid.py imports scipy's sparse solvers or LAPACK,
+so that every factorisation has one owner."""
 
 import ast
 from pathlib import Path
@@ -28,7 +29,8 @@ def _phimin_module(node: ast.ImportFrom):
 
 def _imported_modules(tree: ast.Module) -> set:
     """Every module, in or out of phimin, that the source imports, with
-    phimin's own written without the package prefix."""
+    phimin's own written without the package prefix; `from a import b`
+    outside phimin gives both a and a.b, as b may be a module."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -37,8 +39,10 @@ def _imported_modules(tree: ast.Module) -> set:
             module = _phimin_module(node)
             if module == "":
                 found |= {a.name for a in node.names}
+            elif module is None:
+                found |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
             else:
-                found.add(node.module if module is None else module)
+                found.add(module)
     return found
 
 
@@ -73,12 +77,26 @@ def test_module_does_not_import(module, banned):
     assert not {m for m in imported if m == banned or m.startswith(banned + ".")}
 
 
+# the sparse LU, GMRES and LAPACK modules
+FACTORISATION = {"scipy.sparse.linalg", "scipy.linalg.lapack"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_only_grid_imports_the_factorisations(path):
+    imported = _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+    reached = {banned for banned in FACTORISATION for m in imported
+               if m == banned or m.startswith(banned + ".")}
+    assert reached == (FACTORISATION if path.stem == "grid" else set())
+
+
 def test_the_checks_see_the_reaches_they_forbid(tmp_path):
     # each form of import the checks look for, as a module would write it
     path = tmp_path / "mod.py"
     path.write_text("from . import potential\nfrom .solvers import _Hierarchy, solve_graph\n"
                     "from phimin.grid import __doc__\nx = potential._derivatives\n"
-                    "import scipy.sparse as sp\n", encoding="utf-8")
+                    "import scipy.sparse as sp\nfrom scipy.linalg import lapack\n",
+                    encoding="utf-8")
     assert _private_reaches(path) == ["mod.py:2 _Hierarchy", "mod.py:4 potential._derivatives"]
     assert _imported_modules(ast.parse(path.read_text(encoding="utf-8"))) == {
-        "potential", "solvers", "grid", "scipy.sparse"}
+        "potential", "solvers", "grid", "scipy.sparse", "scipy.linalg",
+        "scipy.linalg.lapack"}
