@@ -4,30 +4,35 @@ The graph Newton Jacobian, the 5-point Laplacian of the harmonic start,
 the Dijkstra lattice of the geodesic audits and the graph stiffness of
 the stability form (on its region's block of the grid) come from one
 interior-stencil assembly (stencil_matrix), which writes the compressed-
-row (CSR) arrays straight from the grid, with no COO stage; the LU reads
-its band from those arrays, and only an operator too wide for the band
-is converted, to CSC for SuperLU.
+row (CSR) arrays straight from the grid, with no COO stage; the direct
+factorisations read their band from those arrays, and only an operator
+too wide for the band is converted, to CSC for SuperLU.
 
 Every grid operator is assembled and applied with its unknowns numbered
 row-major, so an operator on a grid of m x n interior nodes is banded,
 with half-bandwidth n + 1 for the 9-point stencil.  A grid with at most
 _DIRECT_CELLS = 64 cells on each side, or one that cannot be halved, is
-LU-factored directly (_factor): by LAPACK's banded LU with partial
-pivoting, dgbtrf and dgbtrs (Anderson et al., LAPACK Users' Guide, SIAM
-1999), when the operator's half-bandwidth is at most 64, as it is on
-every grid of at most 64 cells a side; else by SuperLU, which orders the
-columns by minimum degree on A^T + A (George and Liu, SIAM Review 31,
-1989).  A finer grid that can be halved is factored as a V-cycle (Briggs, Henson and McCormick, A
+factored directly (_factor), in one of three ways.  When the operator's
+half-bandwidth is at most 64, as it is on every grid of at most 64 cells
+a side, it is LAPACK's (Anderson et al., LAPACK Users' Guide, SIAM 1999)
+band Cholesky factorisation, dpbtrf and dpbtrs, for the symmetric
+positive definite stability operator shifted below its spectrum, and
+LAPACK's band LU with partial pivoting, dgbtrf and dgbtrs, for the
+Newton Jacobians and the Laplacian of the harmonic start.  A wider
+operator goes to SuperLU, which orders the columns by minimum degree on
+A^T + A (George and Liu, SIAM Review 31, 1989).  A finer grid that can
+be halved is factored as a V-cycle (Briggs, Henson and McCormick, A
 Multigrid Tutorial, 2000): bilinear prolongation P, restriction P^T / 4,
 Galerkin coarse operators, two damped-Jacobi sweeps (weight 0.7) on each
-side of a coarse correction, and that LU on the first coarser grid with
-at most 64 cells a side, whose half-bandwidth is at most 64.  A solve on
-such a grid is GMRES (Saad, Iterative Methods for Sparse Linear Systems,
-2003) with one V-cycle as preconditioner, to the residual relative to the
-right-hand side that the caller sets (solvers._newton's forcing term); a
-GMRES that misses it raises LinearSolveError.  The same V-cycle, or LU,
-of the stability operator shifted below its spectrum preconditions the
-LOBPCG eigen-solve of stability.first_eigenvalue.
+side of a coarse correction, and that factorisation of the first coarser
+grid with at most 64 cells a side, whose half-bandwidth is at most 64.
+A solve on such a grid is GMRES (Saad, Iterative Methods for Sparse
+Linear Systems, 2003) with one V-cycle as preconditioner, to the residual
+relative to the right-hand side that the caller sets (solvers._newton's
+forcing term); a GMRES that misses it raises LinearSolveError.  The same
+V-cycle, or factorisation, of the stability operator shifted below its
+spectrum preconditions the LOBPCG eigen-solve of
+stability.first_eigenvalue.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ def cell_average(F: np.ndarray, nx: int, ny: int) -> np.ndarray:
 
 # a grid with more than this many cells on a side is solved by GMRES with a
 # V-cycle preconditioner; coarsening stops at the first grid with at most
-# this many, and only that grid is LU-factored, by the banded LU when its
+# this many, and only that grid is factored, in band storage when its
 # operator's half-bandwidth is at most this many
 _DIRECT_CELLS = 64
 # damped-Jacobi weight and sweeps on each side of a coarse correction
@@ -87,21 +92,28 @@ _GMRES_CYCLES = 10
 
 
 class LinearSolveError(RuntimeError):
-    """GMRES did not reach its tolerance on a Newton step, or the LU of a
-    coarsest operator met an exactly zero pivot."""
+    """GMRES did not reach its tolerance on a Newton step, the LU of a
+    coarsest operator met an exactly zero pivot, or the Cholesky
+    factorisation of one declared positive definite met a leading minor
+    that is not."""
 
 
-def _factor(A):
-    """The LU back-solve b -> A^{-1} b of the square sparse operator A.
+def _factor(A, spd: bool = False):
+    """The back-solve b -> A^{-1} b of the square sparse operator A.
 
     The half-bandwidths kl and ku are read from A's entries as column less
     row.  When both are at most _DIRECT_CELLS, the entries are scattered
-    into LAPACK band storage, (2 kl + ku + 1) x n in Fortran order so that
-    dgbtrf factors it in place, and each back-solve is dgbtrs.  A wider
-    operator is factored by SuperLU in the minimum-degree column order of
-    A^T + A: there the band holds three to four times SuperLU's L + U and
-    back-solves slower.  Raises LinearSolveError when a pivot is exactly
-    zero."""
+    into LAPACK band storage in Fortran order and factored in place: with
+    spd, for an operator the caller knows to be symmetric positive
+    definite (stability.first_eigenvalue's shifted operator), the lower
+    triangle goes into a (kl + 1) x n band for the Cholesky factorisation
+    dpbtrf, each back-solve dpbtrs; else the (2 kl + ku + 1) x n band is
+    LU-factored with partial pivoting by dgbtrf, each back-solve dgbtrs.
+    A wider operator is factored by SuperLU in the minimum-degree column
+    order of A^T + A: there the band holds three to four times SuperLU's
+    L + U and back-solves slower.  Raises LinearSolveError when an LU
+    pivot is exactly zero, or when a leading minor of an spd operator is
+    not positive definite."""
     A = A.tocsr()
     A.sum_duplicates()  # in place: the scatter below keeps one entry per slot
     n = A.shape[0]
@@ -112,6 +124,16 @@ def _factor(A):
             return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise LinearSolveError(f"LU of {n} unknowns: {exc}") from exc
+    if spd:
+        # row i - j of column j holds A[i, j], i >= j
+        lower = offset <= 0
+        ab = np.zeros((kl + 1, n), order="F")
+        ab[-offset[lower], A.indices[lower]] = A.data[lower]
+        c, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=True)
+        if info > 0:
+            raise LinearSolveError(f"Cholesky factorisation of {n} unknowns: "
+                                   f"leading minor {info} is not positive definite")
+        return lambda b: lapack.dpbtrs(c, b, lower=1)[0]
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
     ab[kl + ku - offset, A.indices] = A.data
     lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
@@ -150,18 +172,22 @@ class Hierarchy:
     Jacobian, the Laplacian of the harmonic start, or the shifted
     stability operator that preconditions stability.first_eigenvalue.  It
     holds, for each grid above the coarsest, its operator, weighted
-    inverse diagonal and transfers, and the LU back-solve of the coarsest
-    operator (_factor).  Each coarser operator is the Galerkin product
-    (P^T / 4) A P.  With no grid above the coarsest, a cycle is the LU
+    inverse diagonal and transfers, and the back-solve of the coarsest
+    operator (_factor): the band Cholesky one when spd declares J
+    symmetric positive definite, as only first_eigenvalue does, else the
+    LU.  Each coarser operator is the Galerkin product (P^T / 4) A P,
+    symmetric only to rounding when J is symmetric; the Cholesky
+    factorisation reads its lower triangle, which is no loss in a
+    preconditioner.  With no grid above the coarsest, a cycle is the
     back-solve."""
 
-    def __init__(self, J, transfers):
+    def __init__(self, J, transfers, spd: bool = False):
         self.levels = []
         A = J
         for P, R in transfers:
             self.levels.append((A, _JACOBI_WEIGHT / A.diagonal(), P, R))
             A = R @ (A @ P)
-        self.coarse_solve = _factor(A)
+        self.coarse_solve = _factor(A, spd=spd)
 
     def vcycle(self, b: np.ndarray) -> np.ndarray:
         """One V-cycle for J x = b from x = 0, with _SWEEPS damped-Jacobi
@@ -182,7 +208,7 @@ class Hierarchy:
         return x
 
     def solve(self, b: np.ndarray, rtol: float):
-        """(x, GMRES iterations) for J x = b: the LU back-solve when there is
+        """(x, GMRES iterations) for J x = b: the back-solve when there is
         no grid above the coarsest, else GMRES preconditioned by one V-cycle
         to a 2-norm residual of at most rtol |b|.  Raises LinearSolveError
         when GMRES misses rtol."""

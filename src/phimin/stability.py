@@ -12,12 +12,17 @@ so stability of a surface means lambda1 >= 0 on every compact region.
 Discretisation: on graph patches a bilinear finite-element stiffness
 with cell-centred coefficients (exact element integration, no reduced
 quadrature) on a region that is a full rectangular block of the grid,
-written as a 9-point stencil by grid.stencil_matrix; on rotational
-profiles the one-dimensional radial problem with 2 pi x e^phi weight; on
-translation-invariant profiles the exact separated reduction, adding
-(pi / ruling_width)^2 for the lowest ruling mode.  The generalized
-eigenproblem is solved by LOBPCG, preconditioned by the Newton solver's
-V-cycle (grid.Hierarchy) of the operator shifted below its spectrum.
+written as a 9-point stencil by grid.stencil_matrix.  Each element
+matrix is the closed form a Sxx + b Sxy + c Syy of the cell's weighted
+inverse-metric coefficients a, b, c and three constant 4 x 4 integrals
+of the shape functions, each symmetric entry by entry, so the stiffness
+is exactly symmetric.  On rotational profiles it is the one-dimensional radial
+problem with 2 pi x e^phi weight; on translation-invariant profiles the
+exact separated reduction, adding (pi / ruling_width)^2 for the lowest
+ruling mode.  The generalized eigenproblem is solved by LOBPCG,
+preconditioned by the Newton solver's V-cycle (grid.Hierarchy) of the
+operator shifted below its spectrum, which is symmetric positive
+definite, so that its coarsest grid is factored by band Cholesky.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .grid import NINE_POINT, Hierarchy, cell_average, stencil_matrix, transfers
@@ -72,7 +76,18 @@ class StabilityAssembly:
         return float(stiff + diag)
 
     def rayleigh(self, u: np.ndarray) -> float:
-        return self.bilinear(u, u) / float(u @ (self.mass * u))
+        """Q(u, u) / (u, u)_M of a region-restricted vector, with one
+        stiffness product: bit for bit bilinear(u, u) / (u, u)_M."""
+        return self._rayleigh_rows(u[None])[0]
+
+    def _rayleigh_rows(self, U: np.ndarray) -> list:
+        """rayleigh of each row of U, with one block stiffness product;
+        each row's dot products run on contiguous copies, as in rayleigh
+        of that row alone."""
+        KU = self.stiffness @ U.T
+        diag = self.extra_mode * self.mass - self.potential_term
+        return [float(u @ np.ascontiguousarray(ku) + (u * u) @ diag)
+                / float(u @ (self.mass * u)) for u, ku in zip(U, KU.T)]
 
 
 def _operator_potential(field: GeometryField, spec: PotentialSpec) -> np.ndarray:
@@ -155,24 +170,27 @@ def _assemble_graph(field, region, pot, e_phi):
         raise ValueError("graph regions must be full rectangular blocks of the grid")
     coef, gixx, giyy, gixy = _cell_coefficients(field, e_phi)
 
-    # exact bilinear element stiffness via 2x2 Gauss points; a cell's corner
-    # (a, b) is local node a + 2 b; a ring of empty cells borders the grid
-    A = np.stack([coef * gixx, coef * gixy, coef * gixy, coef * giyy],
-                 axis=-1).reshape(-1, 2, 2)
-    Ke = np.zeros((nx + 1, ny + 1, 4, 4))
-    gp = 1.0 / np.sqrt(3.0)
-    for xi, et in [(-gp, -gp), (gp, -gp), (-gp, gp), (gp, gp)]:
-        B = np.array([[-(1 - et), (1 - et), -(1 + et), (1 + et)],
-                      [-(1 - xi), -(1 + xi), (1 - xi), (1 + xi)]]) / 4.0 * (2.0 / h)
-        AB = np.einsum("cab,bj->caj", A, B)
-        Ke[1:-1, 1:-1] += (np.einsum("ai,caj->cij", B, AB)
-                           * (h**2 / 4.0)).reshape(nx - 1, ny - 1, 4, 4)
+    # exact bilinear element stiffness coef (gixx Sxx + gixy Sxy + giyy Syy),
+    # free of h: a cell's corner (a, b) is local node a + 2 b, of signs
+    # s = 2 a - 1 in x and t = 2 b - 1 in y, and the S are the integrals over
+    # the cell of the shape functions' derivative products, each symmetric
+    # entry by entry so that the stiffness is exactly symmetric.  A ring of
+    # empty cells borders the grid; only the cells that touch the block are
+    # formed
+    s = np.array([-1, 1, -1, 1])
+    t = np.array([-1, -1, 1, 1])
+    Sxx = np.outer(s, s) * (3 + np.outer(t, t)) / 12.0
+    Sxy = (np.outer(s, t) + np.outer(t, s)) / 4.0
+    Syy = np.outer(t, t) * (3 + np.outer(s, s)) / 12.0
+    cxx, cxy, cyy = (np.pad(f, 1)[i0:i1 + 1, j0:j1 + 1, None, None]
+                     for f in (coef * gixx, coef * gixy, coef * giyy))
+    Ke = cxx * Sxx + cxy * Sxy + cyy * Syy
 
     # a node's cells (-1, -1), (-1, 0), (0, -1), (0, 0) away are summed in
     # this ascending cell order, which fixes the rounding of each entry
     coefs = np.zeros((i1 - i0, j1 - j0, 9))
     for ci, cj in ((-1, -1), (-1, 0), (0, -1), (0, 0)):
-        cell = Ke[i0 + ci + 1:i1 + ci + 1, j0 + cj + 1:j1 + cj + 1]
+        cell = Ke[ci + 1:i1 - i0 + ci + 1, cj + 1:j1 - j0 + cj + 1]
         for m, (di, dj) in enumerate(NINE_POINT):
             if 0 <= di - ci <= 1 and 0 <= dj - cj <= 1:
                 coefs[..., m] += cell[..., -ci - 2 * cj, di - ci + 2 * (dj - cj)]
@@ -244,6 +262,17 @@ def quadratic_form(field: GeometryField, spec: PotentialSpec, u: np.ndarray,
     return float(cells.sum())
 
 
+def _lowest_ritz_vector(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The m-normalised eigenvector c of the least eigenvalue of the small
+    symmetric pencil a c = mu m c, m positive definite: with the Cholesky
+    factor m = L L^T, c = L^-T y for the least eigenvector y of
+    L^-1 a L^-T.  cholesky reads only the lower triangle of m, and eigh
+    only that of the reduced matrix."""
+    L_inv = np.linalg.inv(np.linalg.cholesky(m))
+    y = np.linalg.eigh(L_inv @ a @ L_inv.T)[1][:, 0]
+    return L_inv.T @ y
+
+
 def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
                      tol: float = 1e-10,
                      ruling_width: float | None = None) -> SpectrumResult:
@@ -252,10 +281,12 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
     Solves A u = lambda M u, A = stiffness - potential + extra_mode M, by
     one-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) from u = 1,
     preconditioned by one grid.Hierarchy V-cycle of A - sigma M,
-    sigma = -max |potential / M| - 1 - extra_mode: each iteration is one
-    Rayleigh-Ritz step on the mass-normalised span of the iterate, its
-    preconditioned residual and the last step.  It stops at mass-norm
-    residual max(tol max(1, |lambda|), 8 x its rounding floor), or raises
+    sigma = -max |potential / M| - 1 - extra_mode, which is symmetric
+    positive definite, so its coarsest grid is factored by band Cholesky:
+    each iteration is one Rayleigh-Ritz step (_lowest_ritz_vector) on the
+    mass-normalised span of the iterate, its preconditioned residual and
+    the last step.  It stops at mass-norm residual
+    max(tol max(1, |lambda|), 8 x its rounding floor), or raises
     EigenConvergenceError after 500 iterations (``iterations`` counts
     them).  The eigenfunction is mass-normalised with positive mean.
     """
@@ -272,7 +303,7 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
         ny = field.source.ny
         rows = asm.region[-1] // ny - asm.region[0] // ny + 1
         grid_transfers = transfers(rows + 1, M.size // rows + 1)
-    hierarchy = Hierarchy(shifted, grid_transfers)
+    hierarchy = Hierarchy(shifted, grid_transfers, spd=True)
     abs_K = abs(K)
     x = np.full(M.size, 1.0 / np.sqrt(M.sum()))
     for iters in range(501):
@@ -291,11 +322,9 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
         w = hierarchy.vcycle(r)
         basis = np.stack([x, w, p] if iters else [x, w], axis=1)
         basis /= np.sqrt(M @ basis**2)
-        # c is mass-normalised; eigh reads the lower triangles only
-        _, c = scipy.linalg.eigh(basis.T @ (A @ basis), basis.T @ (M[:, None] * basis),
-                                 subset_by_index=[0, 0])
-        p = basis[:, 1:] @ c[1:, 0]
-        x = basis[:, 0] * c[0, 0] + p
+        c = _lowest_ritz_vector(basis.T @ (A @ basis), basis.T @ (M[:, None] * basis))
+        p = basis[:, 1:] @ c[1:]
+        x = basis[:, 0] * c[0] + p
     if x.sum() < 0:
         x = -x
     full = np.zeros(field.n_samples)
@@ -319,13 +348,13 @@ def stability_audit(field: GeometryField, spec: PotentialSpec,
     passed when lambda1 >= -lambda_floor, the floor 10 h with h the grid
     spacing or profile step; the hypothesis mean_convex is max H <= 1e-8;
     and the least Rayleigh quotient of 20 standard normal vectors on the
-    region, drawn from default_rng(seed)."""
+    region, drawn from default_rng(seed) as the rows of one 20 x n array,
+    the same numbers as 20 draws of n, with one block stiffness product."""
     interior = np.where(field.interior_mask(2))[0]
     lam_floor = float(10.0 * field.grid_h)
     spectrum = first_eigenvalue(field, spec, interior, tol=1e-9)
     rng = np.random.default_rng(seed)
-    trials = [spectrum.assembly.rayleigh(rng.standard_normal(interior.size))
-              for _ in range(20)]
+    trials = spectrum.assembly._rayleigh_rows(rng.standard_normal((20, interior.size)))
     return StabilityAudit(spectrum, lam_floor, bool(np.max(field.H) <= 1e-8),
                           spectrum.lambda1 >= -lam_floor, min(trials))
 

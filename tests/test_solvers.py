@@ -490,13 +490,15 @@ def test_jacobian_assembly_peak_memory(spec_linear):
 
 
 def _count_factorisations(monkeypatch):
-    """Unknowns of each matrix grid._factor factors, in call order."""
+    """Unknowns of each matrix grid._factor factors, in call order; every
+    one an LU, as the graph solver declares no operator positive definite."""
     sizes = []
     factor = grid._factor
 
-    def counted(A):
+    def counted(A, spd=False):
+        assert not spd
         sizes.append(A.shape[0])
-        return factor(A)
+        return factor(A, spd=spd)
 
     monkeypatch.setattr(grid, "_factor", counted)
     return sizes

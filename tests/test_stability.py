@@ -11,7 +11,7 @@ from phimin.solvers import (AxisRegular, NewtonConfig, PointStart,
                             solve_translation_profile)
 from phimin.stability import (EigenConvergenceError, RulingWidthError, SupportError,
                               build_assembly, first_eigenvalue, jacobi_residual,
-                              quadratic_form)
+                              quadratic_form, stability_audit)
 from phimin.surface_geometry import GraphPatch, grid_shape, sample_geometry
 
 
@@ -214,18 +214,18 @@ def test_translation_reduction_uses_ruling_width(reaper_field, spec_linear):
 
 @pytest.fixture
 def hierarchies(monkeypatch):
-    """Each grid.Hierarchy built, and the LU factorisations made, while
-    the fixture is in use."""
-    made = {"hierarchies": [], "factor": 0}
+    """Each grid.Hierarchy built, and the spd flag of each direct
+    factorisation made, while the fixture is in use."""
+    made = {"hierarchies": [], "factor": []}
     init, factor = grid.Hierarchy.__init__, grid._factor
 
-    def counted_init(self, *args):
+    def counted_init(self, *args, **kwargs):
         made["hierarchies"].append(self)
-        init(self, *args)
+        init(self, *args, **kwargs)
 
-    def counted_factor(A):
-        made["factor"] += 1
-        return factor(A)
+    def counted_factor(A, spd=False):
+        made["factor"].append(spd)
+        return factor(A, spd=spd)
 
     monkeypatch.setattr(grid.Hierarchy, "__init__", counted_init)
     monkeypatch.setattr(grid, "_factor", counted_factor)
@@ -240,7 +240,8 @@ def test_first_eigenvalue_builds_one_hierarchy(surface, bowl_field, bowl_graphs,
     res = first_eigenvalue(field, spec_linear, region, tol=1e-10)
     # 9 and 11 iterations; an LU made in the wrong numbering took 78
     assert 1 < res.iterations <= 15
-    assert len(hierarchies["hierarchies"]) == 1 and hierarchies["factor"] == 1
+    # one factorisation, the band Cholesky one of the shifted operator
+    assert len(hierarchies["hierarchies"]) == 1 and hierarchies["factor"] == [True]
 
 
 def test_first_eigenvalue_runs_v_cycle_levels(spec_zero, hierarchies):
@@ -282,18 +283,81 @@ def test_negative_mean_eigenfunction_is_flipped(surface, bowl_field, bowl_graphs
     field = bowl_field if surface == "profile" else bowl_graphs["non-square"]
     region = np.flatnonzero(field.interior_mask(2))
     want = first_eigenvalue(field, spec_linear, region, tol=1e-10)
-    eigh, calls = scipy.linalg.eigh, []
+    ritz, calls = stability._lowest_ritz_vector, []
 
-    def first_negated(*args, **kwargs):
-        w, c = eigh(*args, **kwargs)
+    def first_negated(a, m):
+        c = ritz(a, m)
         calls.append(c)
-        return w, (-c if len(calls) == 1 else c)
+        return -c if len(calls) == 1 else c
 
-    monkeypatch.setattr(stability.scipy.linalg, "eigh", first_negated)
+    monkeypatch.setattr(stability, "_lowest_ritz_vector", first_negated)
     got = first_eigenvalue(field, spec_linear, region, tol=1e-10)
     assert len(calls) == want.iterations > 1
     assert np.array_equal(got.eigenfunction, want.eigenfunction)
     assert (got.lambda1, got.iterations) == (want.lambda1, want.iterations)
+
+
+def _shifted_operator(asm, shift=None):
+    """A - shift M, by default first_eigenvalue's shift below the spectrum."""
+    import scipy.sparse as sp
+    V, M = asm.potential_term, asm.mass
+    if shift is None:
+        shift = -np.max(np.abs(V / M)) - 1.0 - asm.extra_mode
+    return (asm.stiffness + sp.diags(asm.extra_mode * M - V - shift * M)).tocsr()
+
+
+@pytest.mark.parametrize("surface", ["profile", "graph"])
+def test_band_cholesky_solve_matches_dense_solve(surface, bowl_field, bowl_graphs,
+                                                 spec_linear):
+    # the profile's tridiagonal operator, and the 9-point one of the
+    # non-square h = 1/16 graph, half-bandwidth 10
+    field = bowl_field if surface == "profile" else bowl_graphs["non-square"]
+    S = _shifted_operator(build_assembly(field, spec_linear,
+                                         np.flatnonzero(field.interior_mask(2))))
+    b = np.random.default_rng(2).standard_normal(S.shape[0])
+    want = np.linalg.solve(S.toarray(), b)
+    got = grid._factor(S, spd=True)(b)
+    # backward stable: the residual is at the rounding of |S| |x|
+    assert np.abs(S @ got - b).max() <= 1e-15 * abs(S).max() * np.abs(got).max()
+    # the forward match is bounded by the conditioning: about 30 on the
+    # graph, about 1e7 on the profile (a 1e-3 step), where the two solves
+    # differ by 2e-12 relative
+    tol = {"graph": 1e-14, "profile": 1e-10}[surface]
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("surface", ["profile", "graph"])
+def test_band_cholesky_refuses_an_indefinite_operator(surface, bowl_field, bowl_graphs,
+                                                      spec_linear):
+    # shifted 1 above lambda1, the operator stays symmetric and invertible
+    # but is no longer positive definite: the LU factors it, dpbtrf does not
+    field = bowl_field if surface == "profile" else bowl_graphs["non-square"]
+    res = first_eigenvalue(field, spec_linear, np.flatnonzero(field.interior_mask(2)))
+    S = _shifted_operator(res.assembly, res.lambda1 + 1.0)
+    assert (S != S.T).nnz == 0
+    b = np.ones(S.shape[0])
+    assert np.all(np.isfinite(grid._factor(S)(b)))
+    with pytest.raises(grid.LinearSolveError, match="not positive definite"):
+        grid._factor(S, spd=True)
+
+
+@pytest.mark.parametrize("surface", ["profile", "graph"])
+def test_rayleigh_trials_are_twenty_single_quotients(surface, bowl_field, bowl_graphs,
+                                                     spec_linear):
+    # one 20 x n draw is 20 successive draws of n, and the block stiffness
+    # product gives each row's quotient bit for bit
+    field = bowl_field if surface == "profile" else bowl_graphs["square"]
+    region = np.flatnonzero(field.interior_mask(2))
+    asm = build_assembly(field, spec_linear, region)
+    rng = np.random.default_rng(3)
+    draws = [rng.standard_normal(region.size) for _ in range(20)]
+    single = [asm.rayleigh(u) for u in draws]
+    assert single == [asm.bilinear(u, u) / float(u @ (asm.mass * u)) for u in draws]
+    rows = np.random.default_rng(3).standard_normal((20, region.size))
+    assert np.array_equal(rows, draws)
+    assert asm._rayleigh_rows(rows) == single
+    audit = stability_audit(field, spec_linear, seed=3)
+    assert audit.rayleigh_trial_min == min(single)
 
 
 def test_unpreconditioned_eigen_solve_raises_convergence_error(bowl_field, spec_linear,
@@ -415,9 +479,22 @@ def test_graph_assembly_matches_coo_assembly(bowl_graphs, spec_linear, domain,
     region = np.flatnonzero(field.interior_mask(margin))
     asm = build_assembly(field, spec_linear, region)
     K, mass = _graph_assembly_coo(field, spec_linear, region)
-    for got, want in ((asm.stiffness.data, K.data), (asm.stiffness.indices, K.indices),
+    for got, want in ((asm.stiffness.indices, K.indices),
                       (asm.stiffness.indptr, K.indptr), (asm.mass, mass)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the closed-form element matrix sums in another order than the Gauss
+    # points of the reference: each entry within rounding of its row's largest
+    row_max = np.repeat(np.maximum.reduceat(abs(K.data), K.indptr[:-1]), np.diff(K.indptr))
+    assert asm.stiffness.data.dtype == K.data.dtype
+    assert np.all(abs(asm.stiffness.data - K.data) <= 1e-14 * row_max)
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2])
+@pytest.mark.parametrize("domain", ["square", "non-square"])
+def test_graph_stiffness_is_exactly_symmetric(bowl_graphs, spec_linear, domain, margin):
+    field = bowl_graphs[domain]
+    K = build_assembly(field, spec_linear, np.flatnonzero(field.interior_mask(margin))).stiffness
+    assert (K != K.T).nnz == 0
 
 
 def test_graph_region_must_be_a_block(bowl_graphs, spec_linear):
