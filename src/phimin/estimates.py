@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import potential
 from .grid import cell_average, stencil_matrix
@@ -157,6 +156,13 @@ def _graph_lattice(field: GeometryField):
 # Dijkstra takes the edges in both directions
 _NEIGHBOR_TEMPLATE = ((0, 1), (1, -2), (1, -1), (1, 0),
                       (1, 1), (1, 2), (2, -1), (2, 1))
+
+
+def _csgraph_dijkstra(graph, **kwargs):
+    """scipy's csgraph Dijkstra, imported on the first call, so that only
+    the graph audits load scipy."""
+    from scipy.sparse.csgraph import dijkstra
+    return dijkstra(graph, **kwargs)
 
 
 def _lattice_distances(pos: np.ndarray, sources, conformal_weight=None):

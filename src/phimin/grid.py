@@ -30,20 +30,25 @@ A solve on such a grid is GMRES (Saad, Iterative Methods for Sparse
 Linear Systems, 2003) with one V-cycle as preconditioner, to the residual
 relative to the right-hand side that the caller sets (solvers._newton's
 forcing term); a GMRES that misses it raises LinearSolveError.  The same
-V-cycle, or factorisation, of the stability operator shifted below its
-spectrum preconditions the LOBPCG eigen-solve of
+V-cycle, or factorisation, of the graph stability operator shifted below
+its spectrum preconditions the LOBPCG eigen-solve of
 stability.first_eigenvalue.
+
+The profile stability operator is a symmetric Tridiagonal in numpy
+arrays, and its shifted form is factored by odd-even cyclic reduction
+(_cyclic_reduction), also in numpy.  So only graph code needs scipy, and
+this module imports it inside the functions that use it: a profile
+command never loads it.  scipy cannot be loaded in part, as its array-API
+layer imports numpy.f2py and numpy.testing with any submodule, and that
+import takes longer than most profile commands' own work.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 
-def stencil_matrix(offsets, coefs: np.ndarray) -> sp.csr_matrix:
+def stencil_matrix(offsets, coefs: np.ndarray):
     """The interior stencil of an nx x ny grid as a CSR matrix over the
     interior unknowns, the grid less a border as wide as the longest offset
     (b = max |di|, |dj|): coefs[i, j, m], of shape (nx - 2b, ny - 2b, k),
@@ -51,6 +56,7 @@ def stencil_matrix(offsets, coefs: np.ndarray) -> sp.csr_matrix:
     m-th of the k offsets (di, dj), sorted as pairs, which puts each row's
     columns in order: unknowns are numbered row-major.  A neighbour on the border is left out; every
     other entry is stored, zeros included."""
+    import scipy.sparse as sp
     mx, my, k = coefs.shape
     n = mx * my
     b = max(max(abs(di), abs(dj)) for di, dj in offsets)
@@ -94,26 +100,121 @@ _GMRES_CYCLES = 10
 class LinearSolveError(RuntimeError):
     """GMRES did not reach its tolerance on a Newton step, the LU of a
     coarsest operator met an exactly zero pivot, or the Cholesky
-    factorisation of one declared positive definite met a leading minor
+    factorisation or cyclic reduction of one declared positive definite
+    met a pivot that is not positive."""
+
+
+class Tridiagonal:
+    """The symmetric tridiagonal operator with diag[i] at (i, i) and off[i]
+    at (i, i + 1) and (i + 1, i), in numpy arrays: the profile stability
+    operator.  A product with a vector or an n x k block sums each row's
+    terms from zero in the order lower, diagonal, upper, as scipy's CSR
+    product of the same matrix does, so the two agree bit for bit."""
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        self.diag, self.off = diag, off
+
+    @property
+    def shape(self) -> tuple:
+        return (self.diag.size, self.diag.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        d, e = self.diag, self.off
+        if x.ndim == 2:
+            d, e = d[:, None], e[:, None]
+        y = np.zeros_like(x, dtype=float)  # in x's layout, C or Fortran
+        y[1:] += e * x[:-1]
+        y += d * x
+        y[:-1] += e * x[1:]
+        return y
+
+    def __abs__(self) -> Tridiagonal:
+        return Tridiagonal(np.abs(self.diag), np.abs(self.off))
+
+    def toarray(self) -> np.ndarray:
+        return np.diag(self.diag) + np.diag(self.off, -1) + np.diag(self.off, 1)
+
+
+def _cyclic_reduction(T: Tridiagonal):
+    """The back-solve b -> T^{-1} b of a symmetric positive definite
+    Tridiagonal T, by odd-even cyclic reduction (Buzbee, Golub and
+    Nielson, SIAM J. Numer. Anal. 7, 1970) in whole-array numpy steps.
+
+    T is padded with uncoupled unit rows to 2^k - 1 unknowns.  Each level
+    eliminates the unknowns at even positions, which couple only to their
+    odd neighbours, so that their own diagonal entries are the pivots, and
+    leaves the tridiagonal Schur complement on the odd ones, 2^(k-1) - 1
+    of them; k levels reach one unknown.  The pivots are those of the
+    LDL^T factorisation of T in that elimination order, all positive
+    exactly when T is positive definite; raises LinearSolveError at a
+    level with one that is not, as LAPACK's dpbtrf does at a leading minor
     that is not."""
+    n = T.diag.size
+    size = (1 << n.bit_length()) - 1
+    d = np.ones(size)
+    d[:n] = T.diag
+    # e[i] couples unknowns i - 1 and i; e[0] and e[size] couple none
+    e = np.zeros(size + 1)
+    e[1:n] = T.off
+    levels = []  # (left / pivot, right / pivot, pivot) of each eliminated unknown
+    while True:
+        piv = d[0::2]
+        if not piv.min() > 0.0:
+            raise LinearSolveError(f"cyclic reduction of {n} unknowns: a pivot "
+                                   "is not positive, so the operator is not "
+                                   "positive definite")
+        if d.size == 1:
+            break
+        left, right = e[0::2], e[1::2]
+        lm, rm = left / piv, right / piv
+        d = d[1::2] - (right * rm)[:-1] - (left * lm)[1:]
+        e = -(left * rm)
+        levels.append((lm, rm, piv))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.zeros(size)
+        x[:n] = b
+        eliminated = []
+        for lm, rm, _ in levels:
+            even = x[0::2]
+            eliminated.append(even)
+            x = x[1::2] - rm[:-1] * even[:-1] - lm[1:] * even[1:]
+        x = x / d
+        for (lm, rm, piv), even in zip(reversed(levels), reversed(eliminated)):
+            # x at the odd positions of the finer level, between zeros that
+            # stand for the neighbours past either end
+            full = np.zeros(2 * x.size + 3)
+            full[2:-1:2] = x
+            full[1::2] = even / piv - lm * full[:-1:2] - rm * full[2::2]
+            x = full[1:-1]
+        return x[:n]
+
+    return solve
 
 
 def _factor(A, spd: bool = False):
     """The back-solve b -> A^{-1} b of the square sparse operator A.
 
-    The half-bandwidths kl and ku are read from A's entries as column less
-    row.  When both are at most _DIRECT_CELLS, the entries are scattered
-    into LAPACK band storage in Fortran order and factored in place: with
-    spd, for an operator the caller knows to be symmetric positive
-    definite (stability.first_eigenvalue's shifted operator), the lower
-    triangle goes into a (kl + 1) x n band for the Cholesky factorisation
-    dpbtrf, each back-solve dpbtrs; else the (2 kl + ku + 1) x n band is
-    LU-factored with partial pivoting by dgbtrf, each back-solve dgbtrs.
-    A wider operator is factored by SuperLU in the minimum-degree column
-    order of A^T + A: there the band holds three to four times SuperLU's
-    L + U and back-solves slower.  Raises LinearSolveError when an LU
-    pivot is exactly zero, or when a leading minor of an spd operator is
-    not positive definite."""
+    A Tridiagonal, which the caller knows to be positive definite (the
+    profile's shifted stability operator), goes to _cyclic_reduction.
+    Else the half-bandwidths kl and ku are read from A's entries as column
+    less row.  When both are at most _DIRECT_CELLS, the entries are
+    scattered into LAPACK band storage in Fortran order and factored in
+    place: with spd, for an operator the caller knows to be symmetric
+    positive definite (stability.first_eigenvalue's shifted graph
+    operator), the lower triangle goes into a (kl + 1) x n band for the
+    Cholesky factorisation dpbtrf, each back-solve dpbtrs; else the
+    (2 kl + ku + 1) x n band is LU-factored with partial pivoting by
+    dgbtrf, each back-solve dgbtrs.  A wider operator is factored by
+    SuperLU in the minimum-degree column order of A^T + A: there the band
+    holds three to four times SuperLU's L + U and back-solves slower.
+    Raises LinearSolveError when an LU pivot is exactly zero, or when a
+    pivot or leading minor of a positive definite operator is not
+    positive."""
+    if isinstance(A, Tridiagonal):
+        return _cyclic_reduction(A)
+    import scipy.sparse.linalg as spla
+    from scipy.linalg import lapack
     A = A.tocsr()
     A.sum_duplicates()  # in place: the scatter below keeps one entry per slot
     n = A.shape[0]
@@ -143,9 +244,11 @@ def _factor(A, spd: bool = False):
     return lambda b: lapack.dgbtrs(lu, kl, ku, b, piv)[0]
 
 
-def _bilinear_1d(cells: int) -> sp.csr_matrix:
-    """Linear interpolation from the interior nodes of a line of cells/2
-    cells to the interior nodes of the line of cells cells."""
+def _bilinear_1d(cells: int):
+    """Linear interpolation, as a CSR matrix, from the interior nodes of a
+    line of cells/2 cells to the interior nodes of the line of cells
+    cells."""
+    import scipy.sparse as sp
     k = np.arange(cells // 2 - 1)
     rows = np.concatenate([2 * k + 1, 2 * k, 2 * k + 2])
     vals = np.repeat([1.0, 0.5, 0.5], k.size)
@@ -158,6 +261,7 @@ def transfers(mx: int, my: int) -> list:
     spacing, and P^T / 4 the restriction.  Halving stops at the first grid
     with at most _DIRECT_CELLS cells on each side, or an odd number on
     one."""
+    import scipy.sparse as sp
     prolongations = []
     while (max(mx, my) > _DIRECT_CELLS and mx % 2 == 0 and my % 2 == 0
            and min(mx, my) >= 4):
@@ -170,12 +274,13 @@ def transfers(mx: int, my: int) -> list:
 class Hierarchy:
     """The V-cycle of one operator J (CSR, numbered row-major): a Newton
     Jacobian, the Laplacian of the harmonic start, or the shifted
-    stability operator that preconditions stability.first_eigenvalue.  It
+    stability operator that preconditions stability.first_eigenvalue,
+    which on a profile is a Tridiagonal with no grid above it.  It
     holds, for each grid above the coarsest, its operator, weighted
     inverse diagonal and transfers, and the back-solve of the coarsest
-    operator (_factor): the band Cholesky one when spd declares J
-    symmetric positive definite, as only first_eigenvalue does, else the
-    LU.  Each coarser operator is the Galerkin product (P^T / 4) A P,
+    operator (_factor): the band Cholesky one, or a Tridiagonal's cyclic
+    reduction, when spd declares J symmetric positive definite, as only
+    first_eigenvalue does, else the LU.  Each coarser operator is the Galerkin product (P^T / 4) A P,
     symmetric only to rounding when J is symmetric; the Cholesky
     factorisation reads its lower triangle, which is no loss in a
     preconditioner.  With no grid above the coarsest, a cycle is the
@@ -214,6 +319,7 @@ class Hierarchy:
         when GMRES misses rtol."""
         if not self.levels:
             return self.coarse_solve(b), 0
+        import scipy.sparse.linalg as spla
         # the operator is made per solve: kept on the hierarchy, it would
         # close a reference cycle that holds the grid operators until a
         # full garbage collection

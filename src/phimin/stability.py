@@ -19,10 +19,14 @@ of the shape functions, each symmetric entry by entry, so the stiffness
 is exactly symmetric.  On rotational profiles it is the one-dimensional radial
 problem with 2 pi x e^phi weight; on translation-invariant profiles the
 exact separated reduction, adding (pi / ruling_width)^2 for the lowest
-ruling mode.  The generalized eigenproblem is solved by LOBPCG,
-preconditioned by the Newton solver's V-cycle (grid.Hierarchy) of the
+ruling mode; either is a grid.Tridiagonal in numpy arrays.  The
+generalized eigenproblem is solved by LOBPCG, preconditioned by the
+factorisation, or on a fine graph the V-cycle (grid.Hierarchy), of the
 operator shifted below its spectrum, which is symmetric positive
-definite, so that its coarsest grid is factored by band Cholesky.
+definite: on a graph, LAPACK's band Cholesky factors its coarsest grid,
+and on a profile, odd-even cyclic reduction factors the tridiagonal
+operator in numpy, so that a profile audit, like every profile command,
+never imports scipy.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .grid import NINE_POINT, Hierarchy, cell_average, stencil_matrix, transfers
+from .grid import (NINE_POINT, Hierarchy, Tridiagonal, cell_average,
+                   stencil_matrix, transfers)
 # eval_potential is unused here, but bench/tracing.py wraps it in every layer module
 from .potential import PotentialSpec, eval_potential
 from .surface_geometry import (AXIS_TOL, GeometryField, ProfileCurve,
@@ -56,11 +60,12 @@ class RulingWidthError(ValueError):
 class StabilityAssembly:
     """Discrete matrices of the stability form on a Dirichlet region.
 
-    stiffness is the weighted Dirichlet form, potential_term and mass are
-    diagonal (lumped); all are restricted to ``region`` sample indices.
+    stiffness is the weighted Dirichlet form, a Tridiagonal on a profile
+    and a CSR matrix on a graph; potential_term and mass are diagonal
+    (lumped); all are restricted to ``region`` sample indices.
     """
 
-    stiffness: sp.csr_matrix
+    stiffness: "Tridiagonal | scipy.sparse.csr_matrix"
     potential_term: np.ndarray
     mass: np.ndarray
     region: np.ndarray
@@ -145,8 +150,7 @@ def _assemble_profile(field, region, pot, e_phi, ruling_width):
     half_mass = 0.5 * w_int * h
     # each node's mass is its left interval's share plus its right one's
     mass = half_mass[:-1] + half_mass[1:]
-    K = sp.diags([stiff[:-1] + stiff[1:], -stiff[1:-1], -stiff[1:-1]], [0, -1, 1],
-                 shape=(n, n), format="csr")
+    K = Tridiagonal(stiff[:-1] + stiff[1:], -stiff[1:-1])
     v_diag = pot[region] * mass
     return StabilityAssembly(stiffness=K, potential_term=v_diag, mass=mass,
                              region=region, extra_mode=extra)
@@ -262,6 +266,14 @@ def quadratic_form(field: GeometryField, spec: PotentialSpec, u: np.ndarray,
     return float(cells.sum())
 
 
+def _plus_diagonal(K, v: np.ndarray):
+    """K + diag(v), in K's form: a Tridiagonal or a CSR matrix."""
+    if isinstance(K, Tridiagonal):
+        return Tridiagonal(K.diag + v, K.off)
+    import scipy.sparse as sp
+    return K + sp.diags(v)
+
+
 def _lowest_ritz_vector(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The m-normalised eigenvector c of the least eigenvalue of the small
     symmetric pencil a c = mu m c, m positive definite: with the Cholesky
@@ -282,7 +294,8 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
     one-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) from u = 1,
     preconditioned by one grid.Hierarchy V-cycle of A - sigma M,
     sigma = -max |potential / M| - 1 - extra_mode, which is symmetric
-    positive definite, so its coarsest grid is factored by band Cholesky:
+    positive definite, so its coarsest grid is factored by band Cholesky,
+    or on a profile the tridiagonal operator by cyclic reduction:
     each iteration is one Rayleigh-Ritz step (_lowest_ritz_vector) on the
     mass-normalised span of the iterate, its preconditioned residual and
     the last step.  It stops at mass-norm residual
@@ -293,8 +306,8 @@ def first_eigenvalue(field: GeometryField, spec: PotentialSpec, region,
     asm = build_assembly(field, spec, region, ruling_width=ruling_width)
     K, V, M = asm.stiffness, asm.potential_term, asm.mass
     sigma = -float(np.max(np.abs(V / M))) - 1.0 - asm.extra_mode
-    A = K + sp.diags(asm.extra_mode * M - V)
-    shifted = A - sp.diags(sigma * M)
+    A = _plus_diagonal(K, asm.extra_mode * M - V)
+    shifted = _plus_diagonal(A, -sigma * M)
     grid_transfers = []
     if not field.is_profile:
         # the region is a full block (_assemble_graph refuses any other), so

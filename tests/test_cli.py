@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +404,59 @@ def test_verbose_prints_one_line_per_artifact(tmp_path, capsys):
     assert lines[:-1] == [f"wrote {art['path']}  sha256={art['sha256'][:16]}..."
                           for art in manifest["artifacts"]]
     assert lines[-1].startswith("AuditStability: exit 0 (")
+
+
+# one config of every command kind on a profile surface, then one graph
+# command: run in a fresh interpreter, the profile commands must leave scipy
+# unloaded, and the graph one must load it, or the check could not fail
+TRANS_SURF = {"kind": "translation", "s_max": 1.4, "step": 2e-3,
+              "start": {"kind": "point", "x0": 0.0, "z0": 0.0, "theta0": 0.0}}
+PROFILE_COMMANDS = [
+    ("PotentialCheck", {"z_lo": 0.0, "z_hi": 5.0, "n_samples": 21}),
+    ("SolveRotational", {"start": {"kind": "axis", "z0": 0.0}, "s_max": 1.0, "step": 2e-3}),
+    ("SolveTranslation", {k: v for k, v in TRANS_SURF.items() if k != "kind"}),
+    ("AuditFundamental", {"surface": ROT_SURF, "items": [1, 2, 3, 4, 5, 6, 7, 8]}),
+    ("AuditStability", {"surface": ROT_SURF}),
+    ("AuditStability", {"surface": TRANS_SURF}),
+    ("AuditArea", {"surface": ROT_SURF, "rho": 0.25}),
+    ("AuditMonotonicity", {"surface": ROT_SURF, "radii": [0.1, 0.2], "epsilon": 0.9}),
+    ("AuditCurvatureRatio", {"surface": TRANS_SURF}),
+    ("AuditConvexity", {"surface": ROT_SURF}),
+    ("Blowup", {"surface": {**ROT_SURF, "s_max": 6.0}, "heights": [1.0, 2.0],
+                "scales": [2.0, 4.0], "model": "Plane"}),
+    ("Export", {"surface": ROT_SURF, "formats": ["CSV", "JSON"]}),
+]
+LOADED_SCIPY = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import phimin.cli as cli
+seen = [["import phimin.cli", 0, scipy_modules()]]
+for k, config in enumerate(json.loads(open(sys.argv[1]).read())):
+    parsed = cli.parse_config(json.dumps(config))
+    parsed.output_dir = f"{sys.argv[2]}/{k}"
+    seen.append([config["command"], cli.run(parsed).exit_code, scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+def test_profile_commands_load_no_scipy(tmp_path):
+    configs = [_base_config(command, params) for command, params in PROFILE_COMMANDS]
+    configs.append(_base_config("SolveGraph", {
+        "domain": [0, 1, 0, 1], "h": 0.25, "boundary": {"kind": "constant", "value": 0.0}}))
+    (tmp_path / "configs.json").write_text(json.dumps(configs))
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, str(tmp_path / "configs.json"),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *profile, (graph, graph_code, graph_scipy) = json.loads(proc.stdout)
+    assert [(command, code) for command, code, _ in profile] == [
+        ("import phimin.cli", 0)] + [(command, 0) for command, _ in PROFILE_COMMANDS]
+    assert [(command, loaded) for command, _, loaded in profile if loaded] == []
+    assert (graph, graph_code) == ("SolveGraph", 0) and "scipy.sparse" in graph_scipy
 
 
 def test_audit_monotonicity_command(tmp_path):

@@ -319,8 +319,8 @@ def test_coarsest_lu_matches_the_dense_solve(m, n, monkeypatch):
 
 def test_galerkin_and_tridiagonal_lus_match_the_dense_solve(monkeypatch):
     # the Galerkin operator of a 96 x 16-cell grid on its 48 x 8-cell
-    # coarsest grid, and a tridiagonal operator like the profile's, take
-    # the banded LU too
+    # coarsest grid, and a tridiagonal operator in CSR, take the banded LU
+    # too
     monkeypatch.setattr(spla, "splu", _no_superlu)
     [(P, R)] = transfers(96, 16)
     A = _random_stencil(95, 15)
@@ -372,6 +372,64 @@ def test_exactly_singular_lu_raises(m, n):
     A = (_random_stencil(m, n) @ sp.diags(keep.astype(float))).tocsr()
     with pytest.raises(LinearSolveError, match=f"LU of {m * n} unknowns"):
         Hierarchy(A, [])
+
+
+def _random_tridiagonal(n, seed):
+    """A symmetric tridiagonal operator on n unknowns whose diagonal exceeds
+    the absolute sum of its row's off-diagonal entries by 0.25 to 0.5, with
+    the same matrix in CSR."""
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    diag = (np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+            + rng.uniform(0.25, 0.5, n))
+    return (grid.Tridiagonal(diag, off),
+            sp.diags([off, diag, off], [-1, 0, 1], shape=(n, n)).tocsr())
+
+
+# every size up to 9, each side of three powers of two, and a large odd one
+TRIDIAGONAL_SIZES = [*range(1, 10), *(2**k + d for k in (4, 7, 10) for d in (-1, 0, 1)),
+                     1997]
+
+
+@pytest.mark.parametrize("n", TRIDIAGONAL_SIZES)
+def test_tridiagonal_products_match_csr_bit_for_bit(n):
+    # lower, diagonal, upper from zero, as scipy's CSR product sums each row
+    T, C = _random_tridiagonal(n, seed=n)
+    rng = np.random.default_rng(n + 1)
+    x = rng.standard_normal(n)
+    U = rng.standard_normal((20, n))
+    assert np.array_equal(T @ x, C @ x)
+    assert np.array_equal(abs(T) @ np.abs(x), abs(C) @ np.abs(x))
+    # a C-ordered block, and the Fortran-ordered transpose the Rayleigh
+    # trials multiply
+    for block in (np.ascontiguousarray(U.T), U.T):
+        assert np.array_equal(T @ block, C @ block)
+
+
+@pytest.mark.parametrize("n", TRIDIAGONAL_SIZES)
+def test_cyclic_reduction_matches_the_dense_solve(n):
+    T, C = _random_tridiagonal(n, seed=n)
+    b = np.random.default_rng(n + 2).standard_normal(n)
+    got = grid._factor(T, spd=True)(b)
+    # backward stable: the residual is at the rounding of |T| |x|
+    assert np.abs(C @ got - b).max() <= 1e-15 * abs(C).max() * np.abs(got).max()
+    # diagonally dominant, so well conditioned: the forward match is at
+    # rounding too
+    want = np.linalg.solve(C.toarray(), b)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 33])
+def test_cyclic_reduction_refuses_an_indefinite_operator(n):
+    # shifted by its least eigenvalue plus a half, the operator is
+    # symmetric and invertible, but not positive definite
+    T, C = _random_tridiagonal(n, seed=n)
+    least = np.linalg.eigvalsh(C.toarray())[0]
+    S = grid.Tridiagonal(T.diag - least - 0.5, T.off)
+    assert np.all(np.isfinite(np.linalg.solve(S.toarray(), np.ones(n))))
+    with pytest.raises(LinearSolveError, match=f"cyclic reduction of {n} unknowns: "
+                       "a pivot is not positive"):
+        grid._factor(S, spd=True)
 
 
 @pytest.mark.parametrize("nx, ny", [(9, 17), (17, 9), (33, 33), (49, 33),

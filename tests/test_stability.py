@@ -145,8 +145,11 @@ def test_assembly_symmetry_exact(bowl_field, spec_linear):
         v = rng.standard_normal(region.size)
         assert asm.bilinear(u, v) == asm.bilinear(v, u)
     assert np.all(asm.mass > 0.0)
-    gap = asm.stiffness - asm.stiffness.T
-    assert abs(gap).max() <= 1e-12 * abs(asm.stiffness).max()
+    # the profile stiffness is a grid.Tridiagonal, one off-diagonal array
+    # for both sides, so it equals its transpose entry by entry
+    K = asm.stiffness.toarray()
+    assert np.array_equal(K, K.T)
+    assert np.count_nonzero(K) == 3 * region.size - 2
 
 
 def test_direct_quadrature_matches_assembly(bowl_field, spec_linear):
@@ -240,8 +243,13 @@ def test_first_eigenvalue_builds_one_hierarchy(surface, bowl_field, bowl_graphs,
     res = first_eigenvalue(field, spec_linear, region, tol=1e-10)
     # 9 and 11 iterations; an LU made in the wrong numbering took 78
     assert 1 < res.iterations <= 15
-    # one factorisation, the band Cholesky one of the shifted operator
+    # one factorisation of the shifted operator, as positive definite: the
+    # cyclic reduction of the profile's Tridiagonal, the band Cholesky one
+    # of the graph's CSR matrix
     assert len(hierarchies["hierarchies"]) == 1 and hierarchies["factor"] == [True]
+    [hierarchy] = hierarchies["hierarchies"]
+    assert hierarchy.levels == []
+    assert isinstance(res.assembly.stiffness, grid.Tridiagonal) == (surface == "profile")
 
 
 def test_first_eigenvalue_runs_v_cycle_levels(spec_zero, hierarchies):
@@ -268,7 +276,15 @@ def test_first_eigenvalue_matches_dense_pencil(case, bowl_field, reaper_field,
         "translation": (reaper_field, np.arange(200, 600), 0.7)}[case]
     res = first_eigenvalue(field, spec_linear, region, ruling_width=width)
     asm = res.assembly
-    A = asm.stiffness.toarray() + np.diag(asm.extra_mode * asm.mass - asm.potential_term)
+    # the dense pencil from each stiffness entry: a CSR matrix on the
+    # graph, the diagonal and off-diagonal arrays of a Tridiagonal on the
+    # profiles
+    K = asm.stiffness
+    if case == "graph":
+        K = K.toarray()
+    else:
+        K = np.diag(K.diag) + np.diag(K.off, -1) + np.diag(K.off, 1)
+    A = K + np.diag(asm.extra_mode * asm.mass - asm.potential_term)
     [want] = scipy.linalg.eigh(A, np.diag(asm.mass), eigvals_only=True,
                                subset_by_index=[0, 0])
     assert res.lambda1 == pytest.approx(want, rel=1e-10)
@@ -298,30 +314,34 @@ def test_negative_mean_eigenfunction_is_flipped(surface, bowl_field, bowl_graphs
 
 
 def _shifted_operator(asm, shift=None):
-    """A - shift M, by default first_eigenvalue's shift below the spectrum."""
-    import scipy.sparse as sp
+    """A - shift M, by default first_eigenvalue's shift below the spectrum,
+    in the stiffness's own form: a Tridiagonal on a profile, CSR on a
+    graph."""
     V, M = asm.potential_term, asm.mass
     if shift is None:
         shift = -np.max(np.abs(V / M)) - 1.0 - asm.extra_mode
-    return (asm.stiffness + sp.diags(asm.extra_mode * M - V - shift * M)).tocsr()
+    return stability._plus_diagonal(asm.stiffness, asm.extra_mode * M - V - shift * M)
 
 
 @pytest.mark.parametrize("surface", ["profile", "graph"])
 def test_band_cholesky_solve_matches_dense_solve(surface, bowl_field, bowl_graphs,
                                                  spec_linear):
-    # the profile's tridiagonal operator, and the 9-point one of the
-    # non-square h = 1/16 graph, half-bandwidth 10
+    # the positive definite factorisations of the shifted operator: cyclic
+    # reduction of the profile's Tridiagonal, and band Cholesky of the
+    # 9-point operator of the non-square h = 1/16 graph, half-bandwidth 10
     field = bowl_field if surface == "profile" else bowl_graphs["non-square"]
     S = _shifted_operator(build_assembly(field, spec_linear,
                                          np.flatnonzero(field.interior_mask(2))))
+    dense = S.toarray()
     b = np.random.default_rng(2).standard_normal(S.shape[0])
-    want = np.linalg.solve(S.toarray(), b)
+    want = np.linalg.solve(dense, b)
     got = grid._factor(S, spd=True)(b)
     # backward stable: the residual is at the rounding of |S| |x|
-    assert np.abs(S @ got - b).max() <= 1e-15 * abs(S).max() * np.abs(got).max()
+    assert np.abs(S @ got - b).max() <= 1e-15 * np.abs(dense).max() * np.abs(got).max()
     # the forward match is bounded by the conditioning: about 30 on the
-    # graph, about 1e7 on the profile (a 1e-3 step), where the two solves
-    # differ by 2e-12 relative
+    # graph, 8.5e6 on the profile (1,997 unknowns at a 1e-3 step), where
+    # cyclic reduction and the dense solve differ by about 1e-12 relative,
+    # as LAPACK's dpbtrs did
     tol = {"graph": 1e-14, "profile": 1e-10}[surface]
     assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
@@ -330,13 +350,17 @@ def test_band_cholesky_solve_matches_dense_solve(surface, bowl_field, bowl_graph
 def test_band_cholesky_refuses_an_indefinite_operator(surface, bowl_field, bowl_graphs,
                                                       spec_linear):
     # shifted 1 above lambda1, the operator stays symmetric and invertible
-    # but is no longer positive definite: the LU factors it, dpbtrf does not
+    # but is no longer positive definite: a dense solve (and on the graph
+    # the band LU) factors it, the positive definite factorisation does not
     field = bowl_field if surface == "profile" else bowl_graphs["non-square"]
     res = first_eigenvalue(field, spec_linear, np.flatnonzero(field.interior_mask(2)))
     S = _shifted_operator(res.assembly, res.lambda1 + 1.0)
-    assert (S != S.T).nnz == 0
+    dense = S.toarray()
+    assert np.array_equal(dense, dense.T)
     b = np.ones(S.shape[0])
-    assert np.all(np.isfinite(grid._factor(S)(b)))
+    assert np.all(np.isfinite(np.linalg.solve(dense, b)))
+    if surface == "graph":
+        assert np.all(np.isfinite(grid._factor(S)(b)))
     with pytest.raises(grid.LinearSolveError, match="not positive definite"):
         grid._factor(S, spd=True)
 
@@ -362,7 +386,8 @@ def test_rayleigh_trials_are_twenty_single_quotients(surface, bowl_field, bowl_g
 
 def test_unpreconditioned_eigen_solve_raises_convergence_error(bowl_field, spec_linear,
                                                                monkeypatch):
-    # with the V-cycle replaced by the identity, 500 iterations are too few
+    # with the V-cycle, here the cyclic reduction of the profile operator,
+    # replaced by the identity, 500 iterations are too few
     monkeypatch.setattr(grid.Hierarchy, "vcycle", lambda self, b: b)
     region = np.flatnonzero(bowl_field.interior_mask(2))
     with pytest.raises(EigenConvergenceError, match="after 500 iterations"):
@@ -380,7 +405,8 @@ def test_one_node_translation_region_is_refused(reaper_field, spec_linear):
 # -- vectorised profile assembly against the interval loop --------------------
 
 def _profile_assembly_loop(field, spec, region, ruling_width=None):
-    """(K, mass) from the per-interval loop the edge arrays must reproduce."""
+    """(K as CSR, mass) from the per-interval loop the edge arrays must
+    reproduce."""
     import scipy.sparse as sp
     curve = field.source
     h = curve.step
@@ -417,8 +443,12 @@ def test_profile_assembly_matches_interval_loop(case, bowl_field, reaper_field,
     width = 0.7 if case == "ruled" else None
     asm = build_assembly(field, spec_linear, region, ruling_width=width)
     K, mass = _profile_assembly_loop(field, spec_linear, region, width)
-    for got, want in ((asm.stiffness.data, K.data), (asm.stiffness.indices, K.indices),
-                      (asm.stiffness.indptr, K.indptr), (asm.mass, mass)):
+    # the loop's matrix is tridiagonal, and its three diagonals are the
+    # Tridiagonal's arrays bit for bit
+    assert K.nnz == 3 * region.size - 2
+    T = asm.stiffness
+    for got, want in ((T.diag, K.diagonal()), (T.off, K.diagonal(-1)),
+                      (T.off, K.diagonal(1)), (asm.mass, mass)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

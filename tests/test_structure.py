@@ -1,8 +1,10 @@
 """The import structure of src/phimin, read from the source: no module
 reaches into another phimin module's underscore names, the sparse grid
 layer is imported from grid.py, stability does not go through the graph
-solver for it, and only grid.py imports scipy's sparse solvers or LAPACK,
-so that every factorisation has one owner."""
+solver for it, only grid.py imports scipy's sparse solvers or LAPACK,
+so that every factorisation has one owner, and no module imports scipy
+when it is itself imported, only inside the functions that use it, so
+that a command that needs no scipy does not load it."""
 
 import ast
 from pathlib import Path
@@ -27,12 +29,22 @@ def _phimin_module(node: ast.ImportFrom):
     return None
 
 
-def _imported_modules(tree: ast.Module) -> set:
+def _at_import(node: ast.AST):
+    """The nodes under node that run when its module is imported: all but
+    those inside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _at_import(child)
+
+
+def _imported_modules(tree: ast.Module, at_import: bool = False) -> set:
     """Every module, in or out of phimin, that the source imports, with
     phimin's own written without the package prefix; `from a import b`
-    outside phimin gives both a and a.b, as b may be a module."""
+    outside phimin gives both a and a.b, as b may be a module.  With
+    at_import, only the imports that run when the module is imported."""
     found = set()
-    for node in ast.walk(tree):
+    for node in (_at_import(tree) if at_import else ast.walk(tree)):
         if isinstance(node, ast.Import):
             found |= {a.name.removeprefix("phimin.") for a in node.names}
         elif isinstance(node, ast.ImportFrom):
@@ -89,6 +101,13 @@ def test_only_grid_imports_the_factorisations(path):
     assert reached == (FACTORISATION if path.stem == "grid" else set())
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_imports_scipy_when_imported(path):
+    imported = _imported_modules(ast.parse(path.read_text(encoding="utf-8")),
+                                 at_import=True)
+    assert not {m for m in imported if m == "scipy" or m.startswith("scipy.")}
+
+
 def test_the_checks_see_the_reaches_they_forbid(tmp_path):
     # each form of import the checks look for, as a module would write it
     path = tmp_path / "mod.py"
@@ -100,3 +119,15 @@ def test_the_checks_see_the_reaches_they_forbid(tmp_path):
     assert _imported_modules(ast.parse(path.read_text(encoding="utf-8"))) == {
         "potential", "solvers", "grid", "scipy.sparse", "scipy.linalg",
         "scipy.linalg.lapack"}
+    # an import inside a function or a method runs on the call; one in a
+    # class body or under a module-level if runs on import
+    path.write_text("import numpy\nif numpy:\n    import scipy.sparse\n"
+                    "def f():\n    import scipy.linalg\n"
+                    "class C:\n    import scipy.special\n"
+                    "    def m(self):\n        from scipy import optimize\n",
+                    encoding="utf-8")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _imported_modules(tree, at_import=True) == {"numpy", "scipy.sparse",
+                                                       "scipy.special"}
+    assert _imported_modules(tree) == {"numpy", "scipy.sparse", "scipy.linalg",
+                                       "scipy.special", "scipy", "scipy.optimize"}
