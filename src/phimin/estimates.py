@@ -428,7 +428,7 @@ def convexity_report(field: GeometryField, spec: PotentialSpec) -> ConvexityRepo
     HypothesesFail if one fails, ConvexWithinTol if min K >= -tol, else NotConvex.
     """
     tol = float(10.0 * field.grid_h**2 * max(field.norm_s2().max(), 1.0))
-    z_lo = max(float(field.mu.min()), spec.domain_left + 1e-9)
+    z_lo = max(float(field.mu.min()), spec.alpha + 1e-9)
     z_hi = float(field.mu.max())
     if z_hi <= z_lo:
         z_hi = z_lo + 1.0
@@ -557,7 +557,7 @@ def _window_samples(curve: ProfileCurve, field: GeometryField, p: int,
     if curve.s[p] + s_half > curve.s[-1] or curve.s[p] - s_half < curve.s[0]:
         if not (curve.kind == ROTATIONAL and curve.s[p] - s_half < curve.s[0]
                 and curve.x[0] < AXIS_TOL):
-            raise WindowUnderflowError("window exceeds the sampled profile")
+            raise PatchExceededError("window exceeds the sampled profile")
     idx = np.where(sel)[0]
     base = field.positions[p]
     x, z = curve.x[idx], curve.z[idx]

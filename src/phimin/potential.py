@@ -97,11 +97,6 @@ class PotentialSpec:
         """The family's entry in FAMILIES."""
         return FAMILIES[self.family]
 
-    @property
-    def domain_left(self) -> float:
-        """Left endpoint of the effective evaluation domain."""
-        return self.rules.domain_left(self)
-
     def with_offset(self, offset: float) -> "PotentialSpec":
         return replace(self, offset=float(offset))
 
@@ -174,9 +169,6 @@ class Family:
         unknown = names - set(self.params)
         if unknown:
             raise PotentialFamilyError(f"{self.name} spec has unknown parameters {sorted(unknown)}")
-
-    def domain_left(self, spec: PotentialSpec) -> float:
-        return spec.alpha
 
     def gamma(self, spec: PotentialSpec, z_lo: float, z_hi: float):
         return None
@@ -391,14 +383,11 @@ class Series(Family):
 
     def validate(self, spec):
         super().validate(spec)
+        # so the domain ]alpha, +inf[ never reaches the poles at 0
+        if spec.params["coefficients"] and spec.alpha < 0.0:
+            raise PotentialFamilyError("Series with coefficients requires alpha >= 0")
         if not spec.params["u0"] > max(spec.alpha, 0.0):
             raise PotentialFamilyError("Series requires u0 > max(alpha, 0)")
-
-    def domain_left(self, spec):
-        if spec.params["coefficients"]:
-            # inverse powers are singular at 0, regardless of alpha
-            return max(spec.alpha, 0.0)
-        return spec.alpha
 
     def tail(self, spec):
         p = spec.params
@@ -420,15 +409,11 @@ def _derivatives(spec: PotentialSpec, z):
 def eval_potential(spec: PotentialSpec, z):
     """Evaluate phi, phi', phi'', phi''' at height z (scalar or array).
 
-    Raises PotentialDomainError outside ]alpha, +inf[ and
-    PotentialFamilyError where inverse powers or logarithms are singular.
+    Raises PotentialDomainError outside ]alpha, +inf[.
     """
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr <= spec.alpha):
         raise PotentialDomainError(f"height {z} not above alpha={spec.alpha}")
-    if spec.domain_left > spec.alpha and np.any(z_arr <= spec.domain_left):
-        raise PotentialFamilyError(
-            f"{spec.family} is singular at or below z={spec.domain_left}")
     phi, d1, d2, d3 = _derivatives(spec, z_arr)
     phi = phi + spec.offset
     if np.isscalar(z) or z_arr.ndim == 0:
@@ -492,9 +477,8 @@ def check_conditions(spec: PotentialSpec, z_lo: float, z_hi: float,
     (Constant, Linear, Quadratic) and otherwise come from n_samples
     uniform points refined by a golden-section pass around the best one.
     """
-    if not (spec.domain_left < z_lo < z_hi):
-        raise PotentialDomainError(
-            f"need domain_left < z_lo < z_hi, got ({z_lo}, {z_hi})")
+    if not (spec.alpha < z_lo < z_hi):
+        raise PotentialDomainError(f"need alpha < z_lo < z_hi, got ({z_lo}, {z_hi})")
     if n_samples < 2:
         raise PotentialDomainError("n_samples must be >= 2")
 
@@ -558,7 +542,7 @@ def bounded_geometry_check(spec: PotentialSpec, z_lo: float, z_hi: float,
     The ``bounded`` flag combines the stabilised sampled sup with the
     family's analytic behaviour toward the ends of the full domain.
     """
-    if not (spec.domain_left < z_lo < z_hi) or n < 2:
+    if not (spec.alpha < z_lo < z_hi) or n < 2:
         raise ValueError("invalid sampling window")
     zs = np.linspace(z_lo, z_hi, n)
     sup = _sampled_sup(lambda t: _bounded_quantity(spec, t), zs)
@@ -581,7 +565,7 @@ def normalized_for_window(spec: PotentialSpec, epsilon: float) -> PotentialSpec:
     """
     if epsilon <= 0.0:
         raise PotentialDomainError("epsilon must be positive")
-    if spec.domain_left >= 0.0:
+    if spec.alpha >= 0.0:
         raise PotentialDomainError(
             "normalisation window requires the domain to contain ]0, eps]")
     base0 = float(_derivatives(spec, np.asarray(0.0))[0])

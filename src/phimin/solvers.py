@@ -34,18 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FIVE_POINT, NINE_POINT, Hierarchy, stencil_matrix, transfers
-from .potential import PotentialSpec, eval_potential
-from .surface_geometry import (GeometryField, GraphPatch, ProfileCurve,
+from .potential import PotentialDomainError, PotentialSpec, eval_potential
+from .surface_geometry import (AXIAL_TANGENT_TOL, AXIS_TOL, AxisSingularityError,
+                               GeometryField, GraphPatch, ProfileCurve,
                                ROTATIONAL, TRANSLATION, grid_shape,
                                sample_geometry, phi_minimal_residual)
-
-
-class DomainExitError(RuntimeError):
-    """Integration or iteration left the weight's height domain."""
-
-
-class AxisCollisionError(RuntimeError):
-    """Rotational profile reached x = 0 with a non-axial tangent."""
 
 
 @dataclass(frozen=True)
@@ -95,19 +88,21 @@ class SolveResult:
 def _integrate_profile(spec: PotentialSpec, kind: str, s0: float, y0, cfg,
                        x_stop: float = math.inf):
     """RK4 on (x, z, theta) from arclength s0 with domain monitoring: the
-    height is checked against the domain floor before each stage evaluates
-    phi', and at the end of each step.  A rotational stage on the axis
-    x = 0, or a step ending within 1e-9 of it with a non-axial tangent,
-    raises AxisCollisionError.  The integration ends early at the first
-    sample with x >= x_stop."""
+    height is checked against alpha before each stage evaluates phi', and
+    at the end of each step.  A rotational step that ends at x <= AXIS_TOL,
+    or one of whose stages lands on the axis x = 0, is dropped: the shot
+    ends at the last kept sample if its tangent is axial, and raises
+    AxisSingularityError otherwise.  The integration ends early at the
+    first sample with x >= x_stop."""
     d1 = spec.rules.d1_scalar(spec)
-    floor = spec.domain_left
+    floor = spec.alpha
     rotational = kind == ROTATIONAL
+    axis = AXIS_TOL if rotational else -math.inf
     cos, sin = math.cos, math.sin
 
     def stage_exit(z, k, stage):
-        return DomainExitError(f"height {z:.6g} reached the domain boundary "
-                               f"at stage {stage} of step {k + 1}")
+        return PotentialDomainError(f"height {z:.6g} reached the domain boundary "
+                                    f"at stage {stage} of step {k + 1}")
 
     h = cfg.step
     hh = 0.5 * h
@@ -118,8 +113,8 @@ def _integrate_profile(spec: PotentialSpec, kind: str, s0: float, y0, cfg,
     ts = np.empty(n_steps + 1)
     x, z, t = y0
     if z <= floor:
-        raise DomainExitError(f"start height {z:.6g} is not above the domain "
-                              f"boundary {floor:.6g}")
+        raise PotentialDomainError(f"start height {z:.6g} is not above the "
+                                   f"domain boundary {floor:.6g}")
     xs[0], zs[0], ts[0] = x, z, t
     try:
         for k in range(n_steps):
@@ -157,23 +152,24 @@ def _integrate_profile(spec: PotentialSpec, kind: str, s0: float, y0, cfg,
             z += h6 * (b1 + 2 * b2 + 2 * b3 + b4)
             t += h6 * (c1 + 2 * c2 + 2 * c3 + c4)
             if z <= floor:
-                raise DomainExitError(
+                raise PotentialDomainError(
                     f"height {z:.6g} reached the domain boundary at step {k + 1}")
-            if rotational and x < 1e-9:
-                if abs(sin(t)) > 1e-6:
-                    raise AxisCollisionError(
-                        f"profile hit the axis with theta = {t:.6g}")
+            if x <= axis:
                 break
             xs[k + 1], zs[k + 1], ts[k + 1] = x, z, t
             if x >= x_stop:
                 return xs[:k + 2], zs[:k + 2], ts[:k + 2]
         else:
             return xs, zs, ts
-    except ZeroDivisionError as exc:
-        # every stage's z is above the domain floor before phi' is read, so
-        # the only division by zero left is sin(theta) / x at x = 0
-        raise AxisCollisionError(
-            f"a stage of step {k + 1} landed on the axis x = 0") from exc
+    except ZeroDivisionError:
+        # every stage's z is above alpha before phi' is read, so the only
+        # division by zero left is sin(theta) / x at x = 0
+        pass
+    # step k + 1 reached the axis and is dropped
+    if abs(sin(ts[k])) > AXIAL_TANGENT_TOL:
+        raise AxisSingularityError(
+            f"step {k + 1} reached the axis x = 0 from theta = {ts[k]:.6g}, "
+            "not 0 mod pi")
     return xs[:k + 1], zs[:k + 1], ts[:k + 1]
 
 
@@ -213,7 +209,7 @@ def rotational_curve(spec: PotentialSpec, cfg: ShootingConfig,
         ts = np.concatenate([[0.0], ts])
     elif isinstance(cfg.start, PointStart):
         if cfg.start.x0 <= 0.0:
-            raise AxisCollisionError("point starts need x0 > 0; use AxisRegular")
+            raise AxisSingularityError("point starts need x0 > 0; use AxisRegular")
         y0 = (cfg.start.x0, cfg.start.z0, cfg.start.theta0)
         xs, zs, ts = _integrate_profile(spec, ROTATIONAL, 0.0, y0, cfg, x_stop)
     else:
@@ -342,7 +338,7 @@ def _nested_start(spec: PotentialSpec, u_bc: np.ndarray, h: float,
     u = _prolong_axis(_prolong_axis(coarse, 0), 1)
     u[0, :], u[-1, :] = u_bc[0, :], u_bc[-1, :]
     u[:, 0], u[:, -1] = u_bc[:, 0], u_bc[:, -1]
-    if np.any(u <= spec.domain_left):
+    if np.any(u <= spec.alpha):
         levels.append(f"h = {h:.6g}: prolonged start left the weight domain, "
                       "harmonic start")
         return _harmonic_extension(u_bc)
@@ -364,7 +360,7 @@ def _trial(spec: PotentialSpec, u: np.ndarray, h: float, delta: np.ndarray):
     inf when the trial iterate leaves the weight domain."""
     u_try = u.copy()
     u_try[1:-1, 1:-1] += delta
-    if not np.all(u_try > spec.domain_left):
+    if not np.all(u_try > spec.alpha):
         return u_try, None, math.inf
     res_try = graph_pde_residual(spec, u_try, h)
     return u_try, res_try, float(np.abs(res_try).max())
@@ -467,12 +463,12 @@ def solve_graph(spec: PotentialSpec, domain, h: float, boundary,
     mask_edge[0, :] = mask_edge[-1, :] = True
     mask_edge[:, 0] = mask_edge[:, -1] = True
     u[mask_edge] = np.asarray(boundary(X[mask_edge], Y[mask_edge]), dtype=float)
-    if np.any(u[mask_edge] <= spec.domain_left):
-        raise DomainExitError("boundary heights leave the weight domain")
+    if np.any(u[mask_edge] <= spec.alpha):
+        raise PotentialDomainError("boundary heights leave the weight domain")
     levels = []
     u = _nested_start(spec, u, h, cfg, levels)
-    if np.any(u <= spec.domain_left):
-        raise DomainExitError("initial iterate leaves the weight domain")
+    if np.any(u <= spec.alpha):
+        raise PotentialDomainError("initial iterate leaves the weight domain")
 
     u, res_norm, iters, note = _newton(spec, u, h, cfg)
     diagnostics = (f"PDE max-norm residual {res_norm:.3e} after {iters} Newton "

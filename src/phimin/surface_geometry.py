@@ -45,8 +45,10 @@ from .potential import (PotentialEval, PotentialSpec, PotentialDomainError,
 ROTATIONAL = "Rotational"
 TRANSLATION = "TranslationInvariant"
 # a profile sample with x < AXIS_TOL is on the rotation axis, one with
-# x > AXIS_TOL off it
+# x > AXIS_TOL off it; a sample on the axis is regular when its tangent is
+# axial, |sin theta| <= AXIAL_TANGENT_TOL
 AXIS_TOL = 1e-10
+AXIAL_TANGENT_TOL = 1e-6
 
 IDENTITY_NAMES = {
     1: "gradient_decomposition",
@@ -137,7 +139,7 @@ class ProfileCurve:
             if np.any(self.x < -1e-12):
                 raise AxisSingularityError("rotational profile has x < 0")
             on_axis = self.x < AXIS_TOL
-            bad = on_axis & (np.abs(np.sin(self.theta)) > 1e-6)
+            bad = on_axis & (np.abs(np.sin(self.theta)) > AXIAL_TANGENT_TOL)
             if np.any(bad):
                 raise AxisSingularityError("x = 0 at a sample with theta not 0 mod pi")
 
@@ -370,7 +372,7 @@ def sample_geometry(surface, spec: PotentialSpec) -> GeometryField:
 
 
 def _check_heights(spec: PotentialSpec, heights: np.ndarray) -> None:
-    if np.any(heights <= spec.domain_left):
+    if np.any(heights <= spec.alpha):
         raise PotentialDomainError("surface heights leave the weight domain")
 
 

@@ -3,6 +3,7 @@ import pytest
 
 import phimin as pm
 from phimin.solvers import AxisRegular, PointStart, ShootingConfig
+from phimin.surface_geometry import ROTATIONAL
 
 
 @pytest.fixture(scope="session")
@@ -87,3 +88,39 @@ def vertical_plane_profile():
     return pm.ProfileCurve(s=s, x=np.ones(n + 1), z=s.copy(),
                            theta=np.full(n + 1, np.pi / 2),
                            kind="TranslationInvariant", step=h)
+
+
+def _cumulative_simpson(f, h):
+    """Composite Simpson integrals of the samples f, of spacing h, from the
+    first sample to each sample of even index."""
+    pairs = h / 3.0 * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
+    return np.concatenate([[0.0], np.cumsum(pairs)])
+
+
+def _first_integral_defects(spec, curve):
+    """The largest change along a shot profile of each first integral of
+    its equation, relative to the largest of its terms.  With w = e^phi(z):
+
+        translation:  w cos(theta);
+        rotational:   x w cos(theta) - int_0^s w, read at the samples of
+                      even index, the integral by Simpson's rule, so that
+                      its quadrature error is O(h^4) like RK4's;
+        rotational, Constant weight: also x sin(theta), the neck radius.
+    """
+    w = np.exp(pm.eval_potential(spec, curve.z).phi)
+    cos_t = np.cos(curve.theta)
+    if curve.kind != ROTATIONAL:
+        return {"translation": np.ptp(w * cos_t) / w.max()}
+    even = slice(0, len(curve) - (len(curve) + 1) % 2, 2)
+    flux = _cumulative_simpson(w[:even.stop], curve.step)
+    moment = curve.x[even] * w[even] * cos_t[even]
+    defects = {"rotational": np.ptp(moment - flux)
+               / max(np.abs(curve.x * w).max(), flux[-1])}
+    if spec.family == "Constant":
+        defects["neck"] = np.ptp(curve.x * np.sin(curve.theta)) / curve.x.max()
+    return defects
+
+
+@pytest.fixture(scope="session")
+def first_integral_defects():
+    return _first_integral_defects

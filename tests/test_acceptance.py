@@ -439,3 +439,26 @@ def test_criterion_12_convexity_proof_ingredients():
     _verdict(12, "convexity proof ingredients", ok,
              f"orders {min(orders.values()):.2f}..{max(orders.values()):.2f} over "
              f"{len(orders)} residuals, Omori-Yau margins {margins}")
+
+
+def test_criterion_13_first_integrals(first_integral_defects):
+    # phi depends on height only, so a translation profile keeps
+    # e^phi cos(theta) and a rotational one x e^phi cos(theta) - int e^phi:
+    # at steps 8e-3 and 4e-3 their defects are at most 5 h^4 of the largest
+    # term and fall at least 2^3.5 times, on a translation profile and on
+    # the quadratic bowl, whose coarse defects are above 1e-11
+    cases = [("translation", SPECQ, solve_translation_profile,
+              dict(start=PointStart(0.0, 1.0, 0.3), s_max=1.0)),
+             ("quadratic bowl", SPECQ, solve_rotational_profile,
+              dict(start=AxisRegular(0.0), s_max=1.5))]
+    ok, details = True, []
+    for name, spec, solve, kw in cases:
+        defects = [first_integral_defects(spec, solve(spec, ShootingConfig(
+            step=step, **kw)).surface) for step in (8e-3, 4e-3)]
+        for key, coarse in defects[0].items():
+            fine = defects[1][key]
+            order = float(np.log2(coarse / fine))
+            ok = (ok and coarse > 1e-11 and coarse <= 5.0 * 8e-3**4
+                  and fine <= 5.0 * 4e-3**4 and order >= 3.5)
+            details.append(f"{name} {key} {coarse:.2e} -> {fine:.2e}, order {order:.2f}")
+    _verdict(13, "first integrals", ok, "; ".join(details))

@@ -267,7 +267,7 @@ def test_domain_exit_inside_a_step_is_a_typed_error(tmp_path, capsys):
         "start": {"kind": "point", "x0": 1.0, "z0": 5e-4, "theta0": -np.pi / 2},
         "step": 1e-3, "s_max": 0.1}, potential={"family": "LogPower", "a": 1})))
     assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
-    assert "DomainExitError" in capsys.readouterr().err
+    assert "PotentialDomainError" in capsys.readouterr().err
 
 
 def test_export_command(tmp_path):
@@ -1295,8 +1295,8 @@ def test_weight_keys_name_no_command_or_sub_config_key():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_manifest_config_reparses_to_the_config(tmp_path, monkeypatch, family):
     weight = _bench_weight(monkeypatch, family)
-    # LogPower needs alpha >= 0
-    alphas = (0.25,) if family == "LogPower" else (None, 0.25)
+    # LogPower and a Series with coefficients need alpha >= 0
+    alphas = (0.25,) if family in ("LogPower", "Series") else (None, 0.25)
     for alpha in alphas:
         cfg = parse_config(json.dumps(_base_config("PotentialCheck", {
             "z_lo": 1.0, "z_hi": 2.0, "n_samples": 5},

@@ -523,10 +523,10 @@ def test_rescaling_covariance_on_a_translation_curve(long_reaper, spec_linear):
     assert np.abs(f2.k2 - field.k2 / lam).max() <= 1e-12
 
 
-def test_window_underflow(tall_bowl, spec_linear):
+def test_window_past_the_profile_end_exceeds_the_patch(tall_bowl, spec_linear):
     field = sample_geometry(tall_bowl.surface, spec_linear)
     last = field.n_samples - 1
-    with pytest.raises(WindowUnderflowError):
+    with pytest.raises(PatchExceededError, match="window exceeds the sampled profile"):
         blowup_rescale(tall_bowl, [last], [2.0], spec_linear, "Plane")
 
 

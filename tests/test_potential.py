@@ -41,11 +41,15 @@ def test_domain_errors():
         eval_potential(spec, -1.0)
     with pytest.raises(PotentialDomainError):
         eval_potential(PotentialSpec.log_power(1.0), 0.0)
-    # inverse powers singular inside ]alpha, inf[ raise the family error
-    with pytest.raises(PotentialFamilyError):
-        eval_potential(PotentialSpec.series(0.0, 1.0, [1.0], u0=1.0, alpha=-2.0), -0.5)
-    with pytest.raises(PotentialFamilyError):
+    # the poles at 0 of inverse powers and logarithms are refused with the
+    # spec, so that no height in ]alpha, inf[ reaches them
+    with pytest.raises(PotentialFamilyError, match="alpha >= 0"):
+        PotentialSpec.series(0.0, 1.0, [1.0], u0=1.0, alpha=-2.0)
+    with pytest.raises(PotentialFamilyError, match="alpha >= 0"):
         PotentialSpec.log_power(1.0, alpha=-1.0)
+    series = PotentialSpec.series(0.0, 1.0, [1.0], u0=1.0)
+    with pytest.raises(PotentialDomainError):
+        eval_potential(series, 0.0)
     with pytest.raises(PotentialFamilyError):
         PotentialSpec.series(0.0, 1.0, [1.0], u0=-1.0)
 
@@ -330,7 +334,7 @@ def _valid_specs(draw, family):
 
 @st.composite
 def _windows(draw, spec):
-    left = spec.domain_left if math.isfinite(spec.domain_left) else -2.0
+    left = spec.alpha if math.isfinite(spec.alpha) else -2.0
     z_lo = left + draw(st.floats(0.05, 1.0))
     return z_lo, z_lo + draw(st.floats(0.1, 4.0))
 
@@ -371,7 +375,7 @@ def _assert_table_matches_reference(spec, z_lo, z_hi):
 
 @pytest.mark.parametrize("spec", _CORNER_SPECS, ids=lambda s: f"{s.family}{s.params}")
 def test_table_corner_cases_match_reference(spec):
-    left = spec.domain_left if math.isfinite(spec.domain_left) else -2.0
+    left = spec.alpha if math.isfinite(spec.alpha) else -2.0
     for z_lo, z_hi in ((left + 0.1, left + 3.0), (left + 1.5, left + 1.75)):
         _assert_table_matches_reference(spec, z_lo, z_hi)
 
@@ -404,7 +408,7 @@ def _assert_scalar_d1_matches_vectorised(spec, zs):
 def _heights_above_floor(spec):
     """Heights just above the domain floor (the least finite float for an
     unbounded domain), then a few well inside it."""
-    floor = spec.domain_left if math.isfinite(spec.domain_left) else -math.inf
+    floor = spec.alpha if math.isfinite(spec.alpha) else -math.inf
     z = np.nextafter(floor, math.inf)
     near = [z, np.nextafter(z, math.inf), z + 1e-300, z + 1e-12 * max(abs(z), 1.0)]
     inside = (0.0 if math.isinf(floor) else floor) + np.array([1e-6, 0.3, 1.0, 7.5])

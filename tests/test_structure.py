@@ -4,9 +4,13 @@ layer is imported from grid.py, stability does not go through the graph
 solver for it, only grid.py imports scipy's sparse solvers or LAPACK,
 so that every factorisation has one owner, and no module imports scipy
 when it is itself imported, only inside the functions that use it, so
-that a command that needs no scipy does not load it."""
+that a command that needs no scipy does not load it.  The solvers define
+no error of their own: each refusal belongs to the module that owns its
+rule, potential (the weight's domain), surface_geometry (the rotation
+axis) or grid (the linear solves)."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -108,6 +112,23 @@ def test_no_module_imports_scipy_when_imported(path):
     assert not {m for m in imported if m == "scipy" or m.startswith("scipy.")}
 
 
+def _exception_classes(tree: ast.Module) -> list:
+    """The classes the source defines on an exception base: a builtin
+    exception, or any name that ends in Error."""
+    def is_exception(base: ast.expr) -> bool:
+        name = ast.unparse(base).rpartition(".")[2]
+        builtin = getattr(builtins, name, None)
+        return name.endswith("Error") or (isinstance(builtin, type)
+                                          and issubclass(builtin, BaseException))
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(is_exception(base) for base in node.bases)]
+
+
+def test_solvers_defines_no_error():
+    tree = ast.parse((SRC / "solvers.py").read_text(encoding="utf-8"))
+    assert _exception_classes(tree) == []
+
+
 def test_the_checks_see_the_reaches_they_forbid(tmp_path):
     # each form of import the checks look for, as a module would write it
     path = tmp_path / "mod.py"
@@ -131,3 +152,8 @@ def test_the_checks_see_the_reaches_they_forbid(tmp_path):
                                                        "scipy.special"}
     assert _imported_modules(tree) == {"numpy", "scipy.sparse", "scipy.linalg",
                                        "scipy.special", "scipy", "scipy.optimize"}
+    # a class on a builtin exception, or on any base named ...Error, is an error
+    tree = ast.parse("class A(RuntimeError): pass\nclass B(grid.LinearSolveError): pass\n"
+                     "class C(Exception): pass\nclass D(object): pass\n"
+                     "class E: pass\nclass F(print): pass\n")
+    assert _exception_classes(tree) == ["A", "B", "C"]
